@@ -11,7 +11,8 @@ vacuous (+inf) and excluded from bound checks with an explicit flag.
 ``dp_level`` measures the worst log-probability ratio over the full exhaustive
 neighborhood of one instance (every single-voter ballot replacement, both
 directions); the neighborhood has n*(2^m - 2) members, so the audit is capped
-at m <= 8 by policy.
+at m <= 8 by policy. The rule runs once per (ballot type, replacement ballot)
+class of neighbors, which is exact for anonymous rules.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .core import (
     InvalidParametersError,
     ResourceLimitError,
     enumerate_committees,
-    enumerate_neighbors,
+    nonempty_subsets,
 )
-from .mechanisms import CommitteeDistribution, as_epsilon
+from .mechanisms import CommitteeDistribution, as_epsilon, weight_exponent
 
 TOLERANCE = 1e-9
 NEIGHBOR_AUDIT_MAX_M = 8
@@ -64,11 +65,15 @@ class AxiomLevel:
 
 @dataclass(frozen=True)
 class DpAuditReport:
-    """Worst-case log-probability ratio over an instance's neighborhood."""
+    """Worst-case log-probability ratio over an instance's neighborhood.
+
+    ``instances_checked`` counts the whole neighbor relation;
+    ``neighbors_evaluated`` counts the neighbors the rule was run on."""
 
     max_log_ratio: float
     attaining: Optional[tuple]  # (instance, neighbor, committee)
     instances_checked: int
+    neighbors_evaluated: int
 
 
 class BoundId(Enum):
@@ -200,7 +205,7 @@ def _boundary_level(
         lo = min(numerators, key=lambda w: dist.weight_coeffs[idx[w]])
         hi = max(denominators, key=lambda w: dist.weight_coeffs[idx[w]])
         coeff = dist.weight_coeffs[idx[lo]] - dist.weight_coeffs[idx[hi]]
-        return AxiomLevel(axiom, float(coeff * dist.epsilon), coeff, (lo, hi))
+        return AxiomLevel(axiom, weight_exponent(coeff, dist.epsilon), coeff, (lo, hi))
     lo = min(numerators, key=lambda w: dist.log_probs[idx[w]])
     hi = max(denominators, key=lambda w: dist.log_probs[idx[w]])
     value = dist.log_probs[idx[lo]] - dist.log_probs[idx[hi]]
@@ -232,7 +237,7 @@ def pe_level(dist: CommitteeDistribution, inst: Instance) -> AxiomLevel:
             coeff = dist.weight_coeffs[idx[hi]] - dist.weight_coeffs[idx[lo]]
             if best is None or coeff < best:
                 best, best_pair = coeff, (hi, lo)
-        return AxiomLevel(Axiom.PE, float(best * dist.epsilon), best, best_pair)
+        return AxiomLevel(Axiom.PE, weight_exponent(best, dist.epsilon), best, best_pair)
     best_pair = min(
         pairs, key=lambda p: dist.log_probs[idx[p[0]]] - dist.log_probs[idx[p[1]]]
     )
@@ -271,6 +276,14 @@ def dp_level(
 
     Maximizes |ln P(W | inst) - ln P(W | neighbor)| over all n*(2^m - 2)
     neighbors and all committees; the absolute value covers both directions.
+
+    Precondition: ``rule`` is anonymous (its law depends only on the ballot
+    multiset), as every rule in ``MECHANISMS`` is. A voter whose ballot an
+    earlier voter holds then yields only neighbors equal, as multisets, to
+    ones already evaluated, so such voters are skipped: the rule runs once per
+    (ballot type, replacement) class. A skipped neighbor only repeats gaps
+    already seen and the strict ``>`` keeps the first attaining triple, so the
+    report equals that of a scan over every neighbor.
     """
     if inst.m > NEIGHBOR_AUDIT_MAX_M:
         raise ResourceLimitError(
@@ -280,16 +293,29 @@ def dp_level(
     base = rule(inst)
     worst = 0.0
     attaining: Optional[tuple] = None
-    checked = 0
-    for _voter, neighbor in enumerate_neighbors(inst):
-        checked += 1
-        other = rule(neighbor)
-        for idx, w in enumerate(base.committees):
-            gap = abs(base.log_probs[idx] - other.log_probs[idx])
-            if gap > worst:
-                worst = gap
-                attaining = (inst, neighbor, w)
-    return DpAuditReport(max_log_ratio=worst, attaining=attaining, instances_checked=checked)
+    evaluated = 0
+    seen: set = set()
+    for voter, current in enumerate(inst.ballots):
+        if current in seen:
+            continue
+        seen.add(current)
+        for ballot in nonempty_subsets(inst.m):
+            if ballot == current:
+                continue
+            neighbor = inst.replace_ballot(voter, ballot)
+            evaluated += 1
+            other = rule(neighbor)
+            for idx, w in enumerate(base.committees):
+                gap = abs(base.log_probs[idx] - other.log_probs[idx])
+                if gap > worst:
+                    worst = gap
+                    attaining = (inst, neighbor, w)
+    return DpAuditReport(
+        max_log_ratio=worst,
+        attaining=attaining,
+        instances_checked=inst.n * (2**inst.m - 2),
+        neighbors_evaluated=evaluated,
+    )
 
 
 def dp_level_family(
@@ -303,6 +329,7 @@ def dp_level_family(
         max_log_ratio=best.max_log_ratio,
         attaining=best.attaining,
         instances_checked=sum(r.instances_checked for r in reports),
+        neighbors_evaluated=sum(r.neighbors_evaluated for r in reports),
     )
 
 
@@ -349,7 +376,7 @@ def check_bound(
         need = inst.n * inst.k
         if chain < need:
             return BoundCheck(
-                bound_id, math.inf, float(rhs_fn(inst) * eps), True, True,
+                bound_id, math.inf, weight_exponent(rhs_fn(inst), eps), True, True,
                 f"vacuous: longest dominance chain from a {partner.value}-satisfying "
                 f"to a violating committee has {max(chain, 0)} arrows, needs {need}",
                 None, rhs_fn(inst),
@@ -363,7 +390,7 @@ def check_bound(
             need = inst.n * inst.k - 1
             if chain < need:
                 return BoundCheck(
-                    bound_id, math.inf, float(rhs_fn(inst) * eps), True, True,
+                    bound_id, math.inf, weight_exponent(rhs_fn(inst), eps), True, True,
                     f"vacuous: longest dominance chain starting off the Condorcet "
                     f"committee has {max(chain, 0)} arrows, needs {need}",
                     None, rhs_fn(inst),
@@ -379,7 +406,7 @@ def check_bound(
         levels.append((level, weight_fn(inst)))
 
     rhs_coeff = rhs_fn(inst)
-    rhs_log = float(rhs_coeff * eps)
+    rhs_log = weight_exponent(rhs_coeff, eps)
     for level, _weight in levels:
         if level.vacuous:
             return BoundCheck(

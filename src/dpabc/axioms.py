@@ -72,70 +72,79 @@ def cohesive_witnesses(inst: Instance, ell: int) -> list:
     return out
 
 
-def _jr_family_violation_ell(w: frozenset, inst: Instance, ell: int) -> bool:
-    """True iff some l-cohesive group violates EJR at this ``ell`` (for
-    ``ell = 1`` this is exactly a JR violation).
+def _mask(alternatives) -> int:
+    return sum(1 << a for a in alternatives)
 
-    A violating group exists iff for some core ``T`` of size ``ell`` the
-    voters of the maximal group ``V_T`` that hold fewer than ``ell`` approved
-    members of ``w`` are themselves numerous enough to be l-cohesive.
+
+def _cohesive_groups(inst: Instance, levels: Sequence) -> list:
+    """``(ell, ballot types of V_T)`` for every maximal l-cohesive group
+    ``V_T`` (see :func:`cohesive_witnesses`) with ``ell`` in ``levels``.
+
+    Some l-cohesive group with core ``T`` has no voter with ``ell`` approved
+    members of ``w`` iff the voters of ``V_T`` holding fewer than ``ell``
+    such members are numerous enough to be l-cohesive; a ``V_T`` too small
+    for that can never violate, so only cohesive ones are kept.
     """
-    n, k = inst.n, inst.k
-    for T in itertools.combinations(range(inst.m), ell):
-        core = frozenset(T)
-        bad = 0
-        for b in inst.ballots:
-            if core <= b and len(b & w) < ell:
-                bad += 1
-        if k * bad >= ell * n:
-            return True
-    return False
+    masks = [_mask(b) for b in inst.ballots]
+    groups = {}
+    for ell in levels:
+        for group in cohesive_witnesses(inst, ell):
+            types = tuple(sorted(Counter(masks[i] for i in group.voters).items()))
+            groups[ell, types] = None
+    return list(groups)
 
 
-def _ballot_types(inst: Instance) -> list:
-    return sorted(Counter(inst.ballots).items(), key=lambda t: sorted(t[0]))
-
-
-def _pjr_violation(w: frozenset, inst: Instance) -> bool:
-    """Exhaustive PJR check over subsets of distinct ballot types.
+def _pjr_groups(inst: Instance) -> list:
+    """``(union, cap)`` pairs: a committee ``w`` violates PJR iff some pair
+    has ``cap > |w & union|``.
 
     A violating group's intersection and union depend only on which ballot
     types it contains, and taking every voter of each included type maximizes
-    the group size, so scanning the 2^#types - 1 type subsets decides PJR
-    exactly. Cost is exponential only in the number of distinct ballots.
+    the group size, so scanning subsets of distinct ballot types decides PJR
+    exactly. A subset with an empty intersection is cohesive for no ``ell``,
+    and neither is any superset, so the scan prunes there. For each union only
+    the largest ``cap`` (largest ``ell`` the group is cohesive for) is kept.
     """
     n, k = inst.n, inst.k
-    types = _ballot_types(inst)
-    t = len(types)
-    for mask in range(1, 1 << t):
-        group_size = 0
-        common = None
-        union = frozenset()
-        for idx in range(t):
-            if mask >> idx & 1:
-                ballot, count = types[idx]
-                group_size += count
-                union |= ballot
-                common = ballot if common is None else common & ballot
-        # largest l this group can be cohesive for
-        cap = min(k, len(common), (k * group_size) // n)
-        if cap > len(w & union):
-            return True
-    return False
+    types = sorted(Counter(_mask(b) for b in inst.ballots).items())  # (mask, voters)
+    best: dict = {}
+
+    def extend(start: int, common: int, union: int, size: int) -> None:
+        for i in range(start, len(types)):
+            ballot, count = types[i]
+            if common & ballot:
+                shared, covered, voters = common & ballot, union | ballot, size + count
+                # largest l this group can be cohesive for
+                cap = min(k, shared.bit_count(), (k * voters) // n)
+                if cap > best.get(covered, 0):
+                    best[covered] = cap
+                extend(i + 1, shared, covered, voters)
+
+    extend(0, (1 << inst.m) - 1, 0, 0)
+    return list(best.items())
+
+
+def _violation_test(inst: Instance, ax: Axiom):
+    """Predicate on committee bitmasks: True iff the committee violates
+    ``ax``. Builds the per-instance tables once; each test is then a scan of
+    them."""
+    n, k = inst.n, inst.k
+    if ax is Axiom.PJR:
+        unions = _pjr_groups(inst)
+        return lambda w: any(cap > (w & union).bit_count() for union, cap in unions)
+    if ax in (Axiom.JR, Axiom.EJR):
+        levels = (1,) if ax is Axiom.JR else range(1, k + 1)
+        groups = _cohesive_groups(inst, levels)
+        return lambda w: any(
+            k * sum(c for b, c in members if (b & w).bit_count() < ell) >= ell * n
+            for ell, members in groups
+        )
+    raise InvalidParametersError(f"satisfies_axiom expects JR/PJR/EJR, got {ax}")
 
 
 def satisfies_axiom(w: Sequence, inst: Instance, ax: Axiom) -> bool:
     """Exact membership test of committee ``w`` in JR/PJR/EJR for ``inst``."""
-    wset = frozenset(w)
-    if ax is Axiom.JR:
-        return not _jr_family_violation_ell(wset, inst, 1)
-    if ax is Axiom.EJR:
-        return not any(
-            _jr_family_violation_ell(wset, inst, ell) for ell in range(1, inst.k + 1)
-        )
-    if ax is Axiom.PJR:
-        return not _pjr_violation(wset, inst)
-    raise InvalidParametersError(f"satisfies_axiom expects JR/PJR/EJR, got {ax}")
+    return not _violation_test(inst, ax)(_mask(w))
 
 
 @lru_cache(maxsize=4096)
@@ -144,9 +153,8 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
     The inclusion chain EJR subset PJR subset JR holds on every instance.
     """
-    return tuple(
-        w for w in enumerate_committees(inst.m, inst.k) if satisfies_axiom(w, inst, ax)
-    )
+    violates = _violation_test(inst, ax)
+    return tuple(w for w in enumerate_committees(inst.m, inst.k) if not violates(_mask(w)))
 
 
 def av_score(w: Sequence, profile: Sequence) -> int:

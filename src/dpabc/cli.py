@@ -262,6 +262,7 @@ def _cmd_audit_dp(args) -> int:
         "eps": str(eps),
         "max_log_ratio": report.max_log_ratio,
         "neighbors_checked": report.instances_checked,
+        "neighbors_evaluated": report.neighbors_evaluated,
         "within_budget": not violated,
     }
     record.update(_attaining_fields(report))

@@ -6,6 +6,9 @@ committee is ``e^(q * eps)`` with ``q`` an exact rational stored per committee,
 so within-instance probability ratios are exact log-weight differences; only
 the normalizer is floating point.
 
+Every rule is anonymous: its law depends only on the multiset of ballots, not
+on which voter cast which. ``audit.dp_level`` relies on this.
+
 Rules:
 
 * ``rr_axiom_distribution`` -- randomized response on a JR-family predicate:
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .axioms import JR_FAMILY, Axiom, av_score, axiom_committee_set, condorcet_committee
+from .axioms import JR_FAMILY, Axiom, axiom_committee_set, condorcet_committee
 from .core import (
     Instance,
     InvalidParametersError,
@@ -71,24 +74,38 @@ def as_epsilon(epsilon) -> Fraction:
     """Normalize a privacy budget to an exact positive rational.
 
     Strings are parsed as exact decimals (``"0.1" -> 1/10``); floats go
-    through their shortest decimal repr.
+    through their shortest decimal repr. ``nan``, ``inf`` and budgets beyond
+    the float range are rejected.
     """
     if isinstance(epsilon, Fraction):
         eps = epsilon
     elif isinstance(epsilon, int):
         eps = Fraction(epsilon)
-    elif isinstance(epsilon, float):
-        eps = Fraction(str(epsilon))
-    elif isinstance(epsilon, str):
+    elif isinstance(epsilon, (float, str)):
         try:
-            eps = Fraction(epsilon)
+            eps = Fraction(str(epsilon))
         except (ValueError, ZeroDivisionError):
             raise InvalidParametersError(f"cannot parse epsilon {epsilon!r}") from None
     else:
         raise InvalidParametersError(f"cannot parse epsilon {epsilon!r}")
     if eps <= 0:
         raise InvalidParametersError(f"epsilon must be positive, got {eps}")
+    try:
+        float(eps)
+    except OverflowError:
+        raise InvalidParametersError(f"epsilon {epsilon!r} exceeds the float range") from None
     return eps
+
+
+def weight_exponent(q: Fraction, eps: Fraction) -> float:
+    """``float(q * eps)``, or a usage error when it does not fit in a finite
+    float (a budget too large for the rule)."""
+    try:
+        return float(q * eps)
+    except OverflowError:
+        raise InvalidParametersError(
+            f"epsilon too large: the weight exponent {q}*eps overflows a float"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +152,8 @@ def _from_weight_coeffs(
     inst: Instance, epsilon: Fraction, mechanism: str, coeffs: Sequence
 ) -> CommitteeDistribution:
     committees = tuple(enumerate_committees(inst.m, inst.k))
-    exponents = [float(q * epsilon) for q in coeffs]
+    exponent = {q: weight_exponent(q, epsilon) for q in set(coeffs)}
+    exponents = [exponent[q] for q in coeffs]
     hi = max(exponents)
     log_z = hi + math.log(sum(math.exp(x - hi) for x in exponents))
     return CommitteeDistribution(
@@ -143,7 +161,7 @@ def _from_weight_coeffs(
         epsilon=epsilon,
         mechanism=mechanism,
         committees=committees,
-        weight_coeffs=tuple(Fraction(q) for q in coeffs),
+        weight_coeffs=tuple(coeffs),
         log_probs=tuple(x - log_z for x in exponents),
     )
 
@@ -158,10 +176,8 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
     if ax not in JR_FAMILY:
         raise InvalidParametersError(f"randomized response expects JR/PJR/EJR, got {ax}")
     satisfying = set(axiom_committee_set(inst, ax))
-    coeffs = [
-        Fraction(1, 2) if w in satisfying else Fraction(0)
-        for w in enumerate_committees(inst.m, inst.k)
-    ]
+    half, zero = Fraction(1, 2), Fraction(0)
+    coeffs = [half if w in satisfying else zero for w in enumerate_committees(inst.m, inst.k)]
     return _from_weight_coeffs(inst, eps, f"rr-{ax.value}", coeffs)
 
 
@@ -169,8 +185,9 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """Committee-level exponential mechanism with AV score utility:
     P(W) proportional to e^(AV(W) * eps / (2k))."""
     eps = as_epsilon(epsilon)
+    approvals = _approval_counts(inst)
     coeffs = [
-        Fraction(av_score(w, inst.ballots), 2 * inst.k)
+        Fraction(sum(approvals[a] for a in w), 2 * inst.k)
         for w in enumerate_committees(inst.m, inst.k)
     ]
     return _from_weight_coeffs(inst, eps, "exp-av", coeffs)
@@ -178,6 +195,18 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
 
 def _approval_counts(inst: Instance) -> list:
     return [sum(1 for b in inst.ballots if a in b) for a in range(inst.m)]
+
+
+def _sequential_weights(inst: Instance, eps: Fraction) -> list:
+    """Per-alternative weights e^(approvals * eps / (2k)); a usage error when
+    their sum does not fit in a finite float."""
+    try:
+        weights = [math.exp(c * float(eps) / (2 * inst.k)) for c in _approval_counts(inst)]
+        if math.isfinite(sum(weights)):
+            return weights
+    except OverflowError:
+        pass
+    raise InvalidParametersError("epsilon too large: the sequential AV weights overflow a float")
 
 
 def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
@@ -192,7 +221,7 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
         raise ResourceLimitError(
             f"sequential law enumeration limited to m <= {SEQUENTIAL_LAW_MAX_M}, got m={inst.m}"
         )
-    weights = [math.exp(c * float(eps) / (2 * inst.k)) for c in _approval_counts(inst)]
+    weights = _sequential_weights(inst, eps)
     committees = tuple(enumerate_committees(inst.m, inst.k))
     mass = {w: 0.0 for w in committees}
     chosen: list = []
@@ -208,6 +237,10 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
             chosen.pop()
 
     descend(list(range(inst.m)), 1.0)
+    if 0.0 in mass.values():
+        raise InvalidParametersError(
+            "epsilon too large: a committee's sequential probability underflows a float"
+        )
     return CommitteeDistribution(
         instance=inst,
         epsilon=eps,
@@ -221,7 +254,7 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
 def sample_sequential_av(inst: Instance, epsilon, seed: RandomSeed) -> tuple:
     """Run the k-round sampler literally (one shot, seeded)."""
     eps = as_epsilon(epsilon)
-    weights = [math.exp(c * float(eps) / (2 * inst.k)) for c in _approval_counts(inst)]
+    weights = _sequential_weights(inst, eps)
     uniforms = uniform_stream(seed)
     chosen: list = []
     remaining = list(range(inst.m))
@@ -248,10 +281,8 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """
     eps = as_epsilon(epsilon)
     winner = condorcet_committee(inst)
-    coeffs = [
-        Fraction(1) if w == winner else Fraction(0)
-        for w in enumerate_committees(inst.m, inst.k)
-    ]
+    one, zero = Fraction(1), Fraction(0)
+    coeffs = [one if w == winner else zero for w in enumerate_committees(inst.m, inst.k)]
     return _from_weight_coeffs(inst, eps, "rr-condorcet", coeffs)
 
 

@@ -13,6 +13,7 @@ from dpabc import (
     check_bound,
     dp_level,
     dp_level_family,
+    enumerate_neighbors,
     evaluate_bounds,
     exp_av_distribution,
     jr_probability_bound,
@@ -149,6 +150,69 @@ class TestDpLevel:
         family = dp_level_family(rule, [w2.inst, w1.inst])
         assert family.max_log_ratio == pytest.approx(1.0, abs=1e-9)
         assert family.instances_checked == 42 + 56
+        # CC_UPPER has 2 ballot types, JR_UPPER 3
+        assert family.neighbors_evaluated == 2 * 14 + 3 * 14
+
+
+def full_neighborhood_audit(rule, inst):
+    """Reference audit: the rule on every neighbor, no class skipped.
+    Returns (max_log_ratio, attaining, neighbors checked)."""
+    base = rule(inst)
+    worst = 0.0
+    attaining = None
+    checked = 0
+    for _voter, neighbor in enumerate_neighbors(inst):
+        checked += 1
+        other = rule(neighbor)
+        for idx, w in enumerate(base.committees):
+            gap = abs(base.log_probs[idx] - other.log_probs[idx])
+            if gap > worst:
+                worst = gap
+                attaining = (inst, neighbor, w)
+    return worst, attaining, checked
+
+
+_SMALL_WITNESSES = [wid for wid in WitnessId if witness(wid).inst.m <= 6]
+
+
+class TestDpLevelMatchesFullNeighborhood:
+    @pytest.mark.parametrize(
+        "wid, mechanism, eps",
+        [
+            *(
+                (wid, mechanism, eps)
+                for wid in _SMALL_WITNESSES
+                for mechanism in sorted(MECHANISMS)
+                for eps in ("0.1", "1")
+            ),
+            (WitnessId.PJR_EJR_3WAY, "rr-ejr", "1"),
+        ],
+    )
+    def test_same_report_as_full_scan(self, wid, mechanism, eps):
+        inst = witness(wid).inst
+        rule = make_rule(mechanism, eps)
+        report = dp_level(rule, inst)
+        worst, attaining, checked = full_neighborhood_audit(rule, inst)
+        assert report.max_log_ratio == worst
+        assert report.attaining == attaining
+        assert report.instances_checked == checked
+        assert report.neighbors_evaluated == len(set(inst.ballots)) * (2**inst.m - 2)
+
+
+class TestAnonymity:
+    """dp_level evaluates one neighbor per (ballot type, replacement) class,
+    which is exact only for rules that depend on the ballot multiset alone."""
+
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+    def test_voter_order_does_not_change_the_law(self, mechanism):
+        for wid in WitnessId:
+            inst = witness(wid).inst
+            dist = MECHANISMS[mechanism](inst, 1)
+            ballots = inst.ballots
+            for order in (ballots[::-1], ballots[1:] + ballots[:1]):
+                other = MECHANISMS[mechanism](make_instance(order, inst.m, inst.k), 1)
+                assert other.log_probs == dist.log_probs
+                assert other.weight_coeffs == dist.weight_coeffs
 
 
 class TestLevelInvariants:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dpabc import (
     Axiom,
+    BallotModel,
     InvalidParametersError,
     av_score,
     axiom_committee_set,
@@ -17,6 +18,7 @@ from dpabc import (
     pareto_dominates,
     permute,
     permute_committee,
+    random_instance,
     satisfies_axiom,
     witness,
     WitnessId,
@@ -214,6 +216,12 @@ class TestNeutrality:
         )
 
 
+# (m, k, approval probability, seed) of impartial profiles with n = 10 and
+# 8-9 distinct ballots; between them they have committees violating JR, PJR
+# but not JR, and EJR but not PJR
+DIVERSE_PROFILES = [(6, 4, 0.3, 9), (7, 5, 0.3, 87), (7, 4, 0.5, 20)]
+
+
 class TestAgainstBruteOracle:
     @settings(max_examples=40, deadline=None)
     @given(instances(max_m=5, max_n=5, max_k=3), st.data())
@@ -221,3 +229,15 @@ class TestAgainstBruteOracle:
         w = data.draw(st.sampled_from(enumerate_committees(inst.m, inst.k)))
         for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
             assert satisfies_axiom(w, inst, ax) == brute_satisfies(w, inst, ax)
+
+    @pytest.mark.parametrize("m, k, p, seed", DIVERSE_PROFILES)
+    def test_every_committee_on_many_ballot_types(self, m, k, p, seed):
+        inst = random_instance(m, 10, k, BallotModel("impartial", p), seed)
+        assert len(set(inst.ballots)) >= 8
+        for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
+            expected = tuple(
+                w for w in enumerate_committees(m, k) if brute_satisfies(w, inst, ax)
+            )
+            assert axiom_committee_set(inst, ax) == expected
+            for w in enumerate_committees(m, k):
+                assert satisfies_axiom(w, inst, ax) == (w in expected)

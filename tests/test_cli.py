@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dpabc import format_instance, make_instance, witness, WitnessId
+from dpabc import MECHANISMS, format_instance, make_instance, witness, WitnessId
 from dpabc.cli import main
 
 
@@ -182,6 +182,25 @@ class TestErrors:
     def test_usage_error_exits_2(self, capsys):
         assert main(["dist", "--mechanism", "nope"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ("dist", "--mechanism", mechanism, "--eps", "1e400", "--witness", "JR_UPPER")
+                for mechanism in sorted(MECHANISMS)
+            ),
+            ("dist", "--mechanism", "seq-av", "--eps", "1e300", "--witness", "JR_UPPER"),
+            ("sample", "--mechanism", "seq-av", "--eps", "1e300", "--witness", "JR_UPPER"),
+            ("dist", "--mechanism", "seq-av", "--eps", "1400", "--witness", "PE_CHAIN"),
+            ("audit-axioms", "--mechanism", "uniform", "--eps", "1e308", "--witness", "JR_UPPER"),
+        ],
+    )
+    def test_epsilon_beyond_float_range_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: epsilon") and "Traceback" not in err
 
 
 class TestReproduce:

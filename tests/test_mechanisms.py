@@ -41,10 +41,30 @@ class TestEpsilonParsing:
         assert as_epsilon(0.5) == Fraction(1, 2)
         assert as_epsilon(0.1) == Fraction(1, 10)
 
-    @pytest.mark.parametrize("bad", [0, -1, "0", "-0.5", "abc", None])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, "0", "-0.5", "abc", None, float("nan"), float("inf"), "1e400"]
+    )
     def test_rejects_nonpositive_or_garbage(self, bad):
         with pytest.raises(InvalidParametersError):
             as_epsilon(bad)
+
+    def test_weight_exponent_beyond_float_range_is_usage_error(self):
+        # AV(0,1) = 8 with k = 2, so q = 2 and q*eps overflows at eps = 1e308
+        inst = make_instance([{0, 1}] * 4, 3, 2)
+        with pytest.raises(InvalidParametersError, match="overflows"):
+            exp_av_distribution(inst, "1e308")
+        exp_av_distribution(inst, "1e300")  # q*eps = 2e300 still fits
+
+    def test_sequential_weights_beyond_float_range_are_usage_error(self):
+        inst = witness(WitnessId.PE_CHAIN).inst
+        for eps in ("1e300", "2800"):
+            with pytest.raises(InvalidParametersError, match="overflow"):
+                sequential_av_distribution(inst, eps)
+        with pytest.raises(InvalidParametersError, match="overflow"):
+            sample_sequential_av(inst, "1e300", 0)
+        # the weights fit, but a committee's probability underflows to 0
+        with pytest.raises(InvalidParametersError, match="underflows"):
+            sequential_av_distribution(inst, "1400")
 
 
 class TestSplitmix:
