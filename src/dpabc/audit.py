@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 from .axioms import (
     JR_FAMILY,
     Axiom,
+    av_score,
     axiom_committee_set,
     condorcet_committee,
     dominance_pairs,
@@ -110,10 +111,6 @@ class BoundCheck:
     attaining: tuple = ()
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _longest_dominance_chain(inst: Instance, start_ok, end_ok) -> int:
     """Longest number of dominance arrows along any chain whose first
     committee satisfies ``start_ok`` and whose last satisfies ``end_ok``;
@@ -123,14 +120,11 @@ def _longest_dominance_chain(inst: Instance, start_ok, end_ok) -> int:
     AV score descending is a topological order.
     """
     committees = enumerate_committees(inst.m, inst.k)
-    av = {
-        w: sum(len(b & frozenset(w)) for b in inst.ballots) for w in committees
-    }
     succ: dict = {w: [] for w in committees}
     for hi, lo in dominance_pairs(inst):
         succ[hi].append(lo)
     best = {w: 0 if start_ok(w) else None for w in committees}
-    for w in sorted(committees, key=lambda c: av[c], reverse=True):
+    for w in sorted(committees, key=lambda c: av_score(c, inst.ballots), reverse=True):
         if best[w] is None:
             continue
         for lo in succ[w]:
@@ -140,53 +134,41 @@ def _longest_dominance_chain(inst: Instance, start_ok, end_ok) -> int:
     return max(lengths, default=-1)
 
 
-def _pe_power(inst: Instance) -> int:
-    return inst.n * inst.k - 1
-
-
-# bound_id -> ((axiom, weight-of-term), ...), rhs as multiple of eps
-_BOUND_TERMS: dict = {
-    BoundId.JR_2WAY: (((Axiom.JR, lambda inst: 1),), lambda inst: Fraction(1)),
-    BoundId.PJR_2WAY: (((Axiom.PJR, lambda inst: 1),), lambda inst: Fraction(1)),
-    BoundId.EJR_2WAY: (
-        ((Axiom.EJR, lambda inst: 1),),
-        lambda inst: Fraction(_ceil_div(inst.n, inst.k)),
-    ),
-    BoundId.PE_2WAY: (((Axiom.PE, lambda inst: 1),), lambda inst: Fraction(1, inst.k)),
-    BoundId.CC_2WAY: (((Axiom.CC, lambda inst: 1),), lambda inst: Fraction(1)),
-    BoundId.JR_PJR_3WAY: (
-        ((Axiom.JR, lambda inst: 1), (Axiom.PJR, lambda inst: 1)),
-        lambda inst: Fraction(1),
-    ),
-    BoundId.JR_EJR_3WAY: (
-        ((Axiom.JR, lambda inst: 1), (Axiom.EJR, lambda inst: 1)),
-        lambda inst: Fraction(1),
-    ),
-    BoundId.PJR_EJR_3WAY: (
-        ((Axiom.PJR, lambda inst: 1), (Axiom.EJR, lambda inst: 1)),
-        lambda inst: Fraction(_ceil_div(inst.n, inst.k)),
-    ),
-    BoundId.PE_JR_3WAY: (
-        ((Axiom.PE, _pe_power), (Axiom.JR, lambda inst: 1)),
-        lambda inst: Fraction(inst.n),
-    ),
-    BoundId.PE_PJR_3WAY: (
-        ((Axiom.PE, _pe_power), (Axiom.PJR, lambda inst: 1)),
-        lambda inst: Fraction(inst.n),
-    ),
-    BoundId.PE_EJR_3WAY: (
-        ((Axiom.PE, _pe_power), (Axiom.EJR, lambda inst: 1)),
-        lambda inst: Fraction(inst.n),
-    ),
-    BoundId.PE_CC_3WAY: (
-        ((Axiom.PE, _pe_power), (Axiom.CC, lambda inst: 1)),
-        lambda inst: Fraction(inst.n),
-    ),
-    BoundId.CC_JR_PRODUCT: (
-        ((Axiom.CC, lambda inst: 1), (Axiom.JR, lambda inst: 1)),
-        lambda inst: Fraction(0),
-    ),
+# bound_id -> (levels, rhs as a multiple of eps given (n, k)). A PE level in a
+# three-way bound has weight nk-1; every other level has weight 1.
+_BOUNDS: dict = {
+    BoundId.JR_2WAY: ((Axiom.JR,), lambda n, k: 1),
+    BoundId.PJR_2WAY: ((Axiom.PJR,), lambda n, k: 1),
+    BoundId.EJR_2WAY: ((Axiom.EJR,), lambda n, k: -(-n // k)),
+    BoundId.PE_2WAY: ((Axiom.PE,), lambda n, k: Fraction(1, k)),
+    BoundId.CC_2WAY: ((Axiom.CC,), lambda n, k: 1),
+    BoundId.JR_PJR_3WAY: ((Axiom.JR, Axiom.PJR), lambda n, k: 1),
+    BoundId.JR_EJR_3WAY: ((Axiom.JR, Axiom.EJR), lambda n, k: 1),
+    BoundId.PJR_EJR_3WAY: ((Axiom.PJR, Axiom.EJR), lambda n, k: -(-n // k)),
+    BoundId.PE_JR_3WAY: ((Axiom.PE, Axiom.JR), lambda n, k: n),
+    BoundId.PE_PJR_3WAY: ((Axiom.PE, Axiom.PJR), lambda n, k: n),
+    BoundId.PE_EJR_3WAY: ((Axiom.PE, Axiom.EJR), lambda n, k: n),
+    BoundId.PE_CC_3WAY: ((Axiom.PE, Axiom.CC), lambda n, k: n),
+    BoundId.CC_JR_PRODUCT: ((Axiom.CC, Axiom.JR), lambda n, k: 0),
 }
+
+
+def _log_weights(dist: CommitteeDistribution) -> dict:
+    """Committee -> its exact weight coefficient when the distribution has
+    them, else its log-probability; a pair's level is the difference."""
+    keys = dist.weight_coeffs if dist.weight_coeffs is not None else dist.log_probs
+    return dict(zip(dist.committees, keys))
+
+
+def _pair_level(
+    dist: CommitteeDistribution, axiom: Axiom, pair: tuple, weights: dict
+) -> AxiomLevel:
+    """The level realized by the (numerator, denominator) committee pair,
+    exact when the distribution carries weight coefficients."""
+    diff = weights[pair[0]] - weights[pair[1]]
+    if dist.weight_coeffs is None:
+        return AxiomLevel(axiom, diff, None, pair)
+    return AxiomLevel(axiom, weight_exponent(diff, dist.epsilon), diff, pair)
 
 
 def _boundary_level(
@@ -196,20 +178,13 @@ def _boundary_level(
     denominators: Sequence,
 ) -> AxiomLevel:
     """Min over numerator x denominator committee pairs of their probability
-    ratio. With exact weights this is (min q over numerators) - (max q over
-    denominators); ties resolve to the first committee in canonical order."""
+    ratio: the lowest-weight numerator over the highest-weight denominator;
+    ties resolve to the first committee in canonical order."""
     if not numerators or not denominators:
         return AxiomLevel(axiom, math.inf, None, None)
-    idx = {w: i for i, w in enumerate(dist.committees)}
-    if dist.weight_coeffs is not None:
-        lo = min(numerators, key=lambda w: dist.weight_coeffs[idx[w]])
-        hi = max(denominators, key=lambda w: dist.weight_coeffs[idx[w]])
-        coeff = dist.weight_coeffs[idx[lo]] - dist.weight_coeffs[idx[hi]]
-        return AxiomLevel(axiom, weight_exponent(coeff, dist.epsilon), coeff, (lo, hi))
-    lo = min(numerators, key=lambda w: dist.log_probs[idx[w]])
-    hi = max(denominators, key=lambda w: dist.log_probs[idx[w]])
-    value = dist.log_probs[idx[lo]] - dist.log_probs[idx[hi]]
-    return AxiomLevel(axiom, value, None, (lo, hi))
+    weights = _log_weights(dist)
+    pair = (min(numerators, key=weights.get), max(denominators, key=weights.get))
+    return _pair_level(dist, axiom, pair, weights)
 
 
 def axiom_level(dist: CommitteeDistribution, inst: Instance, ax: Axiom) -> AxiomLevel:
@@ -229,20 +204,9 @@ def pe_level(dist: CommitteeDistribution, inst: Instance) -> AxiomLevel:
     pairs = dominance_pairs(inst)
     if not pairs:
         return AxiomLevel(Axiom.PE, math.inf, None, None)
-    idx = {w: i for i, w in enumerate(dist.committees)}
-    if dist.weight_coeffs is not None:
-        best_pair = None
-        best: Optional[Fraction] = None
-        for hi, lo in pairs:
-            coeff = dist.weight_coeffs[idx[hi]] - dist.weight_coeffs[idx[lo]]
-            if best is None or coeff < best:
-                best, best_pair = coeff, (hi, lo)
-        return AxiomLevel(Axiom.PE, weight_exponent(best, dist.epsilon), best, best_pair)
-    best_pair = min(
-        pairs, key=lambda p: dist.log_probs[idx[p[0]]] - dist.log_probs[idx[p[1]]]
-    )
-    value = dist.log_probs[idx[best_pair[0]]] - dist.log_probs[idx[best_pair[1]]]
-    return AxiomLevel(Axiom.PE, value, None, best_pair)
+    weights = _log_weights(dist)
+    pair = min(pairs, key=lambda p: weights[p[0]] - weights[p[1]])
+    return _pair_level(dist, Axiom.PE, pair, weights)
 
 
 def cc_level(dist: CommitteeDistribution, inst: Instance) -> AxiomLevel:
@@ -344,44 +308,43 @@ def check_bound(
     (pe^(nk-1) * cc <= e^(n*eps)).
     """
     eps = as_epsilon(epsilon)
-    terms, rhs_fn = _BOUND_TERMS[bound_id]
+    axioms, rhs = _BOUNDS[bound_id]
+    rhs_coeff = Fraction(rhs(inst.n, inst.k))
     note = ""
     if bound_id is BoundId.PE_CC_3WAY:
         note = "checked in the satisfiable direction"
 
+    def vacuous(reason: str) -> BoundCheck:
+        return BoundCheck(
+            bound_id, math.inf, weight_exponent(rhs_coeff, eps), True, True,
+            f"vacuous: {reason}", None, rhs_coeff,
+        )
+
     if bound_id is BoundId.CC_JR_PRODUCT:
         winner = condorcet_committee(inst)
         if winner is None:
-            return BoundCheck(
-                bound_id, math.inf, 0.0, True, True,
-                "vacuous: no Condorcet committee", None, Fraction(0),
-            )
+            return vacuous("no Condorcet committee")
         if winner in axiom_committee_set(inst, Axiom.JR):
-            return BoundCheck(
-                bound_id, math.inf, 0.0, True, True,
-                "vacuous: Condorcet committee satisfies JR; product unconstrained",
-                None, Fraction(0),
-            )
+            return vacuous("Condorcet committee satisfies JR; product unconstrained")
 
     # The PE-family 3-way bounds walk a dominance chain: nk arrows crossing
     # the axiom boundary, or (for CC) nk-1 arrows starting off the Condorcet
     # committee after one Condorcet-level step. Without that structure the
     # composite inequality is unconstrained on the instance.
-    if bound_id in (BoundId.PE_JR_3WAY, BoundId.PE_PJR_3WAY, BoundId.PE_EJR_3WAY):
-        partner = terms[1][0]
+    three_way_pe = Axiom.PE in axioms and len(axioms) > 1
+    if three_way_pe and axioms[1] in JR_FAMILY:
+        partner = axioms[1]
         members = set(axiom_committee_set(inst, partner))
         chain = _longest_dominance_chain(
             inst, lambda w: w in members, lambda w: w not in members
         )
         need = inst.n * inst.k
         if chain < need:
-            return BoundCheck(
-                bound_id, math.inf, weight_exponent(rhs_fn(inst), eps), True, True,
-                f"vacuous: longest dominance chain from a {partner.value}-satisfying "
-                f"to a violating committee has {max(chain, 0)} arrows, needs {need}",
-                None, rhs_fn(inst),
+            return vacuous(
+                f"longest dominance chain from a {partner.value}-satisfying "
+                f"to a violating committee has {max(chain, 0)} arrows, needs {need}"
             )
-    if bound_id is BoundId.PE_CC_3WAY:
+    if three_way_pe and axioms[1] is Axiom.CC:
         winner = condorcet_committee(inst)
         if winner is not None:
             chain = _longest_dominance_chain(
@@ -389,31 +352,25 @@ def check_bound(
             )
             need = inst.n * inst.k - 1
             if chain < need:
-                return BoundCheck(
-                    bound_id, math.inf, weight_exponent(rhs_fn(inst), eps), True, True,
-                    f"vacuous: longest dominance chain starting off the Condorcet "
-                    f"committee has {max(chain, 0)} arrows, needs {need}",
-                    None, rhs_fn(inst),
+                return vacuous(
+                    f"longest dominance chain starting off the Condorcet "
+                    f"committee has {max(chain, 0)} arrows, needs {need}"
                 )
 
     levels = []
-    for axiom, weight_fn in terms:
+    for axiom in axioms:
         level = measurements.get(axiom)
         if level is None:
             raise InvalidParametersError(
                 f"missing measurement for level {axiom.value!r} required by {bound_id.value}"
             )
-        levels.append((level, weight_fn(inst)))
+        weight = inst.n * inst.k - 1 if three_way_pe and axiom is Axiom.PE else 1
+        levels.append((level, weight))
 
-    rhs_coeff = rhs_fn(inst)
-    rhs_log = weight_exponent(rhs_coeff, eps)
     for level, _weight in levels:
         if level.vacuous:
-            return BoundCheck(
-                bound_id, math.inf, rhs_log, True, True,
-                f"vacuous: level {level.axiom.value} has no boundary pair",
-                None, rhs_coeff,
-            )
+            return vacuous(f"level {level.axiom.value} has no boundary pair")
+    rhs_log = weight_exponent(rhs_coeff, eps)
 
     lhs_log = sum(weight * level.log_value for level, weight in levels)
     if all(level.coeff is not None for level, _ in levels):

@@ -76,6 +76,26 @@ def _mask(alternatives) -> int:
     return sum(1 << a for a in alternatives)
 
 
+def _ballot_types(inst: Instance) -> tuple:
+    """``(types, committees, overlap)``: the distinct ballots as sorted
+    ``(mask, voters)`` pairs, the canonical committees, and ``overlap(i)``,
+    the list of committee ``i``'s overlaps with each type. A row is filled on
+    first use, so a scan that stops early builds only the rows it reads."""
+    types = sorted(Counter(_mask(b) for b in inst.ballots).items())
+    masks = [t for t, _ in types]
+    committees = enumerate_committees(inst.m, inst.k)
+    rows: list = [None] * len(committees)
+
+    def overlap(i: int) -> list:
+        row = rows[i]
+        if row is None:
+            w = _mask(committees[i])
+            row = rows[i] = [(w & t).bit_count() for t in masks]
+        return row
+
+    return types, committees, overlap
+
+
 def _cohesive_groups(inst: Instance, levels: Sequence) -> list:
     """``(ell, ballot types of V_T)`` for every maximal l-cohesive group
     ``V_T`` (see :func:`cohesive_witnesses`) with ``ell`` in ``levels``.
@@ -106,7 +126,7 @@ def _pjr_groups(inst: Instance) -> list:
     the largest ``cap`` (largest ``ell`` the group is cohesive for) is kept.
     """
     n, k = inst.n, inst.k
-    types = sorted(Counter(_mask(b) for b in inst.ballots).items())  # (mask, voters)
+    types = _ballot_types(inst)[0]
     best: dict = {}
 
     def extend(start: int, common: int, union: int, size: int) -> None:
@@ -180,8 +200,8 @@ def pareto_dominates(w1: Sequence, w2: Sequence, profile: Sequence) -> bool:
 @lru_cache(maxsize=4096)
 def dominance_pairs(inst: Instance) -> tuple:
     """All ordered committee pairs (dominator, dominated), canonical order."""
-    committees = enumerate_committees(inst.m, inst.k)
-    overlaps = [tuple(len(b & frozenset(w)) for b in inst.ballots) for w in committees]
+    _, committees, overlap = _ballot_types(inst)
+    overlaps = [overlap(i) for i in range(len(committees))]
     pairs = []
     for i, j in itertools.permutations(range(len(committees)), 2):
         oi, oj = overlaps[i], overlaps[j]
@@ -196,21 +216,22 @@ def pareto_frontier(inst: Instance) -> tuple:
     return tuple(w for w in enumerate_committees(inst.m, inst.k) if w not in dominated)
 
 
-def _beats(w1: Sequence, w2: Sequence, inst: Instance) -> bool:
-    s1, s2 = frozenset(w1), frozenset(w2)
-    wins = sum(1 for b in inst.ballots if len(b & s1) > len(b & s2))
-    return 2 * wins > inst.n  # strict majority; exact ties block
-
-
 @lru_cache(maxsize=4096)
 def condorcet_committee(inst: Instance) -> Optional[tuple]:
     """The committee beating every other in strict pairwise majority, or None.
 
     Uniqueness is implied by the definition (two such committees would each
-    have to beat the other). O(C(m,k)^2 * n) pairwise tallies.
+    have to beat the other). O(C(m,k)^2) pairwise tallies over ballot types;
+    exact ties block.
     """
-    committees = enumerate_committees(inst.m, inst.k)
-    for w in committees:
-        if all(w == other or _beats(w, other, inst) for other in committees):
+    types, committees, overlap = _ballot_types(inst)
+    voters = [count for _, count in types]
+    for i, w in enumerate(committees):
+        row = overlap(i)
+        if all(
+            i == j
+            or 2 * sum(c for c, a, b in zip(voters, row, overlap(j)) if a > b) > inst.n
+            for j in range(len(committees))
+        ):
             return w
     return None

@@ -15,7 +15,8 @@ Instances come either from ``--input <path>`` (profile text format: header
 
 Structured output is line-delimited JSON with stable field names and sorted
 keys; identical configuration yields byte-identical output. Exit codes:
-0 success, 1 bound violation, 2 usage or parse error, 3 policy cap exceeded.
+0 success, 1 bound violation, 2 usage or parse error, 3 policy cap exceeded,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_POLICY_CAP = 3
+EXIT_INTERNAL = 4
+
+# Largest committee space an instance may have: every checker enumerates the
+# C(m, k) committees (the dominance and Condorcet scans visit all pairs of
+# them), and the EJR checker scans the C(m, ell) cores for every ell <= k.
+COMMITTEE_SPACE_MAX = 5000
 
 DEFAULT_EPS_GRID = ("0.1", "1", "2")
 
@@ -102,9 +109,18 @@ def _resolve_witness_id(name: str) -> WitnessId:
 def _load_instance(args) -> Instance:
     if args.input:
         with open(args.input) as fh:
-            return parse_instance(fh.read())
-    wid = _resolve_witness_id(args.witness)
-    return witness(wid, n=args.n, k=args.k, m=args.m).inst
+            inst = parse_instance(fh.read())
+    else:
+        wid = _resolve_witness_id(args.witness)
+        inst = witness(wid, n=args.n, k=args.k, m=args.m).inst
+    m, k = inst.m, inst.k
+    # C(m, ell) >= m for 0 < ell < m, so a huge header m is rejected uncomputed
+    if m > COMMITTEE_SPACE_MAX or math.comb(m, min(k, m // 2)) > COMMITTEE_SPACE_MAX:
+        raise ResourceLimitError(
+            f"committee space limited to C(m, ell) <= {COMMITTEE_SPACE_MAX} "
+            f"for every ell <= k, got m={m} k={k}"
+        )
+    return inst
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -390,6 +406,9 @@ def main(argv: Optional[Sequence] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # never a traceback, and never exit 1
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

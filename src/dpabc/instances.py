@@ -64,10 +64,6 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidParametersError(message)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _jr_upper(n: int, k: int, m: int) -> WitnessInstance:
     """Neighboring pair splitting two singleton voter blocks around one voter.
 
@@ -77,7 +73,7 @@ def _jr_upper(n: int, k: int, m: int) -> WitnessInstance:
     serves the {0}-block, which is 1-cohesive only in the base profile; its
     mirror with alternative 1 is the companion's analogue.
     """
-    s = _ceil_div(n, k)
+    s = -(-n // k)
     _require(s >= 2, "JR_UPPER requires ceil(n/k) >= 2 (n > k)")
     _require(2 * s - 1 <= n, "JR_UPPER requires 2*ceil(n/k) - 1 <= n")
     _require(m >= max(3, k + 1), "JR_UPPER requires m >= k + 1 (and m >= 3)")
@@ -263,7 +259,7 @@ def _jr_pjr_3way(n: int, k: int, m: int) -> WitnessInstance:
     """
     _require(k >= 4, "JR_PJR_3WAY requires k >= 4")
     _require(m >= k + 3, "JR_PJR_3WAY requires m >= k + 3")
-    s = _ceil_div(2 * n, k)
+    s = -(-2 * n // k)
     _require(s >= 2, "JR_PJR_3WAY requires ceil(2n/k) >= 2")
     _require(3 * s - 1 <= n, "JR_PJR_3WAY requires 3*ceil(2n/k) - 1 <= n")
 
@@ -400,9 +396,11 @@ def witness(
     defaults. Parameter combinations violating a construction's side
     conditions are rejected with the condition named."""
     default_n, default_k, default_m = DEFAULT_PARAMETERS[wid]
+    k = k if k is not None else default_k
+    _require(k >= 1, f"witnesses require k >= 1, got k={k}")
     return _BUILDERS[wid](
         n if n is not None else default_n,
-        k if k is not None else default_k,
+        k,
         m if m is not None else default_m,
     )
 

@@ -24,7 +24,7 @@ from dpabc import (
     WitnessId,
 )
 
-from brute import brute_satisfies
+from brute import brute_condorcet, brute_satisfies
 from strategies import instances, instances_with_permutation
 
 
@@ -137,13 +137,13 @@ class TestParetoDominance:
     @settings(max_examples=30, deadline=None)
     @given(instances(max_m=5, max_n=5))
     def test_dominance_pairs_match_predicate(self, inst):
-        expected = {
+        # pe_level keeps the first minimal pair, so the order matters too
+        expected = tuple(
             (a, b)
-            for a in enumerate_committees(inst.m, inst.k)
-            for b in enumerate_committees(inst.m, inst.k)
+            for a, b in itertools.permutations(enumerate_committees(inst.m, inst.k), 2)
             if pareto_dominates(a, b, inst.ballots)
-        }
-        assert set(dominance_pairs(inst)) == expected
+        )
+        assert dominance_pairs(inst) == expected
 
 
 class TestAvScore:
@@ -195,6 +195,20 @@ class TestCondorcet:
         winner = condorcet_committee(inst)
         if winner is not None:
             assert all(lo != winner for _, lo in dominance_pairs(inst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_m=5, max_n=6))
+    def test_matches_brute_force(self, inst):
+        assert condorcet_committee(inst) == brute_condorcet(inst)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force_on_repeated_ballots(self, seed):
+        # a few shared ballots per profile, so ballot types carry several voters
+        model = BallotModel("disjoint-groups", 0.5, groups=1 + seed % 3)
+        m = 3 + seed % 4
+        inst = random_instance(m, 4 + seed % 6, 1 + seed % (m - 1), model, seed)
+        assert len(set(inst.ballots)) < inst.n
+        assert condorcet_committee(inst) == brute_condorcet(inst)
 
     def test_incompatibility_witness_fails_jr(self):
         w = witness(WitnessId.CC_JR_INCOMPAT)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from dpabc import MECHANISMS, format_instance, make_instance, witness, WitnessId
+from dpabc import cli
 from dpabc.cli import main
 
 
@@ -201,6 +202,55 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: epsilon") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dist", "--mechanism", "uniform", "--eps", "1"),
+            ("sample", "--mechanism", "exp-av", "--eps", "1"),
+            ("axioms",),
+            ("audit-axioms", "--mechanism", "rr-jr", "--eps", "1"),
+        ],
+    )
+    def test_committee_space_cap_exits_3_before_any_work(self, capsys, tmp_path, argv):
+        path = tmp_path / "wide.txt"
+        path.write_text("m=40 k=20\n0 1\n2\n")
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert "C(m, ell) <= 5000" in err
+
+    @pytest.mark.parametrize("n, k, m", [(41, 20, 40), (59, 29, 30), (13, 6, 15)])
+    def test_committee_space_cap_covers_witness_overrides(self, capsys, n, k, m):
+        code, out, _ = run_cli(
+            capsys, "axioms", "--witness", "JR_UPPER",
+            "--n", str(n), "--k", str(k), "--m", str(m),
+        )
+        assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize(
+        "m, k, code",
+        [(13, 6, 0), (14, 7, 0), (14, 13, 0), (15, 5, 0), (15, 6, 3), (15, 14, 3)],
+    )
+    def test_committee_space_cap_boundary(self, capsys, tmp_path, m, k, code):
+        # C(14, 7) = 3432 is the widest space under the cap; C(15, 6) = 5005
+        path = tmp_path / "wide.txt"
+        path.write_text(f"m={m} k={k}\n0 1\n2\n")
+        result = run_cli(
+            capsys, "dist", "--mechanism", "uniform", "--eps", "1", "--input", str(path)
+        )
+        assert result[0] == code
+
+    def test_internal_error_exits_4_without_traceback(self, capsys, monkeypatch):
+        def broken(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._COMMANDS, "axioms", broken)
+        code, out, err = run_cli(capsys, "axioms", "--witness", "JR_UPPER")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("internal error: RecursionError")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestReproduce:

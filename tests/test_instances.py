@@ -138,6 +138,8 @@ class TestConstruction:
             (WitnessId.PJR_EJR_3WAY, dict(k=2, n=4, m=5), "k >= 3"),
             (WitnessId.FIG3_DIVERGENCE, dict(m=3), "2k"),
             (WitnessId.CC_JR_INCOMPAT, dict(k=2, m=4), "k >= 3"),
+            (WitnessId.JR_UPPER, dict(k=0), "k >= 1"),
+            (WitnessId.EJR_UPPER, dict(k=0), "k >= 1"),
         ],
     )
     def test_side_condition_violations_name_the_condition(self, wid, kwargs, fragment):
