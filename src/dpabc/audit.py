@@ -255,6 +255,7 @@ def dp_level(
             f"got m={inst.m}"
         )
     base = rule(inst)
+    replacements = list(nonempty_subsets(inst.m))
     worst = 0.0
     attaining: Optional[tuple] = None
     evaluated = 0
@@ -263,17 +264,17 @@ def dp_level(
         if current in seen:
             continue
         seen.add(current)
-        for ballot in nonempty_subsets(inst.m):
+        for ballot in replacements:
             if ballot == current:
                 continue
             neighbor = inst.replace_ballot(voter, ballot)
             evaluated += 1
             other = rule(neighbor)
-            for idx, w in enumerate(base.committees):
-                gap = abs(base.log_probs[idx] - other.log_probs[idx])
-                if gap > worst:
-                    worst = gap
-                    attaining = (inst, neighbor, w)
+            gaps = [abs(a - b) for a, b in zip(base.log_probs, other.log_probs)]
+            top = max(gaps)
+            if top > worst:
+                worst = top
+                attaining = (inst, neighbor, base.committees[gaps.index(top)])
     return DpAuditReport(
         max_log_ratio=worst,
         attaining=attaining,

@@ -24,10 +24,10 @@ instances are memoized.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from .core import Instance, InvalidParametersError, enumerate_committees
@@ -54,6 +54,26 @@ class CohesiveWitness:
     voters: frozenset
 
 
+def _cohesive_groups(inst: Instance, levels: Sequence) -> list:
+    """``(ell, T, V_T)`` for every alternative set ``T`` with ``|T| = ell`` in
+    ``levels`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
+    ``k*|V_T| >= ell*n``; ``V_T`` is a bitmask of voter indices, the AND of
+    the approver masks of ``T``'s members."""
+    n, k = inst.n, inst.k
+    approvers = [0] * inst.m
+    for i, ballot in enumerate(inst.ballots):
+        for a in ballot:
+            approvers[a] |= 1 << i
+    out = []
+    for ell in levels:
+        cores = itertools.combinations(range(inst.m), ell)
+        for T, masks in zip(cores, itertools.combinations(approvers, ell)):
+            voters = reduce(operator.and_, masks)
+            if k * voters.bit_count() >= ell * n:
+                out.append((ell, T, voters))
+    return out
+
+
 def cohesive_witnesses(inst: Instance, ell: int) -> list:
     """For every alternative set ``T`` with ``|T| = ell``, the maximal voter
     set ``V_T = {i : T subset P_i}``, kept whenever ``k*|V_T| >= ell*n``.
@@ -63,55 +83,36 @@ def cohesive_witnesses(inst: Instance, ell: int) -> list:
     """
     if not 1 <= ell <= inst.k:
         raise InvalidParametersError(f"need 1 <= ell <= k, got ell={ell}, k={inst.k}")
-    out = []
-    for T in itertools.combinations(range(inst.m), ell):
-        core = frozenset(T)
-        voters = frozenset(i for i, b in enumerate(inst.ballots) if core <= b)
-        if inst.k * len(voters) >= ell * inst.n:
-            out.append(CohesiveWitness(ell, core, voters))
-    return out
+    return [
+        CohesiveWitness(
+            ell, frozenset(T), frozenset(i for i in range(inst.n) if voters >> i & 1)
+        )
+        for _, T, voters in _cohesive_groups(inst, (ell,))
+    ]
 
 
 def _mask(alternatives) -> int:
     return sum(1 << a for a in alternatives)
 
 
-def _ballot_types(inst: Instance) -> tuple:
-    """``(types, committees, overlap)``: the distinct ballots as sorted
-    ``(mask, voters)`` pairs, the canonical committees, and ``overlap(i)``,
-    the list of committee ``i``'s overlaps with each type. A row is filled on
-    first use, so a scan that stops early builds only the rows it reads."""
-    types = sorted(Counter(_mask(b) for b in inst.ballots).items())
-    masks = [t for t, _ in types]
-    committees = enumerate_committees(inst.m, inst.k)
-    rows: list = [None] * len(committees)
-
-    def overlap(i: int) -> list:
-        row = rows[i]
-        if row is None:
-            w = _mask(committees[i])
-            row = rows[i] = [(w & t).bit_count() for t in masks]
-        return row
-
-    return types, committees, overlap
+def _committee_masks(m: int, k: int) -> list:
+    """Bitmasks of the canonical committees, in canonical order."""
+    return [sum(c) for c in itertools.combinations([1 << a for a in range(m)], k)]
 
 
-def _cohesive_groups(inst: Instance, levels: Sequence) -> list:
-    """``(ell, ballot types of V_T)`` for every maximal l-cohesive group
-    ``V_T`` (see :func:`cohesive_witnesses`) with ``ell`` in ``levels``.
+def _ballot_types(inst: Instance) -> list:
+    """The distinct ballots as sorted ``(mask, voters)`` pairs, ``voters`` the
+    bitmask of the indices of the voters casting that ballot."""
+    voters: dict = {}
+    for i, ballot in enumerate(inst.ballots):
+        mask = _mask(ballot)
+        voters[mask] = voters.get(mask, 0) | 1 << i
+    return sorted(voters.items())
 
-    Some l-cohesive group with core ``T`` has no voter with ``ell`` approved
-    members of ``w`` iff the voters of ``V_T`` holding fewer than ``ell``
-    such members are numerous enough to be l-cohesive; a ``V_T`` too small
-    for that can never violate, so only cohesive ones are kept.
-    """
-    masks = [_mask(b) for b in inst.ballots]
-    groups = {}
-    for ell in levels:
-        for group in cohesive_witnesses(inst, ell):
-            types = tuple(sorted(Counter(masks[i] for i in group.voters).items()))
-            groups[ell, types] = None
-    return list(groups)
+
+def _overlaps(inst: Instance, types: list) -> list:
+    """Row ``i``: canonical committee ``i``'s overlap with each type."""
+    return [[(w & t).bit_count() for t, _ in types] for w in _committee_masks(inst.m, inst.k)]
 
 
 def _pjr_groups(inst: Instance) -> list:
@@ -126,7 +127,7 @@ def _pjr_groups(inst: Instance) -> list:
     the largest ``cap`` (largest ``ell`` the group is cohesive for) is kept.
     """
     n, k = inst.n, inst.k
-    types = _ballot_types(inst)[0]
+    types = [(ballot, voters.bit_count()) for ballot, voters in _ballot_types(inst)]
     best: dict = {}
 
     def extend(start: int, common: int, union: int, size: int) -> None:
@@ -152,14 +153,30 @@ def _violation_test(inst: Instance, ax: Axiom):
     if ax is Axiom.PJR:
         unions = _pjr_groups(inst)
         return lambda w: any(cap > (w & union).bit_count() for union, cap in unions)
-    if ax in (Axiom.JR, Axiom.EJR):
-        levels = (1,) if ax is Axiom.JR else range(1, k + 1)
-        groups = _cohesive_groups(inst, levels)
-        return lambda w: any(
-            k * sum(c for b, c in members if (b & w).bit_count() < ell) >= ell * n
-            for ell, members in groups
-        )
-    raise InvalidParametersError(f"satisfies_axiom expects JR/PJR/EJR, got {ax}")
+    if ax not in (Axiom.JR, Axiom.EJR):
+        raise InvalidParametersError(f"satisfies_axiom expects JR/PJR/EJR, got {ax}")
+    # w violates iff, for some cohesive V_T, the voters of V_T with fewer than
+    # ell members of w are numerous enough to be l-cohesive themselves
+    top = 1 if ax is Axiom.JR else k
+    cohesive = _cohesive_groups(inst, range(1, top + 1))
+    groups = list(dict.fromkeys((ell, v) for ell, _, v in cohesive))
+    types = _ballot_types(inst)
+
+    def violates(w: int) -> bool:
+        # below[ell]: the voters with fewer than ell members of w
+        below = [0] * (top + 1)
+        for ballot, voters in types:
+            overlap = (ballot & w).bit_count()
+            if overlap < top:
+                below[overlap + 1] |= voters
+        for ell in range(2, top + 1):
+            below[ell] |= below[ell - 1]
+        for ell, v in groups:
+            if k * (v & below[ell]).bit_count() >= ell * n:
+                return True
+        return False
+
+    return violates
 
 
 def satisfies_axiom(w: Sequence, inst: Instance, ax: Axiom) -> bool:
@@ -174,7 +191,8 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
     The inclusion chain EJR subset PJR subset JR holds on every instance.
     """
     violates = _violation_test(inst, ax)
-    return tuple(w for w in enumerate_committees(inst.m, inst.k) if not violates(_mask(w)))
+    keep = [not violates(w) for w in _committee_masks(inst.m, inst.k)]
+    return tuple(itertools.compress(enumerate_committees(inst.m, inst.k), keep))
 
 
 def av_score(w: Sequence, profile: Sequence) -> int:
@@ -200,8 +218,8 @@ def pareto_dominates(w1: Sequence, w2: Sequence, profile: Sequence) -> bool:
 @lru_cache(maxsize=4096)
 def dominance_pairs(inst: Instance) -> tuple:
     """All ordered committee pairs (dominator, dominated), canonical order."""
-    _, committees, overlap = _ballot_types(inst)
-    overlaps = [overlap(i) for i in range(len(committees))]
+    committees = enumerate_committees(inst.m, inst.k)
+    overlaps = _overlaps(inst, _ballot_types(inst))
     pairs = []
     for i, j in itertools.permutations(range(len(committees)), 2):
         oi, oj = overlaps[i], overlaps[j]
@@ -221,17 +239,22 @@ def condorcet_committee(inst: Instance) -> Optional[tuple]:
     """The committee beating every other in strict pairwise majority, or None.
 
     Uniqueness is implied by the definition (two such committees would each
-    have to beat the other). O(C(m,k)^2) pairwise tallies over ballot types;
-    exact ties block.
+    have to beat the other). No committee beats a Condorcet committee, so an
+    elimination scan that keeps the running candidate while it wins reaches
+    it and keeps it; a second pass verifies the survivor. That is at most
+    2(C(m,k) - 1) pairwise tallies over ballot types; exact ties block.
     """
-    types, committees, overlap = _ballot_types(inst)
-    voters = [count for _, count in types]
-    for i, w in enumerate(committees):
-        row = overlap(i)
-        if all(
-            i == j
-            or 2 * sum(c for c, a, b in zip(voters, row, overlap(j)) if a > b) > inst.n
-            for j in range(len(committees))
-        ):
-            return w
+    n, types = inst.n, _ballot_types(inst)
+    counts = [voters.bit_count() for _, voters in types]
+    overlaps = _overlaps(inst, types)
+
+    def beats(i: int, j: int) -> bool:
+        return 2 * sum(c for c, a, b in zip(counts, overlaps[i], overlaps[j]) if a > b) > n
+
+    best = 0
+    for j in range(1, len(overlaps)):
+        if not beats(best, j):
+            best = j
+    if all(beats(best, j) for j in range(len(overlaps)) if j != best):
+        return enumerate_committees(inst.m, inst.k)[best]
     return None

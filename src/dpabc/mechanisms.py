@@ -73,19 +73,25 @@ def uniform_stream(seed: RandomSeed) -> Iterator[float]:
 def as_epsilon(epsilon) -> Fraction:
     """Normalize a privacy budget to an exact positive rational.
 
-    Strings are parsed as exact decimals (``"0.1" -> 1/10``); floats go
-    through their shortest decimal repr. ``nan``, ``inf`` and budgets beyond
-    the float range are rejected.
+    Strings are parsed as exact decimals (``"0.1" -> 1/10``) or ratios;
+    floats go through their shortest decimal repr. Budgets that are 0, nan,
+    beyond the float range either way, or too long to print are rejected.
     """
     if isinstance(epsilon, Fraction):
         eps = epsilon
     elif isinstance(epsilon, int):
         eps = Fraction(epsilon)
     elif isinstance(epsilon, (float, str)):
+        text = str(epsilon)
         try:
-            eps = Fraction(str(epsilon))
+            # float() sizes any exponent; Fraction("1e-99999999") builds 10**99999999
+            in_range = "/" in text or 0 < abs(float(text)) < math.inf
+            eps = Fraction(text) if in_range else None
+            str(eps)  # ValueError past the interpreter's int-to-str digit limit
         except (ValueError, ZeroDivisionError):
             raise InvalidParametersError(f"cannot parse epsilon {epsilon!r}") from None
+        if eps is None:
+            raise InvalidParametersError(f"epsilon {epsilon!r} is 0, nan or beyond float range")
     else:
         raise InvalidParametersError(f"cannot parse epsilon {epsilon!r}")
     if eps <= 0:
@@ -149,20 +155,23 @@ class CommitteeDistribution:
 
 
 def _from_weight_coeffs(
-    inst: Instance, epsilon: Fraction, mechanism: str, coeffs: Sequence
+    inst: Instance, epsilon: Fraction, mechanism: str, numerators: Sequence, denominator: int
 ) -> CommitteeDistribution:
-    committees = tuple(enumerate_committees(inst.m, inst.k))
-    exponent = {q: weight_exponent(q, epsilon) for q in set(coeffs)}
-    exponents = [exponent[q] for q in coeffs]
-    hi = max(exponents)
-    log_z = hi + math.log(sum(math.exp(x - hi) for x in exponents))
+    """Committee ``i`` gets ``q = numerators[i] / denominator``; each distinct
+    ``q`` and its float exponent is built once, keyed by its numerator."""
+    coeff = {p: Fraction(p, denominator) for p in set(numerators)}
+    exponent = {p: weight_exponent(q, epsilon) for p, q in coeff.items()}
+    hi = max(exponent.values())
+    shifted = {p: math.exp(x - hi) for p, x in exponent.items()}
+    log_z = hi + math.log(sum(map(shifted.__getitem__, numerators)))
+    log_prob = {p: x - log_z for p, x in exponent.items()}
     return CommitteeDistribution(
         instance=inst,
         epsilon=epsilon,
         mechanism=mechanism,
-        committees=committees,
-        weight_coeffs=tuple(coeffs),
-        log_probs=tuple(x - log_z for x in exponents),
+        committees=tuple(enumerate_committees(inst.m, inst.k)),
+        weight_coeffs=tuple(map(coeff.__getitem__, numerators)),
+        log_probs=tuple(map(log_prob.__getitem__, numerators)),
     )
 
 
@@ -176,9 +185,8 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
     if ax not in JR_FAMILY:
         raise InvalidParametersError(f"randomized response expects JR/PJR/EJR, got {ax}")
     satisfying = set(axiom_committee_set(inst, ax))
-    half, zero = Fraction(1, 2), Fraction(0)
-    coeffs = [half if w in satisfying else zero for w in enumerate_committees(inst.m, inst.k)]
-    return _from_weight_coeffs(inst, eps, f"rr-{ax.value}", coeffs)
+    numerators = [int(w in satisfying) for w in enumerate_committees(inst.m, inst.k)]
+    return _from_weight_coeffs(inst, eps, f"rr-{ax.value}", numerators, 2)
 
 
 def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
@@ -186,11 +194,10 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     P(W) proportional to e^(AV(W) * eps / (2k))."""
     eps = as_epsilon(epsilon)
     approvals = _approval_counts(inst)
-    coeffs = [
-        Fraction(sum(approvals[a] for a in w), 2 * inst.k)
-        for w in enumerate_committees(inst.m, inst.k)
+    numerators = [
+        sum(map(approvals.__getitem__, w)) for w in enumerate_committees(inst.m, inst.k)
     ]
-    return _from_weight_coeffs(inst, eps, "exp-av", coeffs)
+    return _from_weight_coeffs(inst, eps, "exp-av", numerators, 2 * inst.k)
 
 
 def _approval_counts(inst: Instance) -> list:
@@ -281,16 +288,15 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """
     eps = as_epsilon(epsilon)
     winner = condorcet_committee(inst)
-    one, zero = Fraction(1), Fraction(0)
-    coeffs = [one if w == winner else zero for w in enumerate_committees(inst.m, inst.k)]
-    return _from_weight_coeffs(inst, eps, "rr-condorcet", coeffs)
+    numerators = [int(w == winner) for w in enumerate_committees(inst.m, inst.k)]
+    return _from_weight_coeffs(inst, eps, "rr-condorcet", numerators, 1)
 
 
 def uniform_distribution(inst: Instance, epsilon=1) -> CommitteeDistribution:
     """Instance-independent uniform baseline over all committees."""
     eps = as_epsilon(epsilon)
-    coeffs = [Fraction(0)] * len(enumerate_committees(inst.m, inst.k))
-    return _from_weight_coeffs(inst, eps, "uniform", coeffs)
+    numerators = [0] * len(enumerate_committees(inst.m, inst.k))
+    return _from_weight_coeffs(inst, eps, "uniform", numerators, 1)
 
 
 def sample(dist: CommitteeDistribution, seed: RandomSeed) -> tuple:

@@ -210,6 +210,32 @@ class TestCondorcet:
         assert len(set(inst.ballots)) < inst.n
         assert condorcet_committee(inst) == brute_condorcet(inst)
 
+    def test_condorcet_committee_last_in_canonical_order(self):
+        # (2, 3) is the last of the C(4, 2) committees; the elimination scan
+        # must switch to it at its final step
+        inst = make_instance([{2, 3}, {2, 3}, {0}], 4, 2)
+        assert enumerate_committees(4, 2)[-1] == (2, 3)
+        assert condorcet_committee(inst) == brute_condorcet(inst) == (2, 3)
+
+    def test_elimination_survivor_on_a_cycle_is_rejected(self):
+        # the elimination scan ends on (3, 4, 5), which sits on the majority
+        # cycle (3, 4, 5) > (1, 2, 3) > (0, 1, 4) > (3, 4, 5)
+        inst = make_instance([{0, 1, 2, 3}, {0, 4}, {3, 5}], 6, 3)
+
+        def beats(w1, w2):
+            wins = sum(len(b & set(w1)) > len(b & set(w2)) for b in inst.ballots)
+            return 2 * wins > inst.n
+
+        cycle = [(3, 4, 5), (1, 2, 3), (0, 1, 4)]
+        assert all(beats(cycle[i], cycle[(i + 1) % 3]) for i in range(3))
+        survivor = enumerate_committees(6, 3)[0]
+        for w in enumerate_committees(6, 3)[1:]:
+            if not beats(survivor, w):
+                survivor = w
+        assert survivor == cycle[0]
+        assert condorcet_committee(inst) is None
+        assert brute_condorcet(inst) is None
+
     def test_incompatibility_witness_fails_jr(self):
         w = witness(WitnessId.CC_JR_INCOMPAT)
         winner = condorcet_committee(w.inst)
@@ -255,3 +281,17 @@ class TestAgainstBruteOracle:
             assert axiom_committee_set(inst, ax) == expected
             for w in enumerate_committees(m, k):
                 assert satisfies_axiom(w, inst, ax) == (w in expected)
+
+    @pytest.mark.parametrize("m, k, p, seed", DIVERSE_PROFILES)
+    def test_replicated_voters_cross_a_word_of_voter_bits(self, m, k, p, seed):
+        # seven copies of every voter scale both sides of each cohesiveness
+        # threshold by 7, so the sets equal the original profile's; n = 70
+        # voters do not fit in a 64-bit voter mask
+        inst = random_instance(m, 10, k, BallotModel("impartial", p), seed)
+        replicated = make_instance([b for b in inst.ballots for _ in range(7)], m, k)
+        assert replicated.n == 70
+        for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
+            expected = tuple(
+                w for w in enumerate_committees(m, k) if brute_satisfies(w, inst, ax)
+            )
+            assert axiom_committee_set(replicated, ax) == expected

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpabc import MECHANISMS, format_instance, make_instance, witness, WitnessId
 from dpabc import cli
@@ -195,6 +197,11 @@ class TestErrors:
             ("sample", "--mechanism", "seq-av", "--eps", "1e300", "--witness", "JR_UPPER"),
             ("dist", "--mechanism", "seq-av", "--eps", "1400", "--witness", "PE_CHAIN"),
             ("audit-axioms", "--mechanism", "uniform", "--eps", "1e308", "--witness", "JR_UPPER"),
+            # str(eps) of 1/10**5000 exceeded the int-to-str digit limit (exit 4),
+            # and Fraction("1e-999999999") would first build 10**999999999
+            ("dist", "--mechanism", "uniform", "--eps", "1e-5000", "--witness", "JR_UPPER"),
+            ("dist", "--mechanism", "uniform", "--eps", "1e-999999999", "--witness", "JR_UPPER"),
+            ("sample", "--mechanism", "uniform", "--eps", "1e999999999", "--witness", "JR_UPPER"),
         ],
     )
     def test_epsilon_beyond_float_range_exits_2(self, capsys, argv):
@@ -273,6 +280,83 @@ class TestReproduce:
         )
         assert code == 0
         assert len(parse_jsonl(out)) == 4  # C(4,3)
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile text with m <= 6 and n <= 6: a header and ballot lines drawn
+    mostly in range (repeats allowed), and sometimes one corrupt line (any
+    text, or alternatives out of range) inserted anywhere."""
+    m = draw(st.integers(1, 6))
+    lines = [f"m={m} k={draw(st.integers(0, m + 1))}"]
+    for _ in range(draw(st.integers(0, 6))):
+        ballot = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m))
+        lines.append(" ".join(map(str, ballot)))
+    if draw(st.integers(0, 3)) == 0:
+        corrupt = st.one_of(
+            st.text(max_size=12),
+            st.lists(st.integers(-2, 8), max_size=4).map(lambda xs: " ".join(map(str, xs))),
+        )
+        lines.insert(draw(st.integers(0, len(lines))), draw(corrupt))
+    return "\n".join(lines) + "\n"
+
+
+EPS_STRINGS = st.one_of(
+    st.sampled_from(
+        ["0.1", "1", "2", "0", "-1", "1/3", "nan", "inf", "1e400", "1e-400", "1e-5000"]
+    ),
+    st.floats(min_value=1e-3, max_value=10).map(repr),
+    st.floats().map(repr),
+    st.decimals(allow_nan=True, allow_infinity=True).map(str),
+    st.text(alphabet="0123456789.eE+-/_ nafi", max_size=8),
+)
+
+INSTANCE_COMMANDS = ["dist", "sample", "axioms", "audit-dp", "audit-axioms"]
+
+
+def _check_exit_contract(code, out, err):
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code == 1:
+        records = parse_jsonl(out)
+        assert any(
+            (r["record"] == "bound" and not r["satisfied"] and not r["vacuous"])
+            or (r["record"] == "dp_audit" and not r["within_budget"])
+            for r in records
+        )
+
+
+class TestFuzz:
+    """Any profile text and eps string is answered or rejected with its
+    documented exit code, never with a traceback or exit 4."""
+
+    @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        text=profile_texts(),
+        mechanism=st.sampled_from(sorted(MECHANISMS)),
+        eps=EPS_STRINGS,
+    )
+    def test_instance_commands(self, capsys, tmp_path, command, text, mechanism, eps):
+        path = tmp_path / "profile.txt"
+        path.write_text(text)
+        argv = [command, "--input", str(path)]
+        if command != "axioms":
+            argv += ["--mechanism", mechanism, "--eps", eps]
+        _check_exit_contract(*run_cli(capsys, *argv))
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(EPS_STRINGS, min_size=1, max_size=2))
+    def test_reproduce(self, capsys, eps_grid):
+        _check_exit_contract(*run_cli(capsys, "reproduce", "--eps", *eps_grid))
 
 
 class TestModuleEntryPoint:

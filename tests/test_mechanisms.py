@@ -24,8 +24,11 @@ from dpabc import (
     uniform_distribution,
     witness,
     WitnessId,
+    axiom_committee_set,
+    condorcet_committee,
+    enumerate_committees,
 )
-from dpabc.mechanisms import as_epsilon, splitmix64, uniform_stream
+from dpabc.mechanisms import AUDIT_MECHANISMS, as_epsilon, splitmix64, uniform_stream
 
 from strategies import instances, instances_with_permutation
 
@@ -42,7 +45,11 @@ class TestEpsilonParsing:
         assert as_epsilon(0.1) == Fraction(1, 10)
 
     @pytest.mark.parametrize(
-        "bad", [0, -1, "0", "-0.5", "abc", None, float("nan"), float("inf"), "1e400"]
+        "bad",
+        [
+            0, -1, "0", "-0.5", "abc", None, float("nan"), float("inf"),
+            "1e400", "1e-400", "1e-5000", "1/" + "9" * 5000,
+        ],
     )
     def test_rejects_nonpositive_or_garbage(self, bad):
         with pytest.raises(InvalidParametersError):
@@ -65,6 +72,33 @@ class TestEpsilonParsing:
         # the weights fit, but a committee's probability underflows to 0
         with pytest.raises(InvalidParametersError, match="underflows"):
             sequential_av_distribution(inst, "1400")
+
+
+def reference_weight_coeffs(mechanism, inst):
+    """Each committee's exponent ``q`` from its own ``Fraction``, as the
+    rules once built it committee by committee."""
+    committees = enumerate_committees(inst.m, inst.k)
+    if mechanism.startswith("rr-") and mechanism != "rr-condorcet":
+        satisfying = set(axiom_committee_set(inst, Axiom(mechanism[3:])))
+        return tuple(Fraction(1, 2) if w in satisfying else Fraction(0) for w in committees)
+    if mechanism == "exp-av":
+        approvals = [sum(1 for b in inst.ballots if a in b) for a in range(inst.m)]
+        return tuple(Fraction(sum(approvals[a] for a in w), 2 * inst.k) for w in committees)
+    if mechanism == "rr-condorcet":
+        winner = condorcet_committee(inst)
+        return tuple(Fraction(1) if w == winner else Fraction(0) for w in committees)
+    assert mechanism == "uniform"
+    return tuple(Fraction(0) for _ in committees)
+
+
+class TestWeightCoeffs:
+    @pytest.mark.parametrize("mechanism", AUDIT_MECHANISMS)
+    @pytest.mark.parametrize("wid", list(WitnessId))
+    def test_match_per_committee_fractions(self, mechanism, wid):
+        inst = witness(wid).inst
+        dist = MECHANISMS[mechanism](inst, "0.7")
+        assert dist.weight_coeffs == reference_weight_coeffs(mechanism, inst)
+        assert all(type(q) is Fraction for q in dist.weight_coeffs)
 
 
 class TestSplitmix:
