@@ -111,27 +111,35 @@ class BoundCheck:
     attaining: tuple = ()
 
 
-def _longest_dominance_chain(inst: Instance, start_ok, end_ok) -> int:
-    """Longest number of dominance arrows along any chain whose first
-    committee satisfies ``start_ok`` and whose last satisfies ``end_ok``;
-    -1 when no such chain (of zero or more arrows) exists.
+class _DominanceWalk:
+    """An instance's dominance graph, built once and shared by every chain
+    walk: successor lists over canonical committee indices, and the
+    committees by AV score descending. Dominance strictly increases the
+    dominator's total overlap, so that order is a topological order."""
 
-    Dominance strictly increases the dominator's total overlap, so sorting by
-    AV score descending is a topological order.
-    """
-    committees = enumerate_committees(inst.m, inst.k)
-    succ: dict = {w: [] for w in committees}
-    for hi, lo in dominance_pairs(inst):
-        succ[hi].append(lo)
-    best = {w: 0 if start_ok(w) else None for w in committees}
-    for w in sorted(committees, key=lambda c: av_score(c, inst.ballots), reverse=True):
-        if best[w] is None:
-            continue
-        for lo in succ[w]:
-            if best[lo] is None or best[lo] < best[w] + 1:
-                best[lo] = best[w] + 1
-    lengths = [best[w] for w in committees if end_ok(w) and best[w] is not None]
-    return max(lengths, default=-1)
+    def __init__(self, inst: Instance):
+        self.committees = enumerate_committees(inst.m, inst.k)
+        index = {w: i for i, w in enumerate(self.committees)}
+        self.succ: list = [[] for _ in self.committees]
+        for hi, lo in dominance_pairs(inst):
+            self.succ[index[hi]].append(index[lo])
+        scores = [av_score(w, inst.ballots) for w in self.committees]
+        self.order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+
+    def longest(self, start_ok, end_ok) -> int:
+        """Longest number of dominance arrows along any chain whose first
+        committee satisfies ``start_ok`` and whose last satisfies ``end_ok``;
+        -1 when no such chain (of zero or more arrows) exists."""
+        best = [0 if start_ok(w) else None for w in self.committees]
+        for i in self.order:
+            if best[i] is None:
+                continue
+            step = best[i] + 1
+            for j in self.succ[i]:
+                if best[j] is None or best[j] < step:
+                    best[j] = step
+        ends = [b for w, b in zip(self.committees, best) if b is not None and end_ok(w)]
+        return max(ends, default=-1)
 
 
 # bound_id -> (levels, rhs as a multiple of eps given (n, k)). A PE level in a
@@ -153,22 +161,78 @@ _BOUNDS: dict = {
 }
 
 
-def _log_weights(dist: CommitteeDistribution) -> dict:
-    """Committee -> its exact weight coefficient when the distribution has
-    them, else its log-probability; a pair's level is the difference."""
-    keys = dist.weight_coeffs if dist.weight_coeffs is not None else dist.log_probs
-    return dict(zip(dist.committees, keys))
+def bound_premises(inst: Instance, bound_ids: Optional[Sequence] = None) -> dict:
+    """Bound -> why it is vacuous on ``inst`` whatever the distribution, or
+    None (default: every bound in the table).
+
+    The CC_JR_PRODUCT bound (level(CC) * level(JR) <= 1) is derived from
+    instances whose Condorcet committee fails JR. The PE-family 3-way bounds
+    walk a dominance chain: nk arrows crossing the axiom boundary, or (for CC)
+    nk-1 arrows starting off the Condorcet committee after one Condorcet-level
+    step. Without that structure the composite inequality is unconstrained on
+    the instance. The chain walks share one dominance graph.
+    """
+    ids = tuple(bound_ids) if bound_ids is not None else tuple(BoundId)
+    need = inst.n * inst.k
+    walk = None
+    premises: dict = {}
+    for bound_id in ids:
+        axioms = _BOUNDS[bound_id][0]
+        reason = None
+        if bound_id is BoundId.CC_JR_PRODUCT:
+            winner = condorcet_committee(inst)
+            if winner is None:
+                reason = "no Condorcet committee"
+            elif winner in axiom_committee_set(inst, Axiom.JR):
+                reason = "Condorcet committee satisfies JR; product unconstrained"
+        elif bound_id is BoundId.PE_CC_3WAY:
+            winner = condorcet_committee(inst)
+            if winner is not None:
+                walk = walk or _DominanceWalk(inst)
+                chain = walk.longest(lambda w: w != winner, lambda w: True)
+                if chain < need - 1:
+                    reason = (
+                        f"longest dominance chain starting off the Condorcet "
+                        f"committee has {max(chain, 0)} arrows, needs {need - 1}"
+                    )
+        elif Axiom.PE in axioms and len(axioms) > 1:
+            partner = axioms[1]
+            walk = walk or _DominanceWalk(inst)
+            members = set(axiom_committee_set(inst, partner))
+            chain = walk.longest(lambda w: w in members, lambda w: w not in members)
+            if chain < need:
+                reason = (
+                    f"longest dominance chain from a {partner.value}-satisfying "
+                    f"to a violating committee has {max(chain, 0)} arrows, needs {need}"
+                )
+        premises[bound_id] = reason
+    return premises
+
+
+def _log_weights(dist: CommitteeDistribution) -> tuple:
+    """``(key, scale)``: committee -> its exact weight coefficient times
+    ``scale``, the lcm of the coefficients' denominators, when the
+    distribution has them (so keys are ints and a pair's level is their
+    difference over ``scale``); else committee -> its log-probability and
+    ``scale`` None. Scaling by a positive int keeps the order and ties."""
+    if dist.weight_coeffs is None:
+        return dict(zip(dist.committees, dist.log_probs)), None
+    scale = math.lcm(*{q.denominator for q in dist.weight_coeffs})
+    keys = [q.numerator * (scale // q.denominator) for q in dist.weight_coeffs]
+    return dict(zip(dist.committees, keys)), scale
 
 
 def _pair_level(
-    dist: CommitteeDistribution, axiom: Axiom, pair: tuple, weights: dict
+    dist: CommitteeDistribution, axiom: Axiom, pair: tuple, weights: tuple
 ) -> AxiomLevel:
     """The level realized by the (numerator, denominator) committee pair,
     exact when the distribution carries weight coefficients."""
-    diff = weights[pair[0]] - weights[pair[1]]
-    if dist.weight_coeffs is None:
+    key, scale = weights
+    diff = key[pair[0]] - key[pair[1]]
+    if scale is None:
         return AxiomLevel(axiom, diff, None, pair)
-    return AxiomLevel(axiom, weight_exponent(diff, dist.epsilon), diff, pair)
+    coeff = Fraction(diff, scale)
+    return AxiomLevel(axiom, weight_exponent(coeff, dist.epsilon), coeff, pair)
 
 
 def _boundary_level(
@@ -176,55 +240,65 @@ def _boundary_level(
     axiom: Axiom,
     numerators: Sequence,
     denominators: Sequence,
+    weights: tuple,
 ) -> AxiomLevel:
     """Min over numerator x denominator committee pairs of their probability
     ratio: the lowest-weight numerator over the highest-weight denominator;
     ties resolve to the first committee in canonical order."""
     if not numerators or not denominators:
         return AxiomLevel(axiom, math.inf, None, None)
-    weights = _log_weights(dist)
-    pair = (min(numerators, key=weights.get), max(denominators, key=weights.get))
+    key = weights[0].__getitem__
+    pair = (min(numerators, key=key), max(denominators, key=key))
     return _pair_level(dist, axiom, pair, weights)
 
 
-def axiom_level(dist: CommitteeDistribution, inst: Instance, ax: Axiom) -> AxiomLevel:
+def axiom_level(
+    dist: CommitteeDistribution, inst: Instance, ax: Axiom, weights=None
+) -> AxiomLevel:
     """Level of a JR-family axiom: min P(satisfying) / P(violating); vacuous
-    when the satisfying set is empty or is all of the committee space."""
+    when the satisfying set is empty or is all of the committee space.
+    ``weights`` is the distribution's weight table when the caller has it."""
     if ax not in JR_FAMILY:
         raise InvalidParametersError(f"axiom_level expects JR/PJR/EJR, got {ax}")
     satisfying = axiom_committee_set(inst, ax)
     members = set(satisfying)
     violating = [w for w in enumerate_committees(inst.m, inst.k) if w not in members]
-    return _boundary_level(dist, ax, satisfying, violating)
+    return _boundary_level(dist, ax, satisfying, violating, weights or _log_weights(dist))
 
 
-def pe_level(dist: CommitteeDistribution, inst: Instance) -> AxiomLevel:
+def pe_level(dist: CommitteeDistribution, inst: Instance, weights=None) -> AxiomLevel:
     """Level of Pareto efficiency: min P(dominator) / P(dominated) over all
-    dominance pairs; vacuous when no committee dominates another."""
+    dominance pairs, the first such pair on ties; vacuous when no committee
+    dominates another."""
     pairs = dominance_pairs(inst)
     if not pairs:
         return AxiomLevel(Axiom.PE, math.inf, None, None)
-    weights = _log_weights(dist)
-    pair = min(pairs, key=lambda p: weights[p[0]] - weights[p[1]])
+    weights = weights or _log_weights(dist)
+    key = weights[0]
+    pair = min(pairs, key=lambda p: key[p[0]] - key[p[1]])
     return _pair_level(dist, Axiom.PE, pair, weights)
 
 
-def cc_level(dist: CommitteeDistribution, inst: Instance) -> AxiomLevel:
+def cc_level(dist: CommitteeDistribution, inst: Instance, weights=None) -> AxiomLevel:
     """Level of the Condorcet criterion: min P(W_c) / P(W) over W != W_c;
     vacuous when no Condorcet committee exists."""
     winner = condorcet_committee(inst)
     if winner is None:
         return AxiomLevel(Axiom.CC, math.inf, None, None)
     others = [w for w in enumerate_committees(inst.m, inst.k) if w != winner]
-    return _boundary_level(dist, Axiom.CC, [winner], others)
+    return _boundary_level(
+        dist, Axiom.CC, [winner], others, weights or _log_weights(dist)
+    )
 
 
 def measure_levels(dist: CommitteeDistribution, inst: Optional[Instance] = None) -> dict:
-    """All five axiom levels of a distribution on its instance."""
+    """All five axiom levels of a distribution on its instance, from one
+    weight table."""
     inst = inst or dist.instance
-    levels = {ax: axiom_level(dist, inst, ax) for ax in JR_FAMILY}
-    levels[Axiom.PE] = pe_level(dist, inst)
-    levels[Axiom.CC] = cc_level(dist, inst)
+    weights = _log_weights(dist)
+    levels = {ax: axiom_level(dist, inst, ax, weights) for ax in JR_FAMILY}
+    levels[Axiom.PE] = pe_level(dist, inst, weights)
+    levels[Axiom.CC] = cc_level(dist, inst, weights)
     return levels
 
 
@@ -299,12 +373,12 @@ def dp_level_family(
 
 
 def check_bound(
-    bound_id: BoundId, measurements: dict, inst: Instance, epsilon
+    bound_id: BoundId, measurements: dict, inst: Instance, epsilon, premises=None
 ) -> BoundCheck:
     """Evaluate one tradeoff bound against measured levels.
 
-    The CC_JR_PRODUCT bound (level(CC) * level(JR) <= 1) is derived from
-    instances whose Condorcet committee fails JR; on any other instance it is
+    A bound whose premise fails on ``inst`` (see ``bound_premises``; pass
+    ``premises = bound_premises(inst)`` to reuse them across calls) is
     reported vacuous. PE_CC_3WAY is checked in the satisfiable direction
     (pe^(nk-1) * cc <= e^(n*eps)).
     """
@@ -321,43 +395,12 @@ def check_bound(
             f"vacuous: {reason}", None, rhs_coeff,
         )
 
-    if bound_id is BoundId.CC_JR_PRODUCT:
-        winner = condorcet_committee(inst)
-        if winner is None:
-            return vacuous("no Condorcet committee")
-        if winner in axiom_committee_set(inst, Axiom.JR):
-            return vacuous("Condorcet committee satisfies JR; product unconstrained")
+    if premises is None:
+        premises = bound_premises(inst, (bound_id,))
+    if premises[bound_id] is not None:
+        return vacuous(premises[bound_id])
 
-    # The PE-family 3-way bounds walk a dominance chain: nk arrows crossing
-    # the axiom boundary, or (for CC) nk-1 arrows starting off the Condorcet
-    # committee after one Condorcet-level step. Without that structure the
-    # composite inequality is unconstrained on the instance.
     three_way_pe = Axiom.PE in axioms and len(axioms) > 1
-    if three_way_pe and axioms[1] in JR_FAMILY:
-        partner = axioms[1]
-        members = set(axiom_committee_set(inst, partner))
-        chain = _longest_dominance_chain(
-            inst, lambda w: w in members, lambda w: w not in members
-        )
-        need = inst.n * inst.k
-        if chain < need:
-            return vacuous(
-                f"longest dominance chain from a {partner.value}-satisfying "
-                f"to a violating committee has {max(chain, 0)} arrows, needs {need}"
-            )
-    if three_way_pe and axioms[1] is Axiom.CC:
-        winner = condorcet_committee(inst)
-        if winner is not None:
-            chain = _longest_dominance_chain(
-                inst, lambda w: w != winner, lambda w: True
-            )
-            need = inst.n * inst.k - 1
-            if chain < need:
-                return vacuous(
-                    f"longest dominance chain starting off the Condorcet "
-                    f"committee has {max(chain, 0)} arrows, needs {need}"
-                )
-
     levels = []
     for axiom in axioms:
         level = measurements.get(axiom)
@@ -393,13 +436,17 @@ def evaluate_bounds(
     dist: CommitteeDistribution,
     inst: Optional[Instance] = None,
     bound_ids: Optional[Sequence] = None,
+    premises: Optional[dict] = None,
 ) -> list:
     """Measure all levels once and evaluate the requested bounds (default:
-    every bound in the table)."""
+    every bound in the table). ``premises``, when given, is
+    ``bound_premises(inst)``, computed once for many distributions."""
     inst = inst or dist.instance
     measurements = measure_levels(dist, inst)
     ids = tuple(bound_ids) if bound_ids is not None else tuple(BoundId)
-    return [check_bound(bid, measurements, inst, dist.epsilon) for bid in ids]
+    if premises is None:
+        premises = bound_premises(inst, ids)
+    return [check_bound(bid, measurements, inst, dist.epsilon, premises) for bid in ids]
 
 
 @dataclass(frozen=True)

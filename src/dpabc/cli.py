@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 from .audit import (
     TOLERANCE,
+    bound_premises,
     dp_level,
     evaluate_bounds,
     measure_levels,
@@ -350,6 +351,7 @@ def _cmd_reproduce(args) -> int:
     violations = 0
     for wid in WitnessId:
         built = witness(wid)
+        premises = bound_premises(built.inst)
         for mechanism in AUDIT_MECHANISMS:
             for eps in eps_values:
                 dist = MECHANISMS[mechanism](built.inst, eps)
@@ -358,7 +360,7 @@ def _cmd_reproduce(args) -> int:
                     "mechanism": mechanism,
                     "eps": str(eps),
                 }
-                for check in evaluate_bounds(dist, built.inst):
+                for check in evaluate_bounds(dist, built.inst, premises=premises):
                     emitter.emit(_bound_record(check, extra))
                     if not check.satisfied and not check.vacuous:
                         violations += 1

@@ -47,3 +47,28 @@ def brute_condorcet(inst):
         if all(w == other or beats(w, other) for other in committees):
             return w
     return None
+
+
+def brute_longest_chain(inst, start_ok, end_ok):
+    """Most dominance arrows on a chain from a ``start_ok`` committee to an
+    ``end_ok`` one (-1 if none), by memoised depth-first search over
+    ``pareto_dominates`` on every ordered committee pair."""
+    from dpabc import pareto_dominates
+
+    committees = list(itertools.combinations(range(inst.m), inst.k))
+    memo = {}
+
+    def longest_from(w):
+        # arrows on the longest chain from w to an end_ok committee, or None
+        if w not in memo:
+            best = 0 if end_ok(w) else None
+            for lo in committees:
+                if pareto_dominates(w, lo, inst.ballots):
+                    tail = longest_from(lo)
+                    if tail is not None and (best is None or tail + 1 > best):
+                        best = tail + 1
+            memo[w] = best
+        return memo[w]
+
+    lengths = [longest_from(w) for w in committees if start_ok(w)]
+    return max((x for x in lengths if x is not None), default=-1)

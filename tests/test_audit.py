@@ -1,11 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from dpabc import (
     Axiom,
     BoundId,
+    axiom_committee_set,
+    condorcet_committee,
+    enumerate_committees,
+    pareto_dominates,
     InvalidParametersError,
     ResourceLimitError,
     axiom_level,
@@ -29,7 +35,12 @@ from dpabc import (
     witness,
     WitnessId,
 )
+from dpabc.audit import _DominanceWalk, bound_premises
+from dpabc.axioms import JR_FAMILY
 from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS
+
+from brute import brute_longest_chain
+from strategies import instances
 
 
 class TestAxiomLevel:
@@ -341,6 +352,146 @@ class TestCheckBound:
         w = witness(WitnessId.JR_UPPER)
         checks = evaluate_bounds(uniform_distribution(w.inst), w.inst)
         assert {c.bound_id for c in checks} == set(BoundId)
+
+
+_GRID = [
+    (wid, mechanism, eps)
+    for wid in WitnessId
+    for mechanism in AUDIT_MECHANISMS
+    for eps in ("0.1", "1")
+]
+
+
+def boundary_pairs(inst, ax):
+    """Every (numerator, denominator) committee pair on the boundary of
+    ``ax``, straight from the definitions; PE pairs in ``dominance_pairs``
+    order (ordered committee pairs in canonical order)."""
+    committees = enumerate_committees(inst.m, inst.k)
+    if ax in JR_FAMILY:
+        members = set(axiom_committee_set(inst, ax))
+        return [(a, b) for a in committees for b in committees if a in members and b not in members]
+    if ax is Axiom.PE:
+        return [
+            (a, b)
+            for a, b in itertools.permutations(committees, 2)
+            if pareto_dominates(a, b, inst.ballots)
+        ]
+    winner = condorcet_committee(inst)
+    return [(winner, b) for b in committees if winner is not None and b != winner]
+
+
+class TestLevelScanOracle:
+    """The level scans against a brute-force minimum of the exact ratio
+    coefficient over each axiom's boundary pairs."""
+
+    @pytest.mark.parametrize("wid, mechanism, eps", _GRID)
+    def test_levels_equal_brute_minimum(self, wid, mechanism, eps):
+        inst = witness(wid).inst
+        dist = MECHANISMS[mechanism](inst, eps)
+        for ax, level in measure_levels(dist).items():
+            pairs = boundary_pairs(inst, ax)
+            if not pairs:
+                assert level.vacuous and level.coeff is None, ax
+                continue
+            coeffs = [dist.exact_ratio_coeff(a, b) for a, b in pairs]
+            low = min(coeffs)
+            assert level.coeff == low, ax
+            assert level.log_value == float(low * dist.epsilon), ax
+            assert level.attaining_pair in pairs, ax
+            assert dist.exact_ratio_coeff(*level.attaining_pair) == low, ax
+            if ax is Axiom.PE:
+                assert level.attaining_pair == pairs[coeffs.index(low)]
+
+    def test_float_law_levels_equal_brute_minimum(self):
+        for wid in WitnessId:
+            inst = witness(wid).inst
+            dist = MECHANISMS["seq-av"](inst, 1)
+            for ax, level in measure_levels(dist).items():
+                gaps = [dist.log_prob(a) - dist.log_prob(b) for a, b in boundary_pairs(inst, ax)]
+                assert level.coeff is None
+                assert level.log_value == min(gaps, default=math.inf), (wid, ax)
+
+
+class TestHoistedPremises:
+    """Premises computed once per instance give the same checks as each
+    ``check_bound`` computing its own."""
+
+    @pytest.mark.parametrize("wid, mechanism, eps", _GRID)
+    def test_evaluate_bounds_equals_per_cell_checks(self, wid, mechanism, eps):
+        inst = witness(wid).inst
+        dist = MECHANISMS[mechanism](inst, eps)
+        per_cell = [check_bound(b, measure_levels(dist), inst, eps) for b in BoundId]
+        assert evaluate_bounds(dist, inst) == per_cell
+        hoisted = evaluate_bounds(dist, inst, premises=bound_premises(inst))
+        assert hoisted == per_cell
+
+    def test_premises_of_a_subset(self):
+        inst = witness(WitnessId.PE_CHAIN).inst
+        ids = (BoundId.PE_JR_3WAY, BoundId.CC_JR_PRODUCT)
+        everything = bound_premises(inst)
+        assert bound_premises(inst, ids) == {b: everything[b] for b in ids}
+
+
+def chain_cases(inst):
+    """(name, start_ok, end_ok) for every chain the PE 3-way bounds walk."""
+    cases = []
+    for partner in JR_FAMILY:
+        members = set(axiom_committee_set(inst, partner))
+        cases.append(
+            (partner.value, lambda w, s=members: w in s, lambda w, s=members: w not in s)
+        )
+    winner = condorcet_committee(inst)
+    if winner is not None:
+        cases.append(("cc", lambda w: w != winner, lambda w: True))
+    return cases
+
+
+def expected_note(inst, name, chain):
+    need = inst.n * inst.k
+    if name == "cc":
+        if chain >= need - 1:
+            return None
+        return (
+            f"longest dominance chain starting off the Condorcet committee has "
+            f"{max(chain, 0)} arrows, needs {need - 1}"
+        )
+    if chain >= need:
+        return None
+    return (
+        f"longest dominance chain from a {name}-satisfying to a violating "
+        f"committee has {max(chain, 0)} arrows, needs {need}"
+    )
+
+
+_CHAIN_BOUND = {
+    "jr": BoundId.PE_JR_3WAY,
+    "pjr": BoundId.PE_PJR_3WAY,
+    "ejr": BoundId.PE_EJR_3WAY,
+    "cc": BoundId.PE_CC_3WAY,
+}
+
+
+class TestDominanceChainOracle:
+    """The shared dominance walk and the arrow counts in the vacuous notes
+    against a depth-first search over ``pareto_dominates``."""
+
+    def check(self, inst):
+        walk = _DominanceWalk(inst)
+        premises = bound_premises(inst)
+        for name, start_ok, end_ok in chain_cases(inst):
+            chain = brute_longest_chain(inst, start_ok, end_ok)
+            assert walk.longest(start_ok, end_ok) == chain, name
+            note = premises[_CHAIN_BOUND[name]]
+            assert note == expected_note(inst, name, chain), name
+
+    @pytest.mark.parametrize("wid", list(WitnessId))
+    def test_witnesses(self, wid):
+        self.check(witness(wid).inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(max_m=5, max_n=4))
+    def test_random_profiles(self, inst):
+        self.check(inst)
 
 
 class TestJrProbabilityBound:
