@@ -13,10 +13,11 @@ Usage:
 import argparse
 
 from dpabc import (
+    Axiom,
     dp_level,
     exp_av_distribution,
     make_rule,
-    pe_level,
+    measure_levels,
     sequential_av_distribution,
     total_variation,
     witness,
@@ -40,8 +41,8 @@ def main():
         seq = sequential_av_distribution(inst, eps)
         com = exp_av_distribution(inst, eps)
         tv = total_variation(seq, com)
-        pe_seq = pe_level(seq, inst).log_value
-        pe_com = pe_level(com, inst).log_value
+        pe_seq = measure_levels(seq)[Axiom.PE].log_value
+        pe_com = measure_levels(com)[Axiom.PE].log_value
         if inst.m <= DP_AUDIT_MAX_M:
             dp_seq = f"{dp_level(make_rule('seq-av', eps), inst).max_log_ratio:9.4f}"
             dp_com = f"{dp_level(make_rule('exp-av', eps), inst).max_log_ratio:9.4f}"

@@ -46,7 +46,7 @@ def main():
         for eps in args.eps:
             for name in AUDIT_MECHANISMS:
                 dist = MECHANISMS[name](inst, eps)
-                levels = measure_levels(dist, inst)
+                levels = measure_levels(dist)
                 row = "  ".join(fmt(levels[ax]) for ax in order)
                 print(f"{name:<14} {eps:>4}  {row}")
 

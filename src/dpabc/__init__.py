@@ -24,15 +24,12 @@ from .audit import (
     BoundId,
     DpAuditReport,
     JrMassBound,
-    axiom_level,
-    cc_level,
+    bound_premises,
     check_bound,
     dp_level,
-    dp_level_family,
     evaluate_bounds,
     jr_probability_bound,
     measure_levels,
-    pe_level,
     spread_log,
 )
 from .core import (

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from .axioms import (
     JR_FAMILY,
     Axiom,
-    av_score,
+    _approval_counts,
     axiom_committee_set,
     condorcet_committee,
     dominance_pairs,
@@ -114,8 +114,9 @@ class BoundCheck:
 class _DominanceWalk:
     """An instance's dominance graph, built once and shared by every chain
     walk: successor lists over canonical committee indices, and the
-    committees by AV score descending. Dominance strictly increases the
-    dominator's total overlap, so that order is a topological order."""
+    committees by AV score (the sum of their members' approval counts)
+    descending. Dominance strictly increases the dominator's total overlap,
+    so that order is a topological order."""
 
     def __init__(self, inst: Instance):
         self.committees = enumerate_committees(inst.m, inst.k)
@@ -123,7 +124,8 @@ class _DominanceWalk:
         self.succ: list = [[] for _ in self.committees]
         for hi, lo in dominance_pairs(inst):
             self.succ[index[hi]].append(index[lo])
-        scores = [av_score(w, inst.ballots) for w in self.committees]
+        approvals = _approval_counts(inst)
+        scores = [sum(map(approvals.__getitem__, w)) for w in self.committees]
         self.order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
     def longest(self, start_ok, end_ok) -> int:
@@ -161,9 +163,9 @@ _BOUNDS: dict = {
 }
 
 
-def bound_premises(inst: Instance, bound_ids: Optional[Sequence] = None) -> dict:
+def bound_premises(inst: Instance) -> dict:
     """Bound -> why it is vacuous on ``inst`` whatever the distribution, or
-    None (default: every bound in the table).
+    None, for every bound in the table.
 
     The CC_JR_PRODUCT bound (level(CC) * level(JR) <= 1) is derived from
     instances whose Condorcet committee fails JR. The PE-family 3-way bounds
@@ -172,12 +174,10 @@ def bound_premises(inst: Instance, bound_ids: Optional[Sequence] = None) -> dict
     step. Without that structure the composite inequality is unconstrained on
     the instance. The chain walks share one dominance graph.
     """
-    ids = tuple(bound_ids) if bound_ids is not None else tuple(BoundId)
     need = inst.n * inst.k
     walk = None
     premises: dict = {}
-    for bound_id in ids:
-        axioms = _BOUNDS[bound_id][0]
+    for bound_id, (axioms, _rhs) in _BOUNDS.items():
         reason = None
         if bound_id is BoundId.CC_JR_PRODUCT:
             winner = condorcet_committee(inst)
@@ -236,15 +236,14 @@ def _pair_level(
 
 
 def _boundary_level(
-    dist: CommitteeDistribution,
-    axiom: Axiom,
-    numerators: Sequence,
-    denominators: Sequence,
-    weights: tuple,
+    dist: CommitteeDistribution, axiom: Axiom, numerators: Sequence, weights: tuple
 ) -> AxiomLevel:
-    """Min over numerator x denominator committee pairs of their probability
-    ratio: the lowest-weight numerator over the highest-weight denominator;
-    ties resolve to the first committee in canonical order."""
+    """Min over pairs of a numerator and any other committee of their
+    probability ratio: the lowest-weight numerator over the highest-weight
+    other committee; ties resolve to the first committee in canonical order.
+    Vacuous when the numerators are none or all of the committees."""
+    members = set(numerators)
+    denominators = [w for w in dist.committees if w not in members]
     if not numerators or not denominators:
         return AxiomLevel(axiom, math.inf, None, None)
     key = weights[0].__getitem__
@@ -252,53 +251,32 @@ def _boundary_level(
     return _pair_level(dist, axiom, pair, weights)
 
 
-def axiom_level(
-    dist: CommitteeDistribution, inst: Instance, ax: Axiom, weights=None
-) -> AxiomLevel:
-    """Level of a JR-family axiom: min P(satisfying) / P(violating); vacuous
-    when the satisfying set is empty or is all of the committee space.
-    ``weights`` is the distribution's weight table when the caller has it."""
-    if ax not in JR_FAMILY:
-        raise InvalidParametersError(f"axiom_level expects JR/PJR/EJR, got {ax}")
-    satisfying = axiom_committee_set(inst, ax)
-    members = set(satisfying)
-    violating = [w for w in enumerate_committees(inst.m, inst.k) if w not in members]
-    return _boundary_level(dist, ax, satisfying, violating, weights or _log_weights(dist))
-
-
-def pe_level(dist: CommitteeDistribution, inst: Instance, weights=None) -> AxiomLevel:
+def _pe_level(dist: CommitteeDistribution, weights: tuple) -> AxiomLevel:
     """Level of Pareto efficiency: min P(dominator) / P(dominated) over all
     dominance pairs, the first such pair on ties; vacuous when no committee
     dominates another."""
-    pairs = dominance_pairs(inst)
+    pairs = dominance_pairs(dist.instance)
     if not pairs:
         return AxiomLevel(Axiom.PE, math.inf, None, None)
-    weights = weights or _log_weights(dist)
     key = weights[0]
     pair = min(pairs, key=lambda p: key[p[0]] - key[p[1]])
     return _pair_level(dist, Axiom.PE, pair, weights)
 
 
-def cc_level(dist: CommitteeDistribution, inst: Instance, weights=None) -> AxiomLevel:
-    """Level of the Condorcet criterion: min P(W_c) / P(W) over W != W_c;
-    vacuous when no Condorcet committee exists."""
-    winner = condorcet_committee(inst)
-    if winner is None:
-        return AxiomLevel(Axiom.CC, math.inf, None, None)
-    others = [w for w in enumerate_committees(inst.m, inst.k) if w != winner]
-    return _boundary_level(
-        dist, Axiom.CC, [winner], others, weights or _log_weights(dist)
-    )
-
-
-def measure_levels(dist: CommitteeDistribution, inst: Optional[Instance] = None) -> dict:
+def measure_levels(dist: CommitteeDistribution) -> dict:
     """All five axiom levels of a distribution on its instance, from one
-    weight table."""
-    inst = inst or dist.instance
+    weight table. A JR-family level is min P(satisfying) / P(violating), the
+    Condorcet level min P(W_c) / P(W) over W != W_c (vacuous without W_c)."""
+    inst = dist.instance
     weights = _log_weights(dist)
-    levels = {ax: axiom_level(dist, inst, ax, weights) for ax in JR_FAMILY}
-    levels[Axiom.PE] = pe_level(dist, inst, weights)
-    levels[Axiom.CC] = cc_level(dist, inst, weights)
+    levels = {
+        ax: _boundary_level(dist, ax, axiom_committee_set(inst, ax), weights)
+        for ax in JR_FAMILY
+    }
+    levels[Axiom.PE] = _pe_level(dist, weights)
+    winner = condorcet_committee(inst)
+    condorcet = () if winner is None else (winner,)
+    levels[Axiom.CC] = _boundary_level(dist, Axiom.CC, condorcet, weights)
     return levels
 
 
@@ -357,30 +335,14 @@ def dp_level(
     )
 
 
-def dp_level_family(
-    rule: Callable[[Instance], CommitteeDistribution], instances: Sequence
-) -> DpAuditReport:
-    """Family-level audit: max of per-instance audits over a caller-supplied
-    instance list (the neighbor relation is never exhausted globally)."""
-    reports = [dp_level(rule, inst) for inst in instances]
-    best = max(reports, key=lambda r: r.max_log_ratio)
-    return DpAuditReport(
-        max_log_ratio=best.max_log_ratio,
-        attaining=best.attaining,
-        instances_checked=sum(r.instances_checked for r in reports),
-        neighbors_evaluated=sum(r.neighbors_evaluated for r in reports),
-    )
-
-
 def check_bound(
-    bound_id: BoundId, measurements: dict, inst: Instance, epsilon, premises=None
+    bound_id: BoundId, levels: dict, inst: Instance, epsilon, premises: dict
 ) -> BoundCheck:
-    """Evaluate one tradeoff bound against measured levels.
+    """Evaluate one tradeoff bound against the measured ``levels``.
 
-    A bound whose premise fails on ``inst`` (see ``bound_premises``; pass
-    ``premises = bound_premises(inst)`` to reuse them across calls) is
-    reported vacuous. PE_CC_3WAY is checked in the satisfiable direction
-    (pe^(nk-1) * cc <= e^(n*eps)).
+    A bound whose premise fails on ``inst`` (``premises`` is
+    ``bound_premises(inst)``) is reported vacuous. PE_CC_3WAY is checked in
+    the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
     """
     eps = as_epsilon(epsilon)
     axioms, rhs = _BOUNDS[bound_id]
@@ -395,36 +357,34 @@ def check_bound(
             f"vacuous: {reason}", None, rhs_coeff,
         )
 
-    if premises is None:
-        premises = bound_premises(inst, (bound_id,))
     if premises[bound_id] is not None:
         return vacuous(premises[bound_id])
 
     three_way_pe = Axiom.PE in axioms and len(axioms) > 1
-    levels = []
+    terms = []
     for axiom in axioms:
-        level = measurements.get(axiom)
+        level = levels.get(axiom)
         if level is None:
             raise InvalidParametersError(
                 f"missing measurement for level {axiom.value!r} required by {bound_id.value}"
             )
         weight = inst.n * inst.k - 1 if three_way_pe and axiom is Axiom.PE else 1
-        levels.append((level, weight))
+        terms.append((level, weight))
 
-    for level, _weight in levels:
+    for level, _weight in terms:
         if level.vacuous:
             return vacuous(f"level {level.axiom.value} has no boundary pair")
     rhs_log = weight_exponent(rhs_coeff, eps)
 
-    lhs_log = sum(weight * level.log_value for level, weight in levels)
-    if all(level.coeff is not None for level, _ in levels):
-        lhs_coeff = sum((weight * level.coeff for level, weight in levels), Fraction(0))
+    lhs_log = sum(weight * level.log_value for level, weight in terms)
+    if all(level.coeff is not None for level, _ in terms):
+        lhs_coeff = sum((weight * level.coeff for level, weight in terms), Fraction(0))
         satisfied = lhs_coeff <= rhs_coeff
     else:
         lhs_coeff = None
         satisfied = lhs_log <= rhs_log + TOLERANCE
     attaining = tuple(
-        (level.axiom, level.attaining_pair) for level, _ in levels
+        (level.axiom, level.attaining_pair) for level, _ in terms
     )
     return BoundCheck(
         bound_id, lhs_log, rhs_log, satisfied, False, note, lhs_coeff, rhs_coeff,
@@ -432,21 +392,10 @@ def check_bound(
     )
 
 
-def evaluate_bounds(
-    dist: CommitteeDistribution,
-    inst: Optional[Instance] = None,
-    bound_ids: Optional[Sequence] = None,
-    premises: Optional[dict] = None,
-) -> list:
-    """Measure all levels once and evaluate the requested bounds (default:
-    every bound in the table). ``premises``, when given, is
-    ``bound_premises(inst)``, computed once for many distributions."""
-    inst = inst or dist.instance
-    measurements = measure_levels(dist, inst)
-    ids = tuple(bound_ids) if bound_ids is not None else tuple(BoundId)
-    if premises is None:
-        premises = bound_premises(inst, ids)
-    return [check_bound(bid, measurements, inst, dist.epsilon, premises) for bid in ids]
+def evaluate_bounds(levels: dict, inst: Instance, epsilon, premises: dict) -> list:
+    """Every bound in the table, checked against the measured ``levels``
+    (``measure_levels(dist)``) with ``premises = bound_premises(inst)``."""
+    return [check_bound(bid, levels, inst, epsilon, premises) for bid in BoundId]
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,12 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
     return tuple(itertools.compress(enumerate_committees(inst.m, inst.k), keep))
 
 
+def _approval_counts(inst: Instance) -> list:
+    """Per alternative, the number of voters approving it. A committee's AV
+    score is the sum of its members' counts."""
+    return [sum(1 for b in inst.ballots if a in b) for a in range(inst.m)]
+
+
 def av_score(w: Sequence, profile: Sequence) -> int:
     """Total approval overlap: sum over voters of |ballot & w|."""
     wset = frozenset(w)

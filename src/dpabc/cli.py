@@ -328,14 +328,14 @@ def _cmd_audit_axioms(args) -> int:
     inst = _load_instance(args)
     eps = as_epsilon(args.eps)
     dist = MECHANISMS[args.mechanism](inst, eps)
-    levels = measure_levels(dist, inst)
+    levels = measure_levels(dist)
     emitter = _Emitter(args.format)
     extra = {"mechanism": args.mechanism, "eps": str(eps)}
     wanted = (Axiom(args.axiom),) if args.axiom else tuple(levels)
     for ax in wanted:
         emitter.emit(_level_record(levels[ax], extra))
     violations = 0
-    for check in evaluate_bounds(dist, inst):
+    for check in evaluate_bounds(levels, inst, eps, bound_premises(inst)):
         emitter.emit(_bound_record(check, extra))
         if not check.satisfied and not check.vacuous:
             violations += 1
@@ -360,7 +360,7 @@ def _cmd_reproduce(args) -> int:
                     "mechanism": mechanism,
                     "eps": str(eps),
                 }
-                for check in evaluate_bounds(dist, built.inst, premises=premises):
+                for check in evaluate_bounds(measure_levels(dist), built.inst, eps, premises):
                     emitter.emit(_bound_record(check, extra))
                     if not check.satisfied and not check.vacuous:
                         violations += 1

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .axioms import JR_FAMILY, Axiom, axiom_committee_set, condorcet_committee
+from .axioms import JR_FAMILY, Axiom, _approval_counts, axiom_committee_set, condorcet_committee
 from .core import (
     Instance,
     InvalidParametersError,
@@ -198,10 +198,6 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
         sum(map(approvals.__getitem__, w)) for w in enumerate_committees(inst.m, inst.k)
     ]
     return _from_weight_coeffs(inst, eps, "exp-av", numerators, 2 * inst.k)
-
-
-def _approval_counts(inst: Instance) -> list:
-    return [sum(1 for b in inst.ballots if a in b) for a in range(inst.m)]
 
 
 def _sequential_weights(inst: Instance, eps: Fraction) -> list:

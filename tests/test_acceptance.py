@@ -15,7 +15,7 @@ from dpabc import (
     MECHANISMS,
     av_score,
     axiom_committee_set,
-    axiom_level,
+    bound_premises,
     check_bound,
     dp_level,
     enumerate_committees,
@@ -23,7 +23,6 @@ from dpabc import (
     make_rule,
     measure_levels,
     pareto_dominates,
-    pe_level,
     permute,
     permute_committee,
     random_instance,
@@ -35,7 +34,6 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc.audit import cc_level
 from dpabc.mechanisms import AUDIT_MECHANISMS, exp_av_distribution, splitmix64
 
 from brute import brute_satisfies
@@ -71,12 +69,13 @@ def _grid_failures(bound_ids):
     failures = []
     for wid in WitnessId:
         built = witness(wid)
+        premises = bound_premises(built.inst)
         for mechanism in AUDIT_MECHANISMS:
             for eps in (Fraction("0.1"), Fraction(1), Fraction(2)):
                 dist = MECHANISMS[mechanism](built.inst, eps)
-                levels = measure_levels(dist, built.inst)
+                levels = measure_levels(dist)
                 for bid in bound_ids:
-                    result = check_bound(bid, levels, built.inst, eps)
+                    result = check_bound(bid, levels, built.inst, eps, premises)
                     if not result.vacuous and not result.satisfied:
                         failures.append(
                             (wid.value, mechanism, str(eps), bid.value,
@@ -91,7 +90,7 @@ def test_criterion_1_randomized_response_tightness():
     built = witness(WitnessId.JR_UPPER)
     for eps in (Fraction("0.1"), Fraction("0.5"), Fraction(1), Fraction(2)):
         dist = rr_axiom_distribution(built.inst, eps, Axiom.JR)
-        level = axiom_level(dist, built.inst, Axiom.JR)
+        level = measure_levels(dist)[Axiom.JR]
         if level.coeff != Fraction(1, 2):
             failures.append(("jr level coeff", str(eps), level.coeff))
         report = dp_level(make_rule("rr-jr", eps), built.inst)
@@ -112,7 +111,7 @@ def test_criterion_2_condorcet_response_tightness():
     built = witness(WitnessId.CC_UPPER)
     for eps in (Fraction("0.1"), Fraction("0.5"), Fraction(1), Fraction(2)):
         dist = rr_condorcet_distribution(built.inst, eps)
-        level = cc_level(dist, built.inst)
+        level = measure_levels(dist)[Axiom.CC]
         if level.coeff != Fraction(1):
             failures.append(("cc level coeff", str(eps), level.coeff))
         report = dp_level(make_rule("rr-condorcet", eps), built.inst)
@@ -130,7 +129,7 @@ def test_criterion_3_av_exponential_on_chain():
     built = witness(WitnessId.PE_CHAIN)
     for eps in (Fraction("0.5"), Fraction(1)):
         dist = exp_av_distribution(built.inst, eps)
-        level = pe_level(dist, built.inst)
+        level = measure_levels(dist)[Axiom.PE]
         if level.log_value < float(eps) / 4 - TOL:  # e^(eps/(2k)), k = 2
             failures.append(("pe level", str(eps), level.log_value))
         report = dp_level(make_rule("exp-av", eps), built.inst)
@@ -165,7 +164,8 @@ def test_criterion_5_three_way_bound_compliance():
     for eps in (Fraction("0.1"), Fraction(1), Fraction(2)):
         dist = rr_condorcet_distribution(built.inst, eps)
         result = check_bound(
-            BoundId.CC_JR_PRODUCT, measure_levels(dist), built.inst, eps
+            BoundId.CC_JR_PRODUCT, measure_levels(dist), built.inst, eps,
+            bound_premises(built.inst),
         )
         if result.vacuous or result.lhs_coeff != 0 or abs(result.lhs_log) > TOL:
             failures.append(("cc-jr product not attained", str(eps), result))

@@ -14,11 +14,8 @@ from dpabc import (
     pareto_dominates,
     InvalidParametersError,
     ResourceLimitError,
-    axiom_level,
-    cc_level,
     check_bound,
     dp_level,
-    dp_level_family,
     enumerate_neighbors,
     evaluate_bounds,
     exp_av_distribution,
@@ -26,7 +23,6 @@ from dpabc import (
     make_instance,
     make_rule,
     measure_levels,
-    pe_level,
     profile_distance,
     rr_axiom_distribution,
     rr_condorcet_distribution,
@@ -46,7 +42,7 @@ from strategies import instances
 class TestAxiomLevel:
     def test_uniform_is_one(self):
         w = witness(WitnessId.JR_UPPER)
-        level = axiom_level(uniform_distribution(w.inst), w.inst, Axiom.JR)
+        level = measure_levels(uniform_distribution(w.inst))[Axiom.JR]
         assert level.coeff == Fraction(0)
         assert level.log_value == 0.0
         assert not level.vacuous
@@ -55,7 +51,7 @@ class TestAxiomLevel:
         w = witness(WitnessId.JR_UPPER)
         for eps in ("0.1", "0.5", "1", "2"):
             dist = rr_axiom_distribution(w.inst, eps, Axiom.JR)
-            level = axiom_level(dist, w.inst, Axiom.JR)
+            level = measure_levels(dist)[Axiom.JR]
             assert level.coeff == Fraction(1, 2)
 
     def test_pjr_level_of_jr_response_depends_on_gap(self):
@@ -64,44 +60,39 @@ class TestAxiomLevel:
         # drags the measured level to 1
         w = witness(WitnessId.JR_UPPER)
         dist = rr_axiom_distribution(w.inst, 1, Axiom.JR)
-        assert axiom_level(dist, w.inst, Axiom.PJR).coeff == Fraction(1, 2)
+        assert measure_levels(dist)[Axiom.PJR].coeff == Fraction(1, 2)
 
         w2 = witness(WitnessId.CC_JR_INCOMPAT)
         dist2 = rr_axiom_distribution(w2.inst, 1, Axiom.JR)
-        assert axiom_level(dist2, w2.inst, Axiom.PJR).coeff == Fraction(0)
+        assert measure_levels(dist2)[Axiom.PJR].coeff == Fraction(0)
 
     def test_vacuous_when_set_is_everything(self):
         w = witness(WitnessId.FIG3_DIVERGENCE)  # JR holds everywhere
-        level = axiom_level(uniform_distribution(w.inst), w.inst, Axiom.JR)
+        level = measure_levels(uniform_distribution(w.inst))[Axiom.JR]
         assert level.vacuous
         assert level.attaining_pair is None
 
     def test_attaining_pair_crosses_boundary(self):
         w = witness(WitnessId.JR_UPPER)
         dist = rr_axiom_distribution(w.inst, 1, Axiom.JR)
-        lo, hi = axiom_level(dist, w.inst, Axiom.JR).attaining_pair
+        lo, hi = measure_levels(dist)[Axiom.JR].attaining_pair
         assert 0 in lo and 0 not in hi
-
-    def test_rejects_efficiency_axiom(self):
-        w = witness(WitnessId.JR_UPPER)
-        with pytest.raises(InvalidParametersError):
-            axiom_level(uniform_distribution(w.inst), w.inst, Axiom.PE)
 
 
 class TestPeLevel:
     def test_uniform_is_one(self):
         w = witness(WitnessId.PE_CHAIN)
-        level = pe_level(uniform_distribution(w.inst), w.inst)
+        level = measure_levels(uniform_distribution(w.inst))[Axiom.PE]
         assert level.log_value == 0.0
 
     def test_exp_av_attains_min_gap(self):
         w = witness(WitnessId.PE_CHAIN)
-        level = pe_level(exp_av_distribution(w.inst, 1), w.inst)
+        level = measure_levels(exp_av_distribution(w.inst, 1))[Axiom.PE]
         assert level.coeff == Fraction(1, 4)  # min AV gap 1, k = 2
 
     def test_vacuous_without_dominance_pairs(self):
         inst = make_instance([{0, 1, 2}] * 2, 3, 2)  # all committees tie
-        level = pe_level(uniform_distribution(inst), inst)
+        level = measure_levels(uniform_distribution(inst))[Axiom.PE]
         assert level.vacuous
 
 
@@ -110,15 +101,15 @@ class TestCcLevel:
         w = witness(WitnessId.CC_UPPER)
         for eps in ("0.1", "1", "2"):
             dist = rr_condorcet_distribution(w.inst, eps)
-            assert cc_level(dist, w.inst).coeff == Fraction(1)
+            assert measure_levels(dist)[Axiom.CC].coeff == Fraction(1)
 
     def test_uniform_is_one(self):
         w = witness(WitnessId.CC_UPPER)
-        assert cc_level(uniform_distribution(w.inst), w.inst).log_value == 0.0
+        assert measure_levels(uniform_distribution(w.inst))[Axiom.CC].log_value == 0.0
 
     def test_vacuous_without_condorcet_committee(self):
         w = witness(WitnessId.JR_UPPER)
-        assert cc_level(uniform_distribution(w.inst), w.inst).vacuous
+        assert measure_levels(uniform_distribution(w.inst))[Axiom.CC].vacuous
 
 
 class TestDpLevel:
@@ -153,16 +144,6 @@ class TestDpLevel:
         assert dp_level(rule, w.inst).max_log_ratio == pytest.approx(
             dp_level(rule, w.companion).max_log_ratio, abs=1e-12
         )
-
-    def test_family_audit_takes_max(self):
-        rule = make_rule("rr-condorcet", 1)
-        w1 = witness(WitnessId.CC_UPPER)
-        w2 = witness(WitnessId.JR_UPPER)
-        family = dp_level_family(rule, [w2.inst, w1.inst])
-        assert family.max_log_ratio == pytest.approx(1.0, abs=1e-9)
-        assert family.instances_checked == 42 + 56
-        # CC_UPPER has 2 ballot types, JR_UPPER 3
-        assert family.neighbors_evaluated == 2 * 14 + 3 * 14
 
 
 def full_neighborhood_audit(rule, inst):
@@ -240,7 +221,7 @@ class TestLevelInvariants:
                 if not 0 < len(members) < total:
                     continue
                 dist = rr_axiom_distribution(w.inst, "0.7", ax)
-                assert axiom_level(dist, w.inst, ax).coeff == Fraction(1, 2), (wid, ax)
+                assert measure_levels(dist)[ax].coeff == Fraction(1, 2), (wid, ax)
 
     def test_condorcet_response_privacy_tight_across_witness_family(self):
         for n, k, m in ((3, 2, 4), (5, 2, 4), (3, 3, 5)):
@@ -253,15 +234,15 @@ class TestLevelInvariants:
         # exponential mechanism is at least e^(eps/(2k)) whenever pairs exist
         for wid in WitnessId:
             w = witness(wid)
-            level = pe_level(exp_av_distribution(w.inst, 1), w.inst)
+            level = measure_levels(exp_av_distribution(w.inst, 1))[Axiom.PE]
             if not level.vacuous:
                 assert level.coeff >= Fraction(1, 2 * w.inst.k)
 
     def test_degenerate_full_committee_space_is_all_vacuous(self):
         inst = make_instance([{0, 1}, {2}], 3, 3)  # k = m: one committee
-        levels = measure_levels(uniform_distribution(inst), inst)
+        levels = measure_levels(uniform_distribution(inst))
         assert all(level.vacuous for level in levels.values())
-        checks = evaluate_bounds(uniform_distribution(inst), inst)
+        checks = evaluate_bounds(levels, inst, 1, bound_premises(inst))
         assert all(c.vacuous for c in checks)
         assert all(c.satisfied for c in checks)
 
@@ -271,9 +252,10 @@ class TestBoundGrid:
         # complements the acceptance grid's {0.1, 1, 2} with eps = 0.5
         for wid in WitnessId:
             w = witness(wid)
+            premises = bound_premises(w.inst)
             for mechanism in AUDIT_MECHANISMS:
                 dist = MECHANISMS[mechanism](w.inst, "0.5")
-                for result in evaluate_bounds(dist, w.inst):
+                for result in evaluate_bounds(measure_levels(dist), w.inst, "0.5", premises):
                     assert result.vacuous or result.satisfied, (
                         wid, mechanism, result.bound_id,
                     )
@@ -288,11 +270,17 @@ class TestSpread:
             assert spread_log(dist) <= w.inst.n * 1.0 + 1e-9
 
 
+def checked(bound_id, dist):
+    """``bound_id`` checked against ``dist``'s levels at eps 1."""
+    inst = dist.instance
+    return check_bound(bound_id, measure_levels(dist), inst, 1, bound_premises(inst))
+
+
 class TestCheckBound:
     def test_two_way_jr_satisfied_with_margin(self):
         w = witness(WitnessId.JR_UPPER)
         dist = rr_axiom_distribution(w.inst, 1, Axiom.JR)
-        check = check_bound(BoundId.JR_2WAY, measure_levels(dist), w.inst, 1)
+        check = checked(BoundId.JR_2WAY, dist)
         assert check.satisfied and not check.vacuous
         assert check.lhs_coeff == Fraction(1, 2)
         assert check.rhs_coeff == Fraction(1)
@@ -300,7 +288,7 @@ class TestCheckBound:
     def test_cc_jr_product_tight_on_incompatibility_witness(self):
         w = witness(WitnessId.CC_JR_INCOMPAT)
         dist = rr_condorcet_distribution(w.inst, 1)
-        check = check_bound(BoundId.CC_JR_PRODUCT, measure_levels(dist), w.inst, 1)
+        check = checked(BoundId.CC_JR_PRODUCT, dist)
         assert check.satisfied and not check.vacuous
         assert check.lhs_coeff == Fraction(0)  # cc level e^eps, jr level e^-eps
         assert abs(check.lhs_log) <= 1e-9
@@ -308,27 +296,27 @@ class TestCheckBound:
     def test_cc_jr_product_vacuous_when_winner_satisfies_jr(self):
         w = witness(WitnessId.CC_UPPER)  # its Condorcet committee satisfies JR
         dist = rr_condorcet_distribution(w.inst, 1)
-        check = check_bound(BoundId.CC_JR_PRODUCT, measure_levels(dist), w.inst, 1)
+        check = checked(BoundId.CC_JR_PRODUCT, dist)
         assert check.vacuous
 
     def test_ejr_two_way_scales_with_ceil(self):
         w = witness(WitnessId.EJR_UPPER)  # n=4, k=2 -> ceil(n/k) = 2
         dist = uniform_distribution(w.inst)
-        check = check_bound(BoundId.EJR_2WAY, measure_levels(dist), w.inst, 1)
+        check = checked(BoundId.EJR_2WAY, dist)
         assert check.rhs_coeff == Fraction(2)
         assert check.satisfied
 
     def test_pe_family_requires_chain_structure(self):
         w = witness(WitnessId.PJR_EJR_3WAY)
         dist = exp_av_distribution(w.inst, 1)
-        check = check_bound(BoundId.PE_CC_3WAY, measure_levels(dist), w.inst, 1)
+        check = checked(BoundId.PE_CC_3WAY, dist)
         assert check.vacuous
         assert "dominance chain" in check.note
 
     def test_pe_cc_applicable_on_single_voter_instance(self):
         inst = make_instance([{0, 1}], 5, 2)  # W_c exists; chain of nk-1 = 1 arrow
         dist = exp_av_distribution(inst, 1)
-        check = check_bound(BoundId.PE_CC_3WAY, measure_levels(dist), inst, 1)
+        check = checked(BoundId.PE_CC_3WAY, dist)
         assert not check.vacuous
         assert check.satisfied
         assert check.note == "checked in the satisfiable direction"
@@ -337,7 +325,7 @@ class TestCheckBound:
     def test_pe_jr_applicable_on_chain_witness(self):
         w = witness(WitnessId.PE_CHAIN)
         dist = exp_av_distribution(w.inst, 1)
-        check = check_bound(BoundId.PE_JR_3WAY, measure_levels(dist), w.inst, 1)
+        check = checked(BoundId.PE_JR_3WAY, dist)
         assert not check.vacuous
         assert check.satisfied
         assert check.lhs_coeff == Fraction(1)  # 3 * 1/4 + 1/4
@@ -346,11 +334,15 @@ class TestCheckBound:
     def test_missing_measurement_names_level(self):
         w = witness(WitnessId.JR_UPPER)
         with pytest.raises(InvalidParametersError, match="jr"):
-            check_bound(BoundId.JR_2WAY, {}, w.inst, 1)
+            check_bound(BoundId.JR_2WAY, {}, w.inst, 1, bound_premises(w.inst))
+
+    def test_premises_cover_whole_table(self):
+        assert list(bound_premises(witness(WitnessId.PE_CHAIN).inst)) == list(BoundId)
 
     def test_evaluate_bounds_covers_whole_table(self):
         w = witness(WitnessId.JR_UPPER)
-        checks = evaluate_bounds(uniform_distribution(w.inst), w.inst)
+        levels = measure_levels(uniform_distribution(w.inst))
+        checks = evaluate_bounds(levels, w.inst, 1, bound_premises(w.inst))
         assert {c.bound_id for c in checks} == set(BoundId)
 
 
@@ -413,23 +405,18 @@ class TestLevelScanOracle:
 
 
 class TestHoistedPremises:
-    """Premises computed once per instance give the same checks as each
-    ``check_bound`` computing its own."""
+    """Levels and premises measured once and shared by the whole table give
+    the same checks as each ``check_bound`` measuring its own."""
 
     @pytest.mark.parametrize("wid, mechanism, eps", _GRID)
     def test_evaluate_bounds_equals_per_cell_checks(self, wid, mechanism, eps):
         inst = witness(wid).inst
         dist = MECHANISMS[mechanism](inst, eps)
-        per_cell = [check_bound(b, measure_levels(dist), inst, eps) for b in BoundId]
-        assert evaluate_bounds(dist, inst) == per_cell
-        hoisted = evaluate_bounds(dist, inst, premises=bound_premises(inst))
-        assert hoisted == per_cell
-
-    def test_premises_of_a_subset(self):
-        inst = witness(WitnessId.PE_CHAIN).inst
-        ids = (BoundId.PE_JR_3WAY, BoundId.CC_JR_PRODUCT)
-        everything = bound_premises(inst)
-        assert bound_premises(inst, ids) == {b: everything[b] for b in ids}
+        per_cell = [
+            check_bound(b, measure_levels(dist), inst, eps, bound_premises(inst))
+            for b in BoundId
+        ]
+        assert evaluate_bounds(measure_levels(dist), inst, eps, bound_premises(inst)) == per_cell
 
 
 def chain_cases(inst):

@@ -137,7 +137,7 @@ class TestParetoDominance:
     @settings(max_examples=30, deadline=None)
     @given(instances(max_m=5, max_n=5))
     def test_dominance_pairs_match_predicate(self, inst):
-        # pe_level keeps the first minimal pair, so the order matters too
+        # the PE level keeps the first minimal pair, so the order matters too
         expected = tuple(
             (a, b)
             for a, b in itertools.permutations(enumerate_committees(inst.m, inst.k), 2)

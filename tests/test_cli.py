@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpabc import MECHANISMS, format_instance, make_instance, witness, WitnessId
-from dpabc import cli
+from dpabc import audit, cli
 from dpabc.cli import main
 
 
@@ -20,6 +21,20 @@ def run_cli(capsys, *argv):
 
 def parse_jsonl(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` to count its calls; returns a one-item list
+    holding the count."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestDist:
@@ -156,6 +171,33 @@ class TestAuditCommands:
         jr = next(r for r in levels if r["axiom"] == "jr")
         assert jr["coeff"] == "1/2"
 
+    def test_audit_axioms_builds_one_weight_table(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, audit, "_log_weights")
+        code, _, _ = run_cli(
+            capsys,
+            "audit-axioms", "--mechanism", "exp-av", "--eps", "1",
+            "--witness", "PE_CHAIN",
+        )
+        assert code == 0
+        assert calls == [1]
+
+    def test_audit_axioms_golden_digest(self, capsys):
+        # every witness x every mechanism at eps 0.7; three seq-av runs
+        # (EJR_UPPER, PJR_EJR_3WAY, FIG3_DIVERGENCE) exit 1 on a violation
+        digest = hashlib.sha256()
+        for wid in WitnessId:
+            for mechanism in sorted(MECHANISMS):
+                code, out, _ = run_cli(
+                    capsys,
+                    "audit-axioms", "--mechanism", mechanism, "--eps", "0.7",
+                    "--witness", wid.value,
+                )
+                digest.update(f"{wid.value} {mechanism} {code}\n".encode())
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "1febb63e6c6cde9299d572054addde717464a7cadc56a9d85d419df5d1e7c43d"
+        )
+
 
 class TestErrors:
     def test_parse_error_reports_line_and_exits_2(self, capsys, tmp_path):
@@ -271,6 +313,16 @@ class TestReproduce:
         bound_ids = {r["bound"] for r in records if r["record"] == "bound"}
         assert len(bound_ids) == 13  # every bound in the table is covered
         assert all(r["satisfied"] for r in records if r["record"] == "bound")
+
+    def test_levels_once_per_distribution_premises_once_per_instance(
+        self, capsys, monkeypatch
+    ):
+        levels = count_calls(monkeypatch, cli, "measure_levels")
+        premises = count_calls(monkeypatch, cli, "bound_premises")
+        code, _, _ = run_cli(capsys, "reproduce")
+        assert code == 0
+        assert levels == [9 * 6 * 3]  # witnesses x audited rules x eps grid
+        assert premises == [9]
 
     def test_witness_override_flags(self, capsys):
         code, out, _ = run_cli(
