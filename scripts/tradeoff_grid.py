@@ -12,7 +12,15 @@ Usage:
 import argparse
 import math
 
-from dpabc import Axiom, MECHANISMS, measure_levels, witness, WitnessId
+from dpabc import (
+    Axiom,
+    InvalidParametersError,
+    MECHANISMS,
+    measure_levels,
+    witness,
+    witness_id,
+    WitnessId,
+)
 from dpabc.mechanisms import AUDIT_MECHANISMS
 
 
@@ -22,17 +30,23 @@ def fmt(level):
     return f"{level.log_value:6.3f}"
 
 
+def witness_arg(name):
+    """A witness id as the CLI reads it; an unknown one is a usage error."""
+    try:
+        return witness_id(name)
+    except InvalidParametersError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--witness", action="append", help="witness id (repeatable)")
+    parser.add_argument(
+        "--witness", action="append", type=witness_arg, help="witness id (repeatable)"
+    )
     parser.add_argument("--eps", nargs="*", default=["0.1", "0.5", "1", "2"])
     args = parser.parse_args()
 
-    wids = (
-        [WitnessId[w.upper()] for w in args.witness]
-        if args.witness
-        else list(WitnessId)
-    )
+    wids = args.witness or list(WitnessId)
     order = (Axiom.JR, Axiom.PJR, Axiom.EJR, Axiom.PE, Axiom.CC)
 
     for wid in wids:

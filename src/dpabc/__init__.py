@@ -53,6 +53,7 @@ from .instances import (
     random_instance,
     sidecar,
     witness,
+    witness_id,
 )
 from .mechanisms import (
     AUDIT_MECHANISMS,

@@ -347,34 +347,27 @@ def check_bound(
     eps = as_epsilon(epsilon)
     axioms, rhs = _BOUNDS[bound_id]
     rhs_coeff = Fraction(rhs(inst.n, inst.k))
-    note = ""
-    if bound_id is BoundId.PE_CC_3WAY:
-        note = "checked in the satisfiable direction"
-
-    def vacuous(reason: str) -> BoundCheck:
-        return BoundCheck(
-            bound_id, math.inf, weight_exponent(rhs_coeff, eps), True, True,
-            f"vacuous: {reason}", None, rhs_coeff,
-        )
-
-    if premises[bound_id] is not None:
-        return vacuous(premises[bound_id])
-
-    three_way_pe = Axiom.PE in axioms and len(axioms) > 1
-    terms = []
-    for axiom in axioms:
-        level = levels.get(axiom)
-        if level is None:
-            raise InvalidParametersError(
-                f"missing measurement for level {axiom.value!r} required by {bound_id.value}"
-            )
-        weight = inst.n * inst.k - 1 if three_way_pe and axiom is Axiom.PE else 1
-        terms.append((level, weight))
-
-    for level, _weight in terms:
-        if level.vacuous:
-            return vacuous(f"level {level.axiom.value} has no boundary pair")
     rhs_log = weight_exponent(rhs_coeff, eps)
+    reason = premises[bound_id]
+    terms = []
+    if reason is None:
+        three_way_pe = Axiom.PE in axioms and len(axioms) > 1
+        for axiom in axioms:
+            level = levels.get(axiom)
+            if level is None:
+                raise InvalidParametersError(
+                    f"missing measurement for level {axiom.value!r} required by {bound_id.value}"
+                )
+            weight = inst.n * inst.k - 1 if three_way_pe and axiom is Axiom.PE else 1
+            terms.append((level, weight))
+        reason = next(
+            (f"level {lv.axiom.value} has no boundary pair" for lv, _ in terms if lv.vacuous),
+            None,
+        )
+    if reason is not None:
+        return BoundCheck(
+            bound_id, math.inf, rhs_log, True, True, f"vacuous: {reason}", None, rhs_coeff
+        )
 
     lhs_log = sum(weight * level.log_value for level, weight in terms)
     if all(level.coeff is not None for level, _ in terms):
@@ -383,9 +376,8 @@ def check_bound(
     else:
         lhs_coeff = None
         satisfied = lhs_log <= rhs_log + TOLERANCE
-    attaining = tuple(
-        (level.axiom, level.attaining_pair) for level, _ in terms
-    )
+    note = "checked in the satisfiable direction" if bound_id is BoundId.PE_CC_3WAY else ""
+    attaining = tuple((level.axiom, level.attaining_pair) for level, _ in terms)
     return BoundCheck(
         bound_id, lhs_log, rhs_log, satisfied, False, note, lhs_coeff, rhs_coeff,
         attaining,

@@ -43,8 +43,8 @@ from .core import (
     ResourceLimitError,
     parse_instance,
 )
-from .instances import WitnessId, witness
-from .mechanisms import AUDIT_MECHANISMS, MECHANISMS, as_epsilon, sample
+from .instances import WitnessId, witness, witness_id
+from .mechanisms import AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -68,26 +68,16 @@ def _frac(q: Optional[Fraction]):
     return None if q is None else str(q)
 
 
-class _Emitter:
-    """Collects records and renders them as JSON lines or a plain table."""
-
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.records: list = []
-
-    def emit(self, record: dict) -> None:
-        self.records.append(record)
-
-    def render(self) -> str:
-        if self.fmt == "structured":
-            return "".join(
-                json.dumps(r, sort_keys=True, default=str) + "\n" for r in self.records
-            )
-        lines = []
-        for r in self.records:
-            parts = [f"{key}={r[key]}" for key in sorted(r) if key != "record"]
-            lines.append(r.get("record", "").ljust(14) + " ".join(parts))
-        return "\n".join(lines) + "\n"
+def _render(records: list, fmt: str) -> str:
+    """Records as JSON lines with sorted keys, or as a plain table."""
+    if fmt == "structured":
+        return "".join(json.dumps(r, sort_keys=True, default=str) + "\n" for r in records)
+    lines = []
+    for r in records:
+        parts = [f"{key}={r[key]}" for key in sorted(r) if key != "record"]
+        # the space keeps a record name of 14 or more characters apart
+        lines.append((r.get("record", "") + " ").ljust(14) + " ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -98,22 +88,12 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_witness_id(name: str) -> WitnessId:
-    key = name.strip().upper().replace("-", "_")
-    try:
-        return WitnessId[key]
-    except KeyError:
-        valid = ", ".join(w.name for w in WitnessId)
-        raise InvalidParametersError(f"unknown witness id {name!r}; valid ids: {valid}") from None
-
-
 def _load_instance(args) -> Instance:
     if args.input:
         with open(args.input) as fh:
             inst = parse_instance(fh.read())
     else:
-        wid = _resolve_witness_id(args.witness)
-        inst = witness(wid, n=args.n, k=args.k, m=args.m).inst
+        inst = witness(witness_id(args.witness), n=args.n, k=args.k, m=args.m).inst
     m, k = inst.m, inst.k
     # C(m, ell) >= m for 0 < ell < m, so a huge header m is rejected uncomputed
     if m > COMMITTEE_SPACE_MAX or math.comb(m, min(k, m // 2)) > COMMITTEE_SPACE_MAX:
@@ -172,57 +152,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="full bound-check grid over all witnesses")
     p_rep.add_argument("--eps", nargs="*", default=list(DEFAULT_EPS_GRID))
-    p_rep.add_argument("--format", choices=("table", "structured"), default="structured")
-    p_rep.add_argument("--out", help="output path (default stdout)")
+    _add_common_args(p_rep, mechanism=False)
     return parser
 
 
-def _cmd_dist(args) -> int:
-    inst = _load_instance(args)
-    eps = as_epsilon(args.eps)
-    dist = MECHANISMS[args.mechanism](inst, eps)
-    emitter = _Emitter(args.format)
-    for i, committee in enumerate(dist.committees):
-        emitter.emit(
-            {
-                "record": "dist",
-                "mechanism": dist.mechanism,
-                "eps": str(eps),
-                "committee": list(committee),
-                "log_weight": _frac(dist.weight_coeffs[i]) if dist.weight_coeffs else None,
-                "probability": dist.probs[i],
-            }
-        )
-    _write(emitter.render(), args.out)
-    return EXIT_OK
+def _distribution(args):
+    """The chosen mechanism's exact law on the chosen instance."""
+    return MECHANISMS[args.mechanism](_load_instance(args), as_epsilon(args.eps))
 
 
-def _cmd_sample(args) -> int:
-    inst = _load_instance(args)
-    eps = as_epsilon(args.eps)
-    dist = MECHANISMS[args.mechanism](inst, eps)
-    committee = sample(dist, args.seed)
-    emitter = _Emitter(args.format)
-    emitter.emit(
+def _cmd_dist(args) -> tuple:
+    dist = _distribution(args)
+    records = [
         {
-            "record": "sample",
+            "record": "dist",
             "mechanism": dist.mechanism,
-            "eps": str(eps),
-            "seed": args.seed,
+            "eps": str(dist.epsilon),
             "committee": list(committee),
+            "log_weight": _frac(dist.weight_coeffs[i]) if dist.weight_coeffs else None,
+            "probability": dist.probs[i],
         }
-    )
-    _write(emitter.render(), args.out)
-    return EXIT_OK
+        for i, committee in enumerate(dist.committees)
+    ]
+    return records, EXIT_OK
 
 
-def _cmd_axioms(args) -> int:
+def _cmd_sample(args) -> tuple:
+    dist = _distribution(args)
+    record = {
+        "record": "sample",
+        "mechanism": dist.mechanism,
+        "eps": str(dist.epsilon),
+        "seed": args.seed,
+        "committee": list(sample(dist, args.seed)),
+    }
+    return [record], EXIT_OK
+
+
+def _cmd_axioms(args) -> tuple:
     inst = _load_instance(args)
-    emitter = _Emitter(args.format)
     wanted = JR_FAMILY if not args.axiom else (Axiom(args.axiom),)
+    records = []
     for ax in wanted:
         committees = axiom_committee_set(inst, ax)
-        emitter.emit(
+        records.append(
             {
                 "record": "axiom_set",
                 "axiom": ax.value,
@@ -232,7 +205,7 @@ def _cmd_axioms(args) -> int:
         )
     if not args.axiom:
         frontier = pareto_frontier(inst)
-        emitter.emit(
+        records.append(
             {
                 "record": "pareto_frontier",
                 "count": len(frontier),
@@ -240,39 +213,34 @@ def _cmd_axioms(args) -> int:
             }
         )
         winner = condorcet_committee(inst)
-        emitter.emit(
+        records.append(
             {
                 "record": "condorcet",
                 "committee": list(winner) if winner is not None else None,
             }
         )
-    _write(emitter.render(), args.out)
-    return EXIT_OK
+    return records, EXIT_OK
 
 
-def _attaining_fields(report) -> dict:
+def _attaining(report) -> Optional[dict]:
     if report.attaining is None:
-        return {"attaining": None}
+        return None
     inst, neighbor, committee = report.attaining
     voter = next(
         i for i, (b1, b2) in enumerate(zip(inst.ballots, neighbor.ballots)) if b1 != b2
     )
     return {
-        "attaining": {
-            "voter": voter,
-            "replacement_ballot": sorted(neighbor.ballots[voter]),
-            "committee": list(committee),
-        }
+        "voter": voter,
+        "replacement_ballot": sorted(neighbor.ballots[voter]),
+        "committee": list(committee),
     }
 
 
-def _cmd_audit_dp(args) -> int:
+def _cmd_audit_dp(args) -> tuple:
     inst = _load_instance(args)
     eps = as_epsilon(args.eps)
-    factory = MECHANISMS[args.mechanism]
-    report = dp_level(lambda i: factory(i, eps), inst)
+    report = dp_level(make_rule(args.mechanism, eps), inst)
     violated = report.max_log_ratio > float(eps) + TOLERANCE
-    emitter = _Emitter(args.format)
     record = {
         "record": "dp_audit",
         "mechanism": args.mechanism,
@@ -281,15 +249,13 @@ def _cmd_audit_dp(args) -> int:
         "neighbors_checked": report.instances_checked,
         "neighbors_evaluated": report.neighbors_evaluated,
         "within_budget": not violated,
+        "attaining": _attaining(report),
     }
-    record.update(_attaining_fields(report))
-    emitter.emit(record)
-    _write(emitter.render(), args.out)
-    return EXIT_BOUND_VIOLATION if violated else EXIT_OK
+    return [record], EXIT_BOUND_VIOLATION if violated else EXIT_OK
 
 
 def _level_record(level, extra: dict) -> dict:
-    record = {
+    return {
         "record": "axiom_level",
         "axiom": level.axiom.value,
         "log_value": _finite(level.log_value),
@@ -298,13 +264,12 @@ def _level_record(level, extra: dict) -> dict:
         "pair": None
         if level.attaining_pair is None
         else [list(level.attaining_pair[0]), list(level.attaining_pair[1])],
+        **extra,
     }
-    record.update(extra)
-    return record
 
 
 def _bound_record(check, extra: dict) -> dict:
-    record = {
+    return {
         "record": "bound",
         "bound": check.bound_id.value,
         "lhs_log": _finite(check.lhs_log),
@@ -319,52 +284,40 @@ def _bound_record(check, extra: dict) -> dict:
             for axiom, pair in check.attaining
             if pair is not None
         ],
+        **extra,
     }
-    record.update(extra)
-    return record
 
 
-def _cmd_audit_axioms(args) -> int:
-    inst = _load_instance(args)
-    eps = as_epsilon(args.eps)
-    dist = MECHANISMS[args.mechanism](inst, eps)
+def _cmd_audit_axioms(args) -> tuple:
+    dist = _distribution(args)
+    inst, eps = dist.instance, dist.epsilon
     levels = measure_levels(dist)
-    emitter = _Emitter(args.format)
     extra = {"mechanism": args.mechanism, "eps": str(eps)}
     wanted = (Axiom(args.axiom),) if args.axiom else tuple(levels)
-    for ax in wanted:
-        emitter.emit(_level_record(levels[ax], extra))
-    violations = 0
-    for check in evaluate_bounds(levels, inst, eps, bound_premises(inst)):
-        emitter.emit(_bound_record(check, extra))
-        if not check.satisfied and not check.vacuous:
-            violations += 1
-    _write(emitter.render(), args.out)
-    return EXIT_BOUND_VIOLATION if violations else EXIT_OK
+    records = [_level_record(levels[ax], extra) for ax in wanted]
+    checks = evaluate_bounds(levels, inst, eps, bound_premises(inst))
+    records += [_bound_record(check, extra) for check in checks]
+    violated = any(not check.satisfied for check in checks)
+    return records, EXIT_BOUND_VIOLATION if violated else EXIT_OK
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> tuple:
     if not args.eps:
         raise InvalidParametersError("reproduce needs at least one --eps value")
     eps_values = [as_epsilon(e) for e in args.eps]
-    emitter = _Emitter(args.format)
+    records = []
     violations = 0
     for wid in WitnessId:
-        built = witness(wid)
-        premises = bound_premises(built.inst)
+        inst = witness(wid).inst
+        premises = bound_premises(inst)
         for mechanism in AUDIT_MECHANISMS:
             for eps in eps_values:
-                dist = MECHANISMS[mechanism](built.inst, eps)
-                extra = {
-                    "witness": wid.value,
-                    "mechanism": mechanism,
-                    "eps": str(eps),
-                }
-                for check in evaluate_bounds(measure_levels(dist), built.inst, eps, premises):
-                    emitter.emit(_bound_record(check, extra))
-                    if not check.satisfied and not check.vacuous:
-                        violations += 1
-    emitter.emit(
+                levels = measure_levels(MECHANISMS[mechanism](inst, eps))
+                extra = {"witness": wid.value, "mechanism": mechanism, "eps": str(eps)}
+                for check in evaluate_bounds(levels, inst, eps, premises):
+                    records.append(_bound_record(check, extra))
+                    violations += not check.satisfied
+    records.append(
         {
             "record": "summary",
             "witnesses": len(WitnessId),
@@ -373,8 +326,7 @@ def _cmd_reproduce(args) -> int:
             "violations": violations,
         }
     )
-    _write(emitter.render(), args.out)
-    return EXIT_BOUND_VIOLATION if violations else EXIT_OK
+    return records, EXIT_BOUND_VIOLATION if violations else EXIT_OK
 
 
 _COMMANDS = {
@@ -395,17 +347,13 @@ def main(argv: Optional[Sequence] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except ProfileParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        records, code = _COMMANDS[args.command](args)
+        _write(_render(records, args.format), args.out)
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POLICY_CAP
-    except InvalidParametersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ProfileParseError, InvalidParametersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # never a traceback, and never exit 1

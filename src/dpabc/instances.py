@@ -31,6 +31,16 @@ class WitnessId(Enum):
     CC_JR_INCOMPAT = "CC_JR_INCOMPAT"
 
 
+def witness_id(name: str) -> WitnessId:
+    """The witness id a user typed: case-insensitive, ``-`` read as ``_``."""
+    key = name.strip().upper().replace("-", "_")
+    try:
+        return WitnessId[key]
+    except KeyError:
+        valid = ", ".join(w.name for w in WitnessId)
+        raise InvalidParametersError(f"unknown witness id {name!r}; valid ids: {valid}") from None
+
+
 @dataclass
 class WitnessInstance:
     """A constructed witness: the instance, its companion profile when the

@@ -32,8 +32,9 @@ yields the same committee.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -130,13 +131,10 @@ class CommitteeDistribution:
     committees: tuple
     weight_coeffs: Optional[tuple]
     log_probs: tuple
-    probs: tuple = field(default=())
 
-    def __post_init__(self):
-        if not self.probs:
-            object.__setattr__(
-                self, "probs", tuple(math.exp(lp) for lp in self.log_probs)
-            )
+    @functools.cached_property
+    def probs(self) -> tuple:
+        return tuple(math.exp(lp) for lp in self.log_probs)
 
     def index(self, committee: Sequence) -> int:
         return self.committees.index(tuple(sorted(committee)))

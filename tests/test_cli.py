@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dpabc
 from dpabc import MECHANISMS, format_instance, make_instance, witness, WitnessId
 from dpabc import audit, cli
 from dpabc.cli import main
@@ -76,25 +79,43 @@ class TestDist:
         assert code == 0
         assert len(parse_jsonl(out)) == 3
 
-    def test_table_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "dist", "--mechanism", "uniform", "--eps", "1",
-            "--witness", "JR_UPPER", "--format", "table",
-        )
-        assert code == 0
-        assert "probability" in out
 
-    def test_out_flag_writes_file(self, capsys, tmp_path):
-        target = tmp_path / "dist.jsonl"
-        code, out, _ = run_cli(
-            capsys,
-            "dist", "--mechanism", "uniform", "--eps", "1",
-            "--witness", "JR_UPPER", "--out", str(target),
-        )
-        assert code == 0
-        assert out == ""
-        assert len(parse_jsonl(target.read_text())) == 6
+# one run of every command, with its exit code; seq-av on EJR_UPPER at eps 0.7
+# violates a bound, so that audit-axioms run exits 1
+EVERY_COMMAND = [
+    (0, ("dist", "--mechanism", "uniform", "--eps", "1", "--witness", "JR_UPPER")),
+    (0, ("sample", "--mechanism", "exp-av", "--eps", "1", "--witness", "JR_UPPER", "--seed", "3")),
+    (0, ("axioms", "--witness", "CC_JR_INCOMPAT")),
+    (0, ("audit-dp", "--mechanism", "exp-av", "--eps", "1", "--witness", "JR_UPPER")),
+    (0, ("audit-axioms", "--mechanism", "exp-av", "--eps", "1", "--witness", "PE_CHAIN")),
+    (1, ("audit-axioms", "--mechanism", "seq-av", "--witness", "EJR_UPPER", "--eps", "0.7")),
+    (0, ("reproduce", "--eps", "0.5")),
+]
+
+
+@pytest.mark.parametrize(
+    "expected, argv", EVERY_COMMAND, ids=[f"{a[0]}-exit{c}" for c, a in EVERY_COMMAND]
+)
+class TestOutputPath:
+    def test_out_flag_writes_stdout_to_file(self, capsys, tmp_path, expected, argv):
+        for fmt in ("structured", "table"):
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            target = tmp_path / f"{argv[0]}.{fmt}"
+            code_out, out_out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+            assert code == code_out == expected
+            assert out_out == ""
+            assert target.read_text() == out
+
+    def test_table_format_has_one_line_per_record(self, capsys, expected, argv):
+        code, structured, _ = run_cli(capsys, *argv)
+        code_table, table, _ = run_cli(capsys, *argv, "--format", "table")
+        assert code == code_table == expected
+        records = parse_jsonl(structured)
+        lines = table.splitlines()
+        assert len(lines) == len(records) > 0
+        for line, record in zip(lines, records):
+            assert line.split()[0] == record["record"]
+            assert all(f" {key}=" in line for key in record if key != "record")
 
 
 class TestSample:
@@ -421,3 +442,27 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["record"] == "sample"
+
+
+class TestTradeoffGridScript:
+    SCRIPT = Path(__file__).parents[1] / "scripts" / "tradeoff_grid.py"
+
+    def run_script(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(dpabc.__file__).parents[1])}
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_witness_ids_resolve_as_in_the_cli(self):
+        spelled = self.run_script("--witness", "pe-chain", "--eps", "1")
+        canonical = self.run_script("--witness", "PE_CHAIN", "--eps", "1")
+        assert spelled.returncode == canonical.returncode == 0
+        assert spelled.stdout == canonical.stdout
+        assert "== PE_CHAIN" in spelled.stdout
+
+    def test_unknown_witness_is_a_usage_error(self):
+        result = self.run_script("--witness", "no-such-witness")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unknown witness id 'no-such-witness'" in result.stderr
+        assert "Traceback" not in result.stderr

@@ -284,3 +284,19 @@ class TestDistributionInvariants:
             assert image.prob(permute_committee(committee, sigma)) == pytest.approx(
                 p, abs=1e-9
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances(max_m=5, max_n=3), st.sampled_from(ALL_MECHANISMS))
+    def test_index_finds_every_committee_in_any_member_order(self, inst, mechanism):
+        dist = MECHANISMS[mechanism](inst, 1)
+        for i, committee in enumerate(dist.committees):
+            assert dist.index(committee[::-1]) == i
+            assert dist.log_prob(committee) == dist.log_probs[i]
+
+    @pytest.mark.parametrize("committee", [(0,), (0, 1, 2), (0, 4), (1, 1)])
+    def test_index_rejects_a_foreign_committee(self, committee):
+        dist = uniform_distribution(make_instance([{0}], 4, 2))
+        with pytest.raises(ValueError):
+            dist.index(committee)
+        with pytest.raises(ValueError):
+            dist.exact_ratio_coeff((0, 1), committee)
