@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .axioms import (
@@ -35,7 +37,7 @@ from .core import (
     Instance,
     InvalidParametersError,
     ResourceLimitError,
-    enumerate_committees,
+    canonical_committees,
     nonempty_subsets,
 )
 from .mechanisms import CommitteeDistribution, as_epsilon, weight_exponent
@@ -119,7 +121,7 @@ class _DominanceWalk:
     so that order is a topological order."""
 
     def __init__(self, inst: Instance):
-        self.committees = enumerate_committees(inst.m, inst.k)
+        self.committees = canonical_committees(inst.m, inst.k)
         index = {w: i for i, w in enumerate(self.committees)}
         self.succ: list = [[] for _ in self.committees]
         for hi, lo in dominance_pairs(inst):
@@ -322,10 +324,10 @@ def dp_level(
             neighbor = inst.replace_ballot(voter, ballot)
             evaluated += 1
             other = rule(neighbor)
-            gaps = [abs(a - b) for a, b in zip(base.log_probs, other.log_probs)]
-            top = max(gaps)
+            top = max(map(abs, map(sub, base.log_probs, other.log_probs)))
             if top > worst:
                 worst = top
+                gaps = [abs(a - b) for a, b in zip(base.log_probs, other.log_probs)]
                 attaining = (inst, neighbor, base.committees[gaps.index(top)])
     return DpAuditReport(
         max_log_ratio=worst,
@@ -333,6 +335,14 @@ def dp_level(
         instances_checked=inst.n * (2**inst.m - 2),
         neighbors_evaluated=evaluated,
     )
+
+
+@lru_cache(maxsize=1024)
+def _rhs(bound_id: BoundId, n: int, k: int, eps: Fraction) -> tuple:
+    """``(rhs_coeff, rhs_log)`` of a bound: its right-hand side as an exact
+    multiple of eps and in log domain."""
+    rhs_coeff = Fraction(_BOUNDS[bound_id][1](n, k))
+    return rhs_coeff, weight_exponent(rhs_coeff, eps)
 
 
 def check_bound(
@@ -344,10 +354,8 @@ def check_bound(
     ``bound_premises(inst)``) is reported vacuous. PE_CC_3WAY is checked in
     the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
     """
-    eps = as_epsilon(epsilon)
-    axioms, rhs = _BOUNDS[bound_id]
-    rhs_coeff = Fraction(rhs(inst.n, inst.k))
-    rhs_log = weight_exponent(rhs_coeff, eps)
+    axioms = _BOUNDS[bound_id][0]
+    rhs_coeff, rhs_log = _rhs(bound_id, inst.n, inst.k, as_epsilon(epsilon))
     reason = premises[bound_id]
     terms = []
     if reason is None:

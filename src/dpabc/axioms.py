@@ -18,7 +18,8 @@ an instance with ``n`` voters, ``m`` alternatives, committee size ``k``:
   majority of overlap comparisons.
 
 Everything here is a pure function over immutable inputs; results for whole
-instances are memoized.
+instances are memoized, and the tables that depend only on ``(m, k)`` or on
+one ballot are shared by every instance.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
-from .core import Instance, InvalidParametersError, enumerate_committees
+from .core import Instance, InvalidParametersError, canonical_committees
 
 
 class Axiom(Enum):
@@ -54,23 +55,30 @@ class CohesiveWitness:
     voters: frozenset
 
 
-def _cohesive_groups(inst: Instance, levels: Sequence) -> list:
-    """``(ell, T, V_T)`` for every alternative set ``T`` with ``|T| = ell`` in
-    ``levels`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
+def _cohesive_groups(inst: Instance, top: int) -> list:
+    """``(ell, T, V_T)`` for every alternative set ``T`` with ``|T| = ell <=
+    top`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
     ``k*|V_T| >= ell*n``; ``V_T`` is a bitmask of voter indices, the AND of
-    the approver masks of ``T``'s members."""
+    the approver masks of ``T``'s members. The cores of each size come in
+    lexicographic order from a depth-first walk that extends a core only
+    while it passes: ``V_T`` shrinks as ``T`` grows while the bar rises."""
     n, k = inst.n, inst.k
     approvers = [0] * inst.m
     for i, ballot in enumerate(inst.ballots):
         for a in ballot:
             approvers[a] |= 1 << i
     out = []
-    for ell in levels:
-        cores = itertools.combinations(range(inst.m), ell)
-        for T, masks in zip(cores, itertools.combinations(approvers, ell)):
-            voters = reduce(operator.and_, masks)
-            if k * voters.bit_count() >= ell * n:
-                out.append((ell, T, voters))
+
+    def extend(core: tuple, voters: int, start: int) -> None:
+        ell = len(core) + 1
+        for a in range(start, inst.m):
+            shared = voters & approvers[a]
+            if k * shared.bit_count() >= ell * n:
+                out.append((ell, core + (a,), shared))
+                if ell < top:
+                    extend(core + (a,), shared, a + 1)
+
+    extend((), (1 << n) - 1, 0)
     return out
 
 
@@ -87,7 +95,8 @@ def cohesive_witnesses(inst: Instance, ell: int) -> list:
         CohesiveWitness(
             ell, frozenset(T), frozenset(i for i in range(inst.n) if voters >> i & 1)
         )
-        for _, T, voters in _cohesive_groups(inst, (ell,))
+        for size, T, voters in _cohesive_groups(inst, ell)
+        if size == ell
     ]
 
 
@@ -95,9 +104,25 @@ def _mask(alternatives) -> int:
     return sum(1 << a for a in alternatives)
 
 
-def _committee_masks(m: int, k: int) -> list:
+@lru_cache(maxsize=64)
+def _committee_masks(m: int, k: int) -> tuple:
     """Bitmasks of the canonical committees, in canonical order."""
-    return [sum(c) for c in itertools.combinations([1 << a for a in range(m)], k)]
+    return tuple(map(_mask, canonical_committees(m, k)))
+
+
+@lru_cache(maxsize=1024)
+def _ballot_table(m: int, k: int, ballot: int) -> tuple:
+    """``(column, below)`` for one ballot mask, shared by every instance with
+    this ``(m, k)``: ``column[i]`` is canonical committee ``i``'s overlap with
+    the ballot (one byte each, so ``k < 256``) and ``below[c]``, for ``c`` in
+    ``0..k``, the committee bitset (bit ``i`` for committee ``i``) of the
+    committees with overlap below ``c``."""
+    column = bytes((w & ballot).bit_count() for w in _committee_masks(m, k))
+    # overlap o becomes the digit "1" exactly when o < c; bit 0 is committee 0
+    below = tuple(
+        int(column.translate(b"1" * c + b"0" * (256 - c))[::-1], 2) for c in range(k + 1)
+    )
+    return column, below
 
 
 def _ballot_types(inst: Instance) -> list:
@@ -105,14 +130,13 @@ def _ballot_types(inst: Instance) -> list:
     bitmask of the indices of the voters casting that ballot."""
     voters: dict = {}
     for i, ballot in enumerate(inst.ballots):
-        mask = _mask(ballot)
-        voters[mask] = voters.get(mask, 0) | 1 << i
-    return sorted(voters.items())
+        voters[ballot] = voters.get(ballot, 0) | 1 << i
+    return sorted((_mask(ballot), v) for ballot, v in voters.items())
 
 
 def _overlaps(inst: Instance, types: list) -> list:
     """Row ``i``: canonical committee ``i``'s overlap with each type."""
-    return [[(w & t).bit_count() for t, _ in types] for w in _committee_masks(inst.m, inst.k)]
+    return list(zip(*(_ballot_table(inst.m, inst.k, t)[0] for t, _ in types)))
 
 
 def _pjr_groups(inst: Instance) -> list:
@@ -145,43 +169,64 @@ def _pjr_groups(inst: Instance) -> list:
     return list(best.items())
 
 
-def _violation_test(inst: Instance, ax: Axiom):
-    """Predicate on committee bitmasks: True iff the committee violates
-    ``ax``. Builds the per-instance tables once; each test is then a scan of
-    them."""
-    n, k = inst.n, inst.k
+def _at_least(rows: list, enough: int) -> int:
+    """The committee bitset of the committees whose ``rows`` (``(committee
+    bitset, voter count)`` pairs) that hold them count ``enough`` voters or
+    more. Every committee keeps a binary counter; ``planes[j]`` holds bit
+    ``j`` of all the counters at once."""
+    planes = [0] * sum(count for _, count in rows).bit_length()
+    for bits, count in rows:
+        for j in range(count.bit_length()):
+            carry = bits if count >> j & 1 else 0
+            while carry:  # planes[j] gains carry, with the overflow moving up
+                planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                j += 1
+    # compare every counter with enough from the top bit down; -1 is all ones
+    above, equal = 0, -1
+    for j in range(max(len(planes), enough.bit_length()) - 1, -1, -1):
+        plane = planes[j] if j < len(planes) else 0
+        if enough >> j & 1:
+            equal &= plane
+        else:
+            above |= equal & plane
+            equal &= ~plane
+    return above | equal
+
+
+def _violations(inst: Instance, ax: Axiom) -> int:
+    """The committee bitset of the committees violating ``ax``.
+
+    PJR: a committee violates iff its overlap with some group union is below
+    that group's cap, so the violators are the OR of ``below[cap]`` over the
+    unions. JR/EJR: a committee ``w`` violates iff, for some cohesive
+    ``(ell, V_T)``, the voters of ``V_T`` with fewer than ``ell`` members of
+    ``w`` are l-cohesive themselves, i.e. iff the ballot types in ``V_T``
+    whose ``below[ell]`` holds ``w`` have at least ``ell*n/k`` voters: one
+    bit-sliced count per group over all committees at once."""
+    m, n, k = inst.m, inst.n, inst.k
     if ax is Axiom.PJR:
-        unions = _pjr_groups(inst)
-        return lambda w: any(cap > (w & union).bit_count() for union, cap in unions)
+        return reduce(
+            operator.or_, (_ballot_table(m, k, u)[1][cap] for u, cap in _pjr_groups(inst)), 0
+        )
     if ax not in (Axiom.JR, Axiom.EJR):
         raise InvalidParametersError(f"satisfies_axiom expects JR/PJR/EJR, got {ax}")
-    # w violates iff, for some cohesive V_T, the voters of V_T with fewer than
-    # ell members of w are numerous enough to be l-cohesive themselves
     top = 1 if ax is Axiom.JR else k
-    cohesive = _cohesive_groups(inst, range(1, top + 1))
-    groups = list(dict.fromkeys((ell, v) for ell, _, v in cohesive))
-    types = _ballot_types(inst)
-
-    def violates(w: int) -> bool:
-        # below[ell]: the voters with fewer than ell members of w
-        below = [0] * (top + 1)
-        for ballot, voters in types:
-            overlap = (ballot & w).bit_count()
-            if overlap < top:
-                below[overlap + 1] |= voters
-        for ell in range(2, top + 1):
-            below[ell] |= below[ell - 1]
-        for ell, v in groups:
-            if k * (v & below[ell]).bit_count() >= ell * n:
-                return True
-        return False
-
-    return violates
+    types = [(_ballot_table(m, k, t)[1], voters) for t, voters in _ballot_types(inst)]
+    groups = {(ell, v) for ell, _, v in _cohesive_groups(inst, top)}
+    found = 0
+    for ell, group in groups:
+        # a group inside another of the same ell adds no violators
+        if any(e == ell and v != group and v | group == v for e, v in groups):
+            continue
+        members = [(below[ell], voters.bit_count()) for below, voters in types if voters & group]
+        found |= _at_least(members, -(-ell * n // k))
+    return found
 
 
 def satisfies_axiom(w: Sequence, inst: Instance, ax: Axiom) -> bool:
-    """Exact membership test of committee ``w`` in JR/PJR/EJR for ``inst``."""
-    return not _violation_test(inst, ax)(_mask(w))
+    """Exact membership test of the size-``k`` committee ``w`` in
+    JR/PJR/EJR for ``inst``: a lookup in :func:`axiom_committee_set`."""
+    return tuple(sorted(w)) in axiom_committee_set(inst, ax)
 
 
 @lru_cache(maxsize=4096)
@@ -190,9 +235,10 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
     The inclusion chain EJR subset PJR subset JR holds on every instance.
     """
-    violates = _violation_test(inst, ax)
-    keep = [not violates(w) for w in _committee_masks(inst.m, inst.k)]
-    return tuple(itertools.compress(enumerate_committees(inst.m, inst.k), keep))
+    committees = canonical_committees(inst.m, inst.k)
+    # character i is bit i: "0" where committee i does not violate
+    violating = format(_violations(inst, ax), f"0{len(committees)}b")[::-1]
+    return tuple(itertools.compress(committees, map("0".__eq__, violating)))
 
 
 def _approval_counts(inst: Instance) -> list:
@@ -224,7 +270,7 @@ def pareto_dominates(w1: Sequence, w2: Sequence, profile: Sequence) -> bool:
 @lru_cache(maxsize=4096)
 def dominance_pairs(inst: Instance) -> tuple:
     """All ordered committee pairs (dominator, dominated), canonical order."""
-    committees = enumerate_committees(inst.m, inst.k)
+    committees = canonical_committees(inst.m, inst.k)
     overlaps = _overlaps(inst, _ballot_types(inst))
     pairs = []
     for i, j in itertools.permutations(range(len(committees)), 2):
@@ -237,7 +283,7 @@ def dominance_pairs(inst: Instance) -> tuple:
 def pareto_frontier(inst: Instance) -> tuple:
     """Committees not Pareto-dominated by any other committee."""
     dominated = {lo for _, lo in dominance_pairs(inst)}
-    return tuple(w for w in enumerate_committees(inst.m, inst.k) if w not in dominated)
+    return tuple(w for w in canonical_committees(inst.m, inst.k) if w not in dominated)
 
 
 @lru_cache(maxsize=4096)
@@ -255,12 +301,13 @@ def condorcet_committee(inst: Instance) -> Optional[tuple]:
     overlaps = _overlaps(inst, types)
 
     def beats(i: int, j: int) -> bool:
-        return 2 * sum(c for c, a, b in zip(counts, overlaps[i], overlaps[j]) if a > b) > n
+        wins = itertools.compress(counts, map(operator.gt, overlaps[i], overlaps[j]))
+        return 2 * sum(wins) > n
 
     best = 0
     for j in range(1, len(overlaps)):
         if not beats(best, j):
             best = j
     if all(beats(best, j) for j in range(len(overlaps)) if j != best):
-        return enumerate_committees(inst.m, inst.k)[best]
+        return canonical_committees(inst.m, inst.k)[best]
     return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 Alternative = int
@@ -58,27 +59,37 @@ class Instance:
             raise InvalidParametersError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if not self.ballots:
             raise InvalidParametersError("profile must contain at least one voter")
-        canonical = []
-        for i, ballot in enumerate(self.ballots):
-            b = frozenset(ballot)
-            if not b:
-                raise InvalidParametersError(f"voter {i} has an empty ballot")
-            if not all(isinstance(a, int) and 0 <= a < self.m for a in b):
-                raise InvalidParametersError(
-                    f"voter {i} approves alternatives outside 0..{self.m - 1}: {sorted(b)}"
-                )
-            canonical.append(b)
-        object.__setattr__(self, "ballots", tuple(canonical))
+        canonical = tuple(_ballot(i, b, self.m) for i, b in enumerate(self.ballots))
+        object.__setattr__(self, "ballots", canonical)
 
     @property
     def n(self) -> int:
         return len(self.ballots)
 
     def replace_ballot(self, voter: int, ballot) -> "Instance":
-        """Return a new instance with ``voter``'s ballot swapped out."""
+        """Return a new instance with ``voter``'s ballot swapped out. Only the
+        new ballot is validated; the rest are already canonical."""
         new = list(self.ballots)
-        new[voter] = frozenset(ballot)
-        return Instance(tuple(new), self.m, self.k)
+        voter = range(len(new))[voter]  # an IndexError as for the list
+        new[voter] = _ballot(voter, ballot, self.m)
+        inst = object.__new__(Instance)
+        object.__setattr__(inst, "ballots", tuple(new))
+        object.__setattr__(inst, "m", self.m)
+        object.__setattr__(inst, "k", self.k)
+        return inst
+
+
+def _ballot(voter: int, ballot, m: int) -> frozenset:
+    """``voter``'s ballot as a frozenset, or a usage error when it is empty or
+    approves alternatives outside ``range(m)``."""
+    b = frozenset(ballot)
+    if not b:
+        raise InvalidParametersError(f"voter {voter} has an empty ballot")
+    if not all(isinstance(a, int) and 0 <= a < m for a in b):
+        raise InvalidParametersError(
+            f"voter {voter} approves alternatives outside 0..{m - 1}: {sorted(b)}"
+        )
+    return b
 
 
 def make_instance(ballots: Sequence, m: int, k: int) -> Instance:
@@ -90,9 +101,16 @@ def enumerate_committees(m: int, k: int) -> list:
     """All C(m, k) size-``k`` committees in lexicographic order of their sorted
     member indices. This order is the canonical global ordering used by
     sampling and reports."""
+    return list(canonical_committees(m, k))
+
+
+@lru_cache(maxsize=64)
+def canonical_committees(m: int, k: int) -> tuple:
+    """The committees of :func:`enumerate_committees` as one shared tuple per
+    ``(m, k)``, for callers that only read it."""
     if k < 1 or k > m:
         raise InvalidParametersError(f"need 1 <= k <= m, got k={k}, m={m}")
-    return list(itertools.combinations(range(m), k))
+    return tuple(itertools.combinations(range(m), k))
 
 
 def nonempty_subsets(m: int) -> Iterator[frozenset]:

@@ -43,7 +43,7 @@ from .core import (
     Instance,
     InvalidParametersError,
     ResourceLimitError,
-    enumerate_committees,
+    canonical_committees,
 )
 
 RandomSeed = int
@@ -152,13 +152,22 @@ class CommitteeDistribution:
         return self.weight_coeffs[self.index(w1)] - self.weight_coeffs[self.index(w2)]
 
 
+@functools.lru_cache(maxsize=1024)
+def _coefficient(numerator: int, denominator: int, epsilon: Fraction) -> tuple:
+    """``(q, float(q * eps))`` for ``q = numerator / denominator``."""
+    q = Fraction(numerator, denominator)
+    return q, weight_exponent(q, epsilon)
+
+
 def _from_weight_coeffs(
     inst: Instance, epsilon: Fraction, mechanism: str, numerators: Sequence, denominator: int
 ) -> CommitteeDistribution:
     """Committee ``i`` gets ``q = numerators[i] / denominator``; each distinct
-    ``q`` and its float exponent is built once, keyed by its numerator."""
-    coeff = {p: Fraction(p, denominator) for p in set(numerators)}
-    exponent = {p: weight_exponent(q, epsilon) for p, q in coeff.items()}
+    ``q`` and its float exponent is built once per ``(numerator, denominator,
+    eps)``, keyed by its numerator."""
+    coeff, exponent = {}, {}
+    for p in set(numerators):
+        coeff[p], exponent[p] = _coefficient(p, denominator, epsilon)
     hi = max(exponent.values())
     shifted = {p: math.exp(x - hi) for p, x in exponent.items()}
     log_z = hi + math.log(sum(map(shifted.__getitem__, numerators)))
@@ -167,7 +176,7 @@ def _from_weight_coeffs(
         instance=inst,
         epsilon=epsilon,
         mechanism=mechanism,
-        committees=tuple(enumerate_committees(inst.m, inst.k)),
+        committees=canonical_committees(inst.m, inst.k),
         weight_coeffs=tuple(map(coeff.__getitem__, numerators)),
         log_probs=tuple(map(log_prob.__getitem__, numerators)),
     )
@@ -183,7 +192,7 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
     if ax not in JR_FAMILY:
         raise InvalidParametersError(f"randomized response expects JR/PJR/EJR, got {ax}")
     satisfying = set(axiom_committee_set(inst, ax))
-    numerators = [int(w in satisfying) for w in enumerate_committees(inst.m, inst.k)]
+    numerators = [int(w in satisfying) for w in canonical_committees(inst.m, inst.k)]
     return _from_weight_coeffs(inst, eps, f"rr-{ax.value}", numerators, 2)
 
 
@@ -193,7 +202,7 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     eps = as_epsilon(epsilon)
     approvals = _approval_counts(inst)
     numerators = [
-        sum(map(approvals.__getitem__, w)) for w in enumerate_committees(inst.m, inst.k)
+        sum(map(approvals.__getitem__, w)) for w in canonical_committees(inst.m, inst.k)
     ]
     return _from_weight_coeffs(inst, eps, "exp-av", numerators, 2 * inst.k)
 
@@ -223,7 +232,7 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
             f"sequential law enumeration limited to m <= {SEQUENTIAL_LAW_MAX_M}, got m={inst.m}"
         )
     weights = _sequential_weights(inst, eps)
-    committees = tuple(enumerate_committees(inst.m, inst.k))
+    committees = canonical_committees(inst.m, inst.k)
     mass = {w: 0.0 for w in committees}
     chosen: list = []
 
@@ -282,14 +291,14 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """
     eps = as_epsilon(epsilon)
     winner = condorcet_committee(inst)
-    numerators = [int(w == winner) for w in enumerate_committees(inst.m, inst.k)]
+    numerators = [int(w == winner) for w in canonical_committees(inst.m, inst.k)]
     return _from_weight_coeffs(inst, eps, "rr-condorcet", numerators, 1)
 
 
 def uniform_distribution(inst: Instance, epsilon=1) -> CommitteeDistribution:
     """Instance-independent uniform baseline over all committees."""
     eps = as_epsilon(epsilon)
-    numerators = [0] * len(enumerate_committees(inst.m, inst.k))
+    numerators = [0] * len(canonical_committees(inst.m, inst.k))
     return _from_weight_coeffs(inst, eps, "uniform", numerators, 1)
 
 

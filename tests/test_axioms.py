@@ -1,4 +1,6 @@
 import itertools
+import random
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from dpabc import (
     cohesive_witnesses,
     condorcet_committee,
     dominance_pairs,
+    dp_level,
     enumerate_committees,
     make_instance,
     pareto_dominates,
@@ -20,9 +23,12 @@ from dpabc import (
     permute_committee,
     random_instance,
     satisfies_axiom,
+    uniform_distribution,
     witness,
     WitnessId,
 )
+import dpabc
+from dpabc.axioms import JR_FAMILY
 
 from brute import brute_condorcet, brute_satisfies
 from strategies import instances, instances_with_permutation
@@ -295,3 +301,98 @@ class TestAgainstBruteOracle:
                 w for w in enumerate_committees(m, k) if brute_satisfies(w, inst, ax)
             )
             assert axiom_committee_set(replicated, ax) == expected
+
+
+def direct_violates(w, inst, ax):
+    """JR/EJR by their reduction to maximal cohesive groups, with every core
+    ``T`` enumerated: ``w`` violates iff the voters of some ``V_T`` with
+    fewer than ``ell`` members of ``w`` number at least ``ell*n/k``."""
+    top = 1 if ax is Axiom.JR else inst.k
+    for ell in range(1, top + 1):
+        for core in itertools.combinations(range(inst.m), ell):
+            group = [b for b in inst.ballots if b.issuperset(core)]
+            if inst.k * len(group) < ell * inst.n:
+                continue
+            short = sum(1 for b in group if len(b & frozenset(w)) < ell)
+            if inst.k * short >= ell * inst.n:
+                return True
+    return False
+
+
+def bloc_profile(m, n, k, seed):
+    """Two thirds of the voters approve {0, 1} plus rare extras, the rest
+    random ballots over the other alternatives: dozens of ballot types, and
+    committees that ignore the bloc violate JR and EJR."""
+    rng = random.Random(seed)
+    ballots = []
+    for i in range(n):
+        p = 0.1 if i % 3 else 0.5
+        extra = {a for a in range(2, m) if rng.random() < p}
+        ballots.append(({0, 1} if i % 3 else set()) | extra or {m - 1})
+    return make_instance(ballots, m, k)
+
+
+class TestManyBallotTypes:
+    """Profiles with far more ballot types than the brute oracle can take:
+    the per-group counts run over dozens of types with multi-bit totals."""
+
+    @pytest.mark.parametrize("m, n, k, seed", [(8, 60, 3, 1), (7, 90, 4, 2), (8, 45, 4, 3)])
+    def test_jr_ejr_match_the_direct_reduction(self, m, n, k, seed):
+        inst = bloc_profile(m, n, k, seed)
+        assert len(set(inst.ballots)) >= 25
+        committees = enumerate_committees(m, k)
+        for ax in (Axiom.JR, Axiom.EJR):
+            expected = tuple(w for w in committees if not direct_violates(w, inst, ax))
+            assert 0 < len(expected) < len(committees)
+            assert axiom_committee_set(inst, ax) == expected
+
+
+def audit_traffic(inst):
+    """Every instance ``dp_level`` runs its rule on: ``inst``, then one
+    neighbour per (ballot type, replacement) class."""
+    seen = []
+    dp_level(lambda neighbour: seen.append(neighbour) or uniform_distribution(neighbour), inst)
+    return seen
+
+
+class TestAuditTrafficOracle:
+    """The bitset JR/PJR/EJR sets on exactly the instances the DP audit
+    feeds the rr rules, which share the per-(m, k, ballot) tables."""
+
+    @pytest.mark.parametrize("wid", [wid for wid in WitnessId if witness(wid).inst.m <= 6])
+    def test_sets_match_brute_on_every_evaluated_neighbour(self, wid):
+        inst = witness(wid).inst
+        traffic = audit_traffic(inst)
+        assert len(traffic) == 1 + len(set(inst.ballots)) * (2**inst.m - 2)
+        committees = enumerate_committees(inst.m, inst.k)
+        for neighbour in traffic:
+            for ax in JR_FAMILY:
+                members = axiom_committee_set(neighbour, ax)
+                assert members == tuple(
+                    w for w in committees if brute_satisfies(w, neighbour, ax)
+                ), (neighbour, ax)
+                assert [satisfies_axiom(w, neighbour, ax) for w in committees] == [
+                    w in members for w in committees
+                ]
+
+
+def test_every_module_table_is_bounded():
+    # the (m, k)- and ballot-keyed tables live for the whole process
+    tables = {
+        f"{module.__name__}.{name}": fn
+        for module in vars(dpabc).values()
+        if isinstance(module, ModuleType)
+        for name, fn in vars(module).items()
+        if hasattr(fn, "cache_info")
+    }
+    for name in (
+        "dpabc.core.canonical_committees",
+        "dpabc.axioms._committee_masks",
+        "dpabc.axioms._ballot_table",
+        "dpabc.mechanisms._coefficient",
+        "dpabc.audit._rhs",
+    ):
+        assert name in tables
+    for name, fn in tables.items():
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0, name

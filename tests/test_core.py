@@ -163,6 +163,50 @@ class TestInstanceInvariants:
             Instance((), 3, 1)
 
 
+class TestReplaceBallot:
+    """``replace_ballot`` validates only the new ballot; it must reject what
+    the constructor rejects, with the same message, and build an equal
+    instance."""
+
+    INST = make_instance([{0, 1}, {2}, {1, 3}], 4, 2)
+
+    @pytest.mark.parametrize(
+        "voter, ballot, message",
+        [
+            (1, set(), "voter 1 has an empty ballot"),
+            (0, {1, 4}, "voter 0 approves alternatives outside 0..3: [1, 4]"),
+            (2, {-1}, "voter 2 approves alternatives outside 0..3: [-1]"),
+            (2, {"0"}, "voter 2 approves alternatives outside 0..3: ['0']"),
+        ],
+    )
+    def test_invalid_ballot_raises_the_constructor_message(self, voter, ballot, message):
+        with pytest.raises(InvalidParametersError) as replaced:
+            self.INST.replace_ballot(voter, ballot)
+        ballots = list(self.INST.ballots)
+        ballots[voter] = ballot
+        with pytest.raises(InvalidParametersError) as built:
+            Instance(tuple(ballots), 4, 2)
+        assert str(replaced.value) == str(built.value) == message
+
+    def test_voter_out_of_range(self):
+        with pytest.raises(IndexError):
+            self.INST.replace_ballot(3, {0})
+
+    @settings(max_examples=60)
+    @given(instances(max_m=6, max_n=5), st.data())
+    def test_equals_a_fully_validated_instance(self, inst, data):
+        voter = data.draw(st.integers(-inst.n, inst.n - 1))
+        ballot = data.draw(st.frozensets(st.integers(0, inst.m - 1), min_size=1))
+        replaced = inst.replace_ballot(voter, list(ballot))
+        ballots = list(inst.ballots)
+        ballots[voter] = ballot
+        built = Instance(tuple(ballots), inst.m, inst.k)
+        assert replaced == built
+        assert hash(replaced) == hash(built)
+        assert replaced.ballots[voter] == ballot
+        assert all(type(b) is frozenset for b in replaced.ballots)
+
+
 class TestTextFormat:
     def test_round_trip(self):
         inst = make_instance([{0, 2, 3}, {1}], 4, 2)
