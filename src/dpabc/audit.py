@@ -4,8 +4,8 @@ The *level* of an axiom under a distribution is the minimum probability ratio
 across the axiom's boundary (satisfying over violating committee, dominator
 over dominated, Condorcet committee over the rest). Levels are computed and
 reported in log domain so products of levels are sums; when the distribution
-carries exact rational weight exponents, a level is an exact rational multiple
-of eps and comparisons are tolerance-free. Levels over an empty boundary are
+carries its rule's integer scores, a level is an exact rational multiple of
+eps and comparisons are tolerance-free. Levels over an empty boundary are
 vacuous (+inf) and excluded from bound checks with an explicit flag.
 
 ``dp_level`` measures the worst log-probability ratio over the full exhaustive
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from operator import sub
 from typing import Callable, Optional, Sequence
 
@@ -74,7 +73,7 @@ class DpAuditReport:
     ``neighbors_evaluated`` counts the neighbors the rule was run on."""
 
     max_log_ratio: float
-    attaining: Optional[tuple]  # (instance, neighbor, committee)
+    attaining: Optional[tuple]  # (voter, replacement ballot, committee)
     instances_checked: int
     neighbors_evaluated: int
 
@@ -179,7 +178,7 @@ def bound_premises(inst: Instance) -> dict:
     need = inst.n * inst.k
     walk = None
     premises: dict = {}
-    for bound_id, (axioms, _rhs) in _BOUNDS.items():
+    for bound_id, (axioms, _) in _BOUNDS.items():
         reason = None
         if bound_id is BoundId.CC_JR_PRODUCT:
             winner = condorcet_committee(inst)
@@ -211,34 +210,28 @@ def bound_premises(inst: Instance) -> dict:
     return premises
 
 
-def _log_weights(dist: CommitteeDistribution) -> tuple:
-    """``(key, scale)``: committee -> its exact weight coefficient times
-    ``scale``, the lcm of the coefficients' denominators, when the
-    distribution has them (so keys are ints and a pair's level is their
-    difference over ``scale``); else committee -> its log-probability and
-    ``scale`` None. Scaling by a positive int keeps the order and ties."""
-    if dist.weight_coeffs is None:
-        return dict(zip(dist.committees, dist.log_probs)), None
-    scale = math.lcm(*{q.denominator for q in dist.weight_coeffs})
-    keys = [q.numerator * (scale // q.denominator) for q in dist.weight_coeffs]
-    return dict(zip(dist.committees, keys)), scale
+def _log_weights(dist: CommitteeDistribution) -> dict:
+    """Committee -> its exact integer score when the distribution has scores
+    (a pair's level is then their difference over ``dist.scale``), else
+    committee -> its log-probability."""
+    keys = dist.log_probs if dist.scores is None else dist.scores
+    return dict(zip(dist.committees, keys))
 
 
 def _pair_level(
-    dist: CommitteeDistribution, axiom: Axiom, pair: tuple, weights: tuple
+    dist: CommitteeDistribution, axiom: Axiom, pair: tuple, weights: dict
 ) -> AxiomLevel:
     """The level realized by the (numerator, denominator) committee pair,
-    exact when the distribution carries weight coefficients."""
-    key, scale = weights
-    diff = key[pair[0]] - key[pair[1]]
-    if scale is None:
+    exact when the distribution carries scores."""
+    diff = weights[pair[0]] - weights[pair[1]]
+    if dist.scores is None:
         return AxiomLevel(axiom, diff, None, pair)
-    coeff = Fraction(diff, scale)
-    return AxiomLevel(axiom, weight_exponent(coeff, dist.epsilon), coeff, pair)
+    log_value = weight_exponent(diff, dist.scale, dist.epsilon)
+    return AxiomLevel(axiom, log_value, Fraction(diff, dist.scale), pair)
 
 
 def _boundary_level(
-    dist: CommitteeDistribution, axiom: Axiom, numerators: Sequence, weights: tuple
+    dist: CommitteeDistribution, axiom: Axiom, numerators: Sequence, weights: dict
 ) -> AxiomLevel:
     """Min over pairs of a numerator and any other committee of their
     probability ratio: the lowest-weight numerator over the highest-weight
@@ -248,20 +241,19 @@ def _boundary_level(
     denominators = [w for w in dist.committees if w not in members]
     if not numerators or not denominators:
         return AxiomLevel(axiom, math.inf, None, None)
-    key = weights[0].__getitem__
+    key = weights.__getitem__
     pair = (min(numerators, key=key), max(denominators, key=key))
     return _pair_level(dist, axiom, pair, weights)
 
 
-def _pe_level(dist: CommitteeDistribution, weights: tuple) -> AxiomLevel:
+def _pe_level(dist: CommitteeDistribution, weights: dict) -> AxiomLevel:
     """Level of Pareto efficiency: min P(dominator) / P(dominated) over all
     dominance pairs, the first such pair on ties; vacuous when no committee
     dominates another."""
     pairs = dominance_pairs(dist.instance)
     if not pairs:
         return AxiomLevel(Axiom.PE, math.inf, None, None)
-    key = weights[0]
-    pair = min(pairs, key=lambda p: key[p[0]] - key[p[1]])
+    pair = min(pairs, key=lambda p: weights[p[0]] - weights[p[1]])
     return _pair_level(dist, Axiom.PE, pair, weights)
 
 
@@ -300,8 +292,9 @@ def dp_level(
     earlier voter holds then yields only neighbors equal, as multisets, to
     ones already evaluated, so such voters are skipped: the rule runs once per
     (ballot type, replacement) class. A skipped neighbor only repeats gaps
-    already seen and the strict ``>`` keeps the first attaining triple, so the
-    report equals that of a scan over every neighbor.
+    already seen and the strict ``>`` keeps the first attaining (voter,
+    replacement ballot, committee), so the report equals that of a scan over
+    every neighbor.
     """
     if inst.m > NEIGHBOR_AUDIT_MAX_M:
         raise ResourceLimitError(
@@ -328,21 +321,13 @@ def dp_level(
             if top > worst:
                 worst = top
                 gaps = [abs(a - b) for a, b in zip(base.log_probs, other.log_probs)]
-                attaining = (inst, neighbor, base.committees[gaps.index(top)])
+                attaining = (voter, ballot, base.committees[gaps.index(top)])
     return DpAuditReport(
         max_log_ratio=worst,
         attaining=attaining,
         instances_checked=inst.n * (2**inst.m - 2),
         neighbors_evaluated=evaluated,
     )
-
-
-@lru_cache(maxsize=1024)
-def _rhs(bound_id: BoundId, n: int, k: int, eps: Fraction) -> tuple:
-    """``(rhs_coeff, rhs_log)`` of a bound: its right-hand side as an exact
-    multiple of eps and in log domain."""
-    rhs_coeff = Fraction(_BOUNDS[bound_id][1](n, k))
-    return rhs_coeff, weight_exponent(rhs_coeff, eps)
 
 
 def check_bound(
@@ -355,7 +340,8 @@ def check_bound(
     the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
     """
     axioms = _BOUNDS[bound_id][0]
-    rhs_coeff, rhs_log = _rhs(bound_id, inst.n, inst.k, as_epsilon(epsilon))
+    rhs_coeff = Fraction(_BOUNDS[bound_id][1](inst.n, inst.k))
+    rhs_log = weight_exponent(rhs_coeff.numerator, rhs_coeff.denominator, as_epsilon(epsilon))
     reason = premises[bound_id]
     terms = []
     if reason is None:

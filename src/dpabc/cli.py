@@ -43,7 +43,7 @@ from .core import (
     ResourceLimitError,
     parse_instance,
 )
-from .instances import WitnessId, witness, witness_id
+from .instances import DEFAULT_PARAMETERS, WitnessId, witness, witness_id
 from .mechanisms import AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample
 
 EXIT_OK = 0
@@ -53,8 +53,9 @@ EXIT_POLICY_CAP = 3
 EXIT_INTERNAL = 4
 
 # Largest committee space an instance may have: every checker enumerates the
-# C(m, k) committees (the dominance and Condorcet scans visit all pairs of
-# them), and the EJR checker scans the C(m, ell) cores for every ell <= k.
+# C(m, k) committees (the dominance scan visits all pairs of them; the
+# Condorcet scan is one linear elimination pass and one verifying pass), and
+# the EJR checker scans the C(m, ell) cores for every ell <= k.
 COMMITTEE_SPACE_MAX = 5000
 
 DEFAULT_EPS_GRID = ("0.1", "1", "2")
@@ -89,19 +90,26 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _load_instance(args) -> Instance:
+    """The instance named on the command line, its committee space capped
+    before anything of size m is built."""
     if args.input:
         with open(args.input) as fh:
             inst = parse_instance(fh.read())
+        m, k = inst.m, inst.k
     else:
-        inst = witness(witness_id(args.witness), n=args.n, k=args.k, m=args.m).inst
-    m, k = inst.m, inst.k
-    # C(m, ell) >= m for 0 < ell < m, so a huge header m is rejected uncomputed
-    if m > COMMITTEE_SPACE_MAX or math.comb(m, min(k, m // 2)) > COMMITTEE_SPACE_MAX:
+        wid = witness_id(args.witness)
+        overrides = (args.n, args.k, args.m)
+        n, k, m = (d if o is None else o for o, d in zip(overrides, DEFAULT_PARAMETERS[wid]))
+    # C(m, ell) >= m for 0 < ell < m, so a huge m is rejected uncomputed;
+    # shapes outside 1 <= k <= m are the witness builders' to reject
+    if 1 <= k <= m and (
+        m > COMMITTEE_SPACE_MAX or math.comb(m, min(k, m // 2)) > COMMITTEE_SPACE_MAX
+    ):
         raise ResourceLimitError(
             f"committee space limited to C(m, ell) <= {COMMITTEE_SPACE_MAX} "
             f"for every ell <= k, got m={m} k={k}"
         )
-    return inst
+    return inst if args.input else witness(wid, n, k, m).inst
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -169,7 +177,9 @@ def _cmd_dist(args) -> tuple:
             "mechanism": dist.mechanism,
             "eps": str(dist.epsilon),
             "committee": list(committee),
-            "log_weight": _frac(dist.weight_coeffs[i]) if dist.weight_coeffs else None,
+            "log_weight": None
+            if dist.scores is None
+            else str(Fraction(dist.scores[i], dist.scale)),
             "probability": dist.probs[i],
         }
         for i, committee in enumerate(dist.committees)
@@ -225,15 +235,8 @@ def _cmd_axioms(args) -> tuple:
 def _attaining(report) -> Optional[dict]:
     if report.attaining is None:
         return None
-    inst, neighbor, committee = report.attaining
-    voter = next(
-        i for i, (b1, b2) in enumerate(zip(inst.ballots, neighbor.ballots)) if b1 != b2
-    )
-    return {
-        "voter": voter,
-        "replacement_ballot": sorted(neighbor.ballots[voter]),
-        "committee": list(committee),
-    }
+    voter, ballot, committee = report.attaining
+    return {"voter": voter, "replacement_ballot": sorted(ballot), "committee": list(committee)}
 
 
 def _cmd_audit_dp(args) -> tuple:

@@ -2,9 +2,10 @@
 
 Every rule here returns a :class:`CommitteeDistribution` over the canonical
 committee order. For the exponential-family rules the unnormalized weight of a
-committee is ``e^(q * eps)`` with ``q`` an exact rational stored per committee,
-so within-instance probability ratios are exact log-weight differences; only
-the normalizer is floating point.
+committee is ``e^(q * eps)`` with ``q = score / scale``: the rule's integer
+score of the committee over one denominator per rule, so within-instance
+probability ratios are exact log-weight differences; only the normalizer is
+floating point.
 
 Every rule is anonymous: its law depends only on the multiset of ballots, not
 on which voter cast which. ``audit.dp_level`` relies on this.
@@ -104,14 +105,16 @@ def as_epsilon(epsilon) -> Fraction:
     return eps
 
 
-def weight_exponent(q: Fraction, eps: Fraction) -> float:
-    """``float(q * eps)``, or a usage error when it does not fit in a finite
-    float (a budget too large for the rule)."""
+def weight_exponent(numerator: int, denominator: int, eps: Fraction) -> float:
+    """``float(numerator / denominator * eps)`` as one correctly rounded int
+    true division, or a usage error when it does not fit in a finite float
+    (a budget too large for the rule)."""
     try:
-        return float(q * eps)
+        return numerator * eps.numerator / (denominator * eps.denominator)
     except OverflowError:
         raise InvalidParametersError(
-            f"epsilon too large: the weight exponent {q}*eps overflows a float"
+            f"epsilon too large: the weight exponent "
+            f"{Fraction(numerator, denominator)}*eps overflows a float"
         ) from None
 
 
@@ -119,9 +122,10 @@ def weight_exponent(q: Fraction, eps: Fraction) -> float:
 class CommitteeDistribution:
     """Exact distribution of a randomized rule on one instance.
 
-    ``weight_coeffs`` holds the exact rational exponents ``q`` (unnormalized
-    weight ``e^(q*eps)``) when the rule is exponential-family, else ``None``
-    (the sequential law) and ``log_probs`` carries the law directly.
+    When the rule is exponential-family, ``scores`` holds its integer score
+    of each committee and committee ``i`` has unnormalized weight
+    ``e^(scores[i] * eps / scale)``; else ``scores`` is ``None`` (the
+    sequential law) and ``log_probs`` carries the law directly.
     Probabilities sum to 1 within 1e-9 and are all strictly positive.
     """
 
@@ -129,7 +133,8 @@ class CommitteeDistribution:
     epsilon: Fraction
     mechanism: str
     committees: tuple
-    weight_coeffs: Optional[tuple]
+    scores: Optional[tuple]
+    scale: int
     log_probs: tuple
 
     @functools.cached_property
@@ -147,38 +152,30 @@ class CommitteeDistribution:
 
     def exact_ratio_coeff(self, w1: Sequence, w2: Sequence) -> Optional[Fraction]:
         """q(w1) - q(w2): the probability ratio is exactly e^(coeff * eps)."""
-        if self.weight_coeffs is None:
+        if self.scores is None:
             return None
-        return self.weight_coeffs[self.index(w1)] - self.weight_coeffs[self.index(w2)]
+        diff = self.scores[self.index(w1)] - self.scores[self.index(w2)]
+        return Fraction(diff, self.scale)
 
 
-@functools.lru_cache(maxsize=1024)
-def _coefficient(numerator: int, denominator: int, epsilon: Fraction) -> tuple:
-    """``(q, float(q * eps))`` for ``q = numerator / denominator``."""
-    q = Fraction(numerator, denominator)
-    return q, weight_exponent(q, epsilon)
-
-
-def _from_weight_coeffs(
-    inst: Instance, epsilon: Fraction, mechanism: str, numerators: Sequence, denominator: int
+def _from_scores(
+    inst: Instance, epsilon: Fraction, mechanism: str, scores: Sequence, scale: int
 ) -> CommitteeDistribution:
-    """Committee ``i`` gets ``q = numerators[i] / denominator``; each distinct
-    ``q`` and its float exponent is built once per ``(numerator, denominator,
-    eps)``, keyed by its numerator."""
-    coeff, exponent = {}, {}
-    for p in set(numerators):
-        coeff[p], exponent[p] = _coefficient(p, denominator, epsilon)
+    """Committee ``i`` gets ``q = scores[i] / scale``; each distinct score's
+    float exponent is built once."""
+    exponent = {p: weight_exponent(p, scale, epsilon) for p in set(scores)}
     hi = max(exponent.values())
     shifted = {p: math.exp(x - hi) for p, x in exponent.items()}
-    log_z = hi + math.log(sum(map(shifted.__getitem__, numerators)))
+    log_z = hi + math.log(sum(map(shifted.__getitem__, scores)))
     log_prob = {p: x - log_z for p, x in exponent.items()}
     return CommitteeDistribution(
         instance=inst,
         epsilon=epsilon,
         mechanism=mechanism,
         committees=canonical_committees(inst.m, inst.k),
-        weight_coeffs=tuple(map(coeff.__getitem__, numerators)),
-        log_probs=tuple(map(log_prob.__getitem__, numerators)),
+        scores=tuple(scores),
+        scale=scale,
+        log_probs=tuple(map(log_prob.__getitem__, scores)),
     )
 
 
@@ -192,8 +189,8 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
     if ax not in JR_FAMILY:
         raise InvalidParametersError(f"randomized response expects JR/PJR/EJR, got {ax}")
     satisfying = set(axiom_committee_set(inst, ax))
-    numerators = [int(w in satisfying) for w in canonical_committees(inst.m, inst.k)]
-    return _from_weight_coeffs(inst, eps, f"rr-{ax.value}", numerators, 2)
+    scores = [int(w in satisfying) for w in canonical_committees(inst.m, inst.k)]
+    return _from_scores(inst, eps, f"rr-{ax.value}", scores, 2)
 
 
 def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
@@ -201,10 +198,8 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     P(W) proportional to e^(AV(W) * eps / (2k))."""
     eps = as_epsilon(epsilon)
     approvals = _approval_counts(inst)
-    numerators = [
-        sum(map(approvals.__getitem__, w)) for w in canonical_committees(inst.m, inst.k)
-    ]
-    return _from_weight_coeffs(inst, eps, "exp-av", numerators, 2 * inst.k)
+    scores = [sum(map(approvals.__getitem__, w)) for w in canonical_committees(inst.m, inst.k)]
+    return _from_scores(inst, eps, "exp-av", scores, 2 * inst.k)
 
 
 def _sequential_weights(inst: Instance, eps: Fraction) -> list:
@@ -256,7 +251,8 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
         epsilon=eps,
         mechanism="seq-av",
         committees=committees,
-        weight_coeffs=None,
+        scores=None,
+        scale=1,
         log_probs=tuple(math.log(mass[w]) for w in committees),
     )
 
@@ -291,15 +287,15 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """
     eps = as_epsilon(epsilon)
     winner = condorcet_committee(inst)
-    numerators = [int(w == winner) for w in canonical_committees(inst.m, inst.k)]
-    return _from_weight_coeffs(inst, eps, "rr-condorcet", numerators, 1)
+    scores = [int(w == winner) for w in canonical_committees(inst.m, inst.k)]
+    return _from_scores(inst, eps, "rr-condorcet", scores, 1)
 
 
 def uniform_distribution(inst: Instance, epsilon=1) -> CommitteeDistribution:
     """Instance-independent uniform baseline over all committees."""
     eps = as_epsilon(epsilon)
-    numerators = [0] * len(canonical_committees(inst.m, inst.k))
-    return _from_weight_coeffs(inst, eps, "uniform", numerators, 1)
+    scores = [0] * len(canonical_committees(inst.m, inst.k))
+    return _from_scores(inst, eps, "uniform", scores, 1)
 
 
 def sample(dist: CommitteeDistribution, seed: RandomSeed) -> tuple:

@@ -123,8 +123,9 @@ class TestDpLevel:
         w = witness(WitnessId.CC_UPPER)
         report = dp_level(make_rule("rr-condorcet", 1), w.inst)
         assert report.max_log_ratio == pytest.approx(1.0, abs=1e-9)
-        inst, neighbor, _ = report.attaining
-        assert profile_distance(inst.ballots, neighbor.ballots) == 1
+        voter, ballot, _ = report.attaining
+        neighbor = w.inst.replace_ballot(voter, ballot)
+        assert profile_distance(w.inst.ballots, neighbor.ballots) == 1
 
     def test_jr_response_within_budget(self):
         w = witness(WitnessId.PJR_UPPER)
@@ -153,14 +154,14 @@ def full_neighborhood_audit(rule, inst):
     worst = 0.0
     attaining = None
     checked = 0
-    for _voter, neighbor in enumerate_neighbors(inst):
+    for voter, neighbor in enumerate_neighbors(inst):
         checked += 1
         other = rule(neighbor)
         for idx, w in enumerate(base.committees):
             gap = abs(base.log_probs[idx] - other.log_probs[idx])
             if gap > worst:
                 worst = gap
-                attaining = (inst, neighbor, w)
+                attaining = (voter, neighbor.ballots[voter], w)
     return worst, attaining, checked
 
 
@@ -204,7 +205,7 @@ class TestAnonymity:
             for order in (ballots[::-1], ballots[1:] + ballots[:1]):
                 other = MECHANISMS[mechanism](make_instance(order, inst.m, inst.k), 1)
                 assert other.log_probs == dist.log_probs
-                assert other.weight_coeffs == dist.weight_coeffs
+                assert other.scores == dist.scores
 
 
 class TestLevelInvariants:

@@ -389,8 +389,6 @@ def test_every_module_table_is_bounded():
         "dpabc.core.canonical_committees",
         "dpabc.axioms._committee_masks",
         "dpabc.axioms._ballot_table",
-        "dpabc.mechanisms._coefficient",
-        "dpabc.audit._rhs",
     ):
         assert name in tables
     for name, fn in tables.items():

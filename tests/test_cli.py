@@ -16,6 +16,9 @@ from dpabc import audit, cli
 from dpabc.cli import main
 
 
+INSTANCE_COMMANDS = ["dist", "sample", "axioms", "audit-dp", "audit-axioms"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -220,6 +223,24 @@ class TestAuditCommands:
         )
 
 
+    def test_dist_golden_digest(self, capsys):
+        # every witness x every mechanism at eps 0.7 and 1/3, all exit 0
+        digest = hashlib.sha256()
+        for eps in ("0.7", "1/3"):
+            for wid in WitnessId:
+                for mechanism in sorted(MECHANISMS):
+                    code, out, _ = run_cli(
+                        capsys,
+                        "dist", "--mechanism", mechanism, "--eps", eps,
+                        "--witness", wid.value,
+                    )
+                    digest.update(f"{wid.value} {mechanism} {eps} {code}\n".encode())
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "cbde903234420dbb128cbc7c024f17f76adf6c16953dd3ed8abfa49e4ac9a4dd"
+        )
+
+
 class TestErrors:
     def test_parse_error_reports_line_and_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -297,6 +318,37 @@ class TestErrors:
             "--n", str(n), "--k", str(k), "--m", str(m),
         )
         assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+    def test_committee_space_cap_precedes_the_witness_build(
+        self, capsys, monkeypatch, command
+    ):
+        # JR_UPPER builds a ballot of all m alternatives
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("witness built before the committee-space cap")
+
+        monkeypatch.setattr(cli, "witness", unbuilt)
+        argv = [command, "--witness", "JR_UPPER", "--m", "100000000"]
+        if command != "axioms":
+            argv += ["--mechanism", "exp-av", "--eps", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "got m=100000000 k=2" in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (("--k", "0"), "witnesses require k >= 1, got k=0"),
+            (("--k", "-3"), "witnesses require k >= 1, got k=-3"),
+            (("--k", "0", "--m", "100000000"), "witnesses require k >= 1, got k=0"),
+            (("--k", "5", "--n", "12"), "JR_UPPER requires m >= k + 1 (and m >= 3)"),
+            (("--m", "2"), "JR_UPPER requires m >= k + 1 (and m >= 3)"),
+            (("--m", "-7"), "JR_UPPER requires m >= k + 1 (and m >= 3)"),
+        ],
+    )
+    def test_witness_shapes_the_builder_rejects_exit_2(self, capsys, overrides, message):
+        code, out, err = run_cli(capsys, "axioms", "--witness", "JR_UPPER", *overrides)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "m, k, code",
@@ -383,9 +435,6 @@ EPS_STRINGS = st.one_of(
     st.decimals(allow_nan=True, allow_infinity=True).map(str),
     st.text(alphabet="0123456789.eE+-/_ nafi", max_size=8),
 )
-
-INSTANCE_COMMANDS = ["dist", "sample", "axioms", "audit-dp", "audit-axioms"]
-
 
 def _check_exit_contract(code, out, err):
     assert code in (0, 1, 2, 3), err

@@ -28,7 +28,13 @@ from dpabc import (
     condorcet_committee,
     enumerate_committees,
 )
-from dpabc.mechanisms import AUDIT_MECHANISMS, as_epsilon, splitmix64, uniform_stream
+from dpabc.mechanisms import (
+    AUDIT_MECHANISMS,
+    as_epsilon,
+    splitmix64,
+    uniform_stream,
+    weight_exponent,
+)
 
 from strategies import instances, instances_with_permutation
 
@@ -56,6 +62,9 @@ class TestEpsilonParsing:
             as_epsilon(bad)
 
     def test_weight_exponent_beyond_float_range_is_usage_error(self):
+        with pytest.raises(InvalidParametersError, match=r"exponent 2\*eps overflows"):
+            weight_exponent(8, 4, as_epsilon("1e308"))
+        assert weight_exponent(8, 4, as_epsilon("1e300")) == 2e300
         # AV(0,1) = 8 with k = 2, so q = 2 and q*eps overflows at eps = 1e308
         inst = make_instance([{0, 1}] * 4, 3, 2)
         with pytest.raises(InvalidParametersError, match="overflows"):
@@ -72,6 +81,27 @@ class TestEpsilonParsing:
         # the weights fit, but a committee's probability underflows to 0
         with pytest.raises(InvalidParametersError, match="underflows"):
             sequential_av_distribution(inst, "1400")
+
+
+# decimal strings from 1e-320 (subnormal as a float) to 1e308
+DECIMAL_EPS = st.builds(
+    "{}e{}".format,
+    st.decimals(min_value=1, max_value=10, places=6, allow_nan=False).map(str),
+    st.integers(-320, 307),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 10**3), DECIMAL_EPS)
+def test_weight_exponent_is_the_float_of_the_exact_product(p, d, text):
+    eps = as_epsilon(text)
+    try:
+        expected = float(Fraction(p, d) * eps)
+    except OverflowError:
+        with pytest.raises(InvalidParametersError, match="overflows"):
+            weight_exponent(p, d, eps)
+        return
+    assert weight_exponent(p, d, eps) == expected
 
 
 def reference_weight_coeffs(mechanism, inst):
@@ -97,8 +127,9 @@ class TestWeightCoeffs:
     def test_match_per_committee_fractions(self, mechanism, wid):
         inst = witness(wid).inst
         dist = MECHANISMS[mechanism](inst, "0.7")
-        assert dist.weight_coeffs == reference_weight_coeffs(mechanism, inst)
-        assert all(type(q) is Fraction for q in dist.weight_coeffs)
+        coeffs = tuple(Fraction(p, dist.scale) for p in dist.scores)
+        assert coeffs == reference_weight_coeffs(mechanism, inst)
+        assert all(type(p) is int for p in (*dist.scores, dist.scale))
 
 
 class TestSplitmix:
@@ -171,8 +202,9 @@ class TestExpAv:
         neighbors = [nb for _, nb in enumerate_neighbors(inst)]
         neighbor = data.draw(st.sampled_from(neighbors))
         other = exp_av_distribution(neighbor, 1)
-        for q1, q2 in zip(dist.weight_coeffs, other.weight_coeffs):
-            assert abs(q1 - q2) <= Fraction(1, 2)
+        assert dist.scale == other.scale
+        for p1, p2 in zip(dist.scores, other.scores):
+            assert abs(Fraction(p1 - p2, dist.scale)) <= Fraction(1, 2)
 
 
 class TestSequentialAv:
