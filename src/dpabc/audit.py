@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from .axioms import (
     JR_FAMILY,
     Axiom,
-    _approval_counts,
+    _av_scores,
     axiom_committee_set,
     condorcet_committee,
     dominance_pairs,
@@ -125,8 +125,7 @@ class _DominanceWalk:
         self.succ: list = [[] for _ in self.committees]
         for hi, lo in dominance_pairs(inst):
             self.succ[index[hi]].append(index[lo])
-        approvals = _approval_counts(inst)
-        scores = [sum(map(approvals.__getitem__, w)) for w in self.committees]
+        scores = _av_scores(inst)
         self.order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
     def longest(self, start_ok, end_ok) -> int:

@@ -242,9 +242,20 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
 
 def _approval_counts(inst: Instance) -> list:
-    """Per alternative, the number of voters approving it. A committee's AV
-    score is the sum of its members' counts."""
-    return [sum(1 for b in inst.ballots if a in b) for a in range(inst.m)]
+    """Per alternative, the number of voters approving it, counted in one
+    pass over the ballots."""
+    counts = [0] * inst.m
+    for ballot in inst.ballots:
+        for a in ballot:
+            counts[a] += 1
+    return counts
+
+
+def _av_scores(inst: Instance) -> list:
+    """Each canonical committee's AV score, the sum of its members' approval
+    counts: the k-combinations of the counts come in the order of the
+    k-combinations of ``range(m)``, the canonical committee order."""
+    return list(map(sum, itertools.combinations(_approval_counts(inst), inst.k)))
 
 
 def av_score(w: Sequence, profile: Sequence) -> int:

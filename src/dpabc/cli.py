@@ -58,6 +58,12 @@ EXIT_INTERNAL = 4
 # the EJR checker scans the C(m, ell) cores for every ell <= k.
 COMMITTEE_SPACE_MAX = 5000
 
+# Most voters an instance may have; every checker and rule walks the
+# ballots. On JR_UPPER at n = 10^5, `axioms` and `audit-dp --mechanism
+# exp-av` each take 1.1-1.5 s at 64 MB peak RSS; `axioms` at n = 10^6 took
+# 59 s and 482 MB.
+VOTER_COUNT_MAX = 100_000
+
 DEFAULT_EPS_GRID = ("0.1", "1", "2")
 
 
@@ -90,12 +96,12 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _load_instance(args) -> Instance:
-    """The instance named on the command line, its committee space capped
-    before anything of size m is built."""
+    """The instance named on the command line, its committee space and voter
+    count capped before a witness of size m or n is built."""
     if args.input:
         with open(args.input) as fh:
             inst = parse_instance(fh.read())
-        m, k = inst.m, inst.k
+        n, m, k = inst.n, inst.m, inst.k
     else:
         wid = witness_id(args.witness)
         overrides = (args.n, args.k, args.m)
@@ -109,6 +115,8 @@ def _load_instance(args) -> Instance:
             f"committee space limited to C(m, ell) <= {COMMITTEE_SPACE_MAX} "
             f"for every ell <= k, got m={m} k={k}"
         )
+    if n > VOTER_COUNT_MAX:
+        raise ResourceLimitError(f"voter count limited to n <= {VOTER_COUNT_MAX}, got n={n}")
     return inst if args.input else witness(wid, n, k, m).inst
 
 

@@ -33,13 +33,22 @@ yields the same committee.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .axioms import JR_FAMILY, Axiom, _approval_counts, axiom_committee_set, condorcet_committee
+from .axioms import (
+    JR_FAMILY,
+    Axiom,
+    _approval_counts,
+    _av_scores,
+    axiom_committee_set,
+    condorcet_committee,
+)
 from .core import (
     Instance,
     InvalidParametersError,
@@ -139,7 +148,13 @@ class CommitteeDistribution:
 
     @functools.cached_property
     def probs(self) -> tuple:
-        return tuple(math.exp(lp) for lp in self.log_probs)
+        return tuple(map(math.exp, self.log_probs))
+
+    @functools.cached_property
+    def cumulative(self) -> tuple:
+        """Running sums of ``probs``, added left to right: the inverse CDF
+        that :func:`sample` bisects."""
+        return tuple(itertools.accumulate(self.probs))
 
     def index(self, committee: Sequence) -> int:
         return self.committees.index(tuple(sorted(committee)))
@@ -197,16 +212,15 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """Committee-level exponential mechanism with AV score utility:
     P(W) proportional to e^(AV(W) * eps / (2k))."""
     eps = as_epsilon(epsilon)
-    approvals = _approval_counts(inst)
-    scores = [sum(map(approvals.__getitem__, w)) for w in canonical_committees(inst.m, inst.k)]
-    return _from_scores(inst, eps, "exp-av", scores, 2 * inst.k)
+    return _from_scores(inst, eps, "exp-av", _av_scores(inst), 2 * inst.k)
 
 
 def _sequential_weights(inst: Instance, eps: Fraction) -> list:
     """Per-alternative weights e^(approvals * eps / (2k)); a usage error when
     their sum does not fit in a finite float."""
+    x, scale = float(eps), 2 * inst.k
     try:
-        weights = [math.exp(c * float(eps) / (2 * inst.k)) for c in _approval_counts(inst)]
+        weights = [math.exp(c * x / scale) for c in _approval_counts(inst)]
         if math.isfinite(sum(weights)):
             return weights
     except OverflowError:
@@ -235,7 +249,7 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
         if len(chosen) == inst.k:
             mass[tuple(sorted(chosen))] += prob
             return
-        total = sum(weights[a] for a in remaining)
+        total = sum(map(weights.__getitem__, remaining))
         for a in remaining:
             chosen.append(a)
             descend([b for b in remaining if b != a], prob * weights[a] / total)
@@ -265,7 +279,7 @@ def sample_sequential_av(inst: Instance, epsilon, seed: RandomSeed) -> tuple:
     chosen: list = []
     remaining = list(range(inst.m))
     for _ in range(inst.k):
-        total = sum(weights[a] for a in remaining)
+        total = sum(map(weights.__getitem__, remaining))
         u = next(uniforms) * total
         acc = 0.0
         pick = remaining[-1]
@@ -300,14 +314,10 @@ def uniform_distribution(inst: Instance, epsilon=1) -> CommitteeDistribution:
 
 def sample(dist: CommitteeDistribution, seed: RandomSeed) -> tuple:
     """Inverse-CDF draw over the canonical committee order; deterministic in
-    (dist, seed)."""
-    u = next(uniform_stream(seed))
-    acc = 0.0
-    for committee, p in zip(dist.committees, dist.probs):
-        acc += p
-        if u < acc:
-            return committee
-    return dist.committees[-1]
+    (dist, seed). The first committee whose running sum exceeds the uniform
+    wins, and the last one when rounding leaves the total at or below it."""
+    i = bisect.bisect_right(dist.cumulative, next(uniform_stream(seed)))
+    return dist.committees[min(i, len(dist.committees) - 1)]
 
 
 def total_variation(d1: CommitteeDistribution, d2: CommitteeDistribution) -> float:

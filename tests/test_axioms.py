@@ -28,7 +28,7 @@ from dpabc import (
     WitnessId,
 )
 import dpabc
-from dpabc.axioms import JR_FAMILY
+from dpabc.axioms import JR_FAMILY, _approval_counts
 
 from brute import brute_condorcet, brute_satisfies
 from strategies import instances, instances_with_permutation
@@ -169,6 +169,14 @@ class TestAvScore:
                 sum(1 for b in inst.ballots if a in b) for a in w
             )
             assert av_score(w, inst.ballots) == per_alternative
+
+    @settings(max_examples=60)
+    @given(instances(max_m=8, max_n=10, max_k=4))
+    def test_approval_counts_count_each_alternatives_approvers(self, inst):
+        counts = _approval_counts(inst)
+        assert len(counts) == inst.m
+        for a in range(inst.m):
+            assert counts[a] == sum(1 for b in inst.ballots if a in b)
 
     @settings(max_examples=30, deadline=None)
     @given(instances(max_m=5, max_n=5))

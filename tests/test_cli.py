@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -334,6 +335,44 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert "got m=100000000 k=2" in err
+
+    @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+    def test_voter_cap_precedes_the_witness_build(self, capsys, monkeypatch, command):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("witness built before the voter cap")
+
+        monkeypatch.setattr(cli, "witness", unbuilt)
+        argv = [command, "--witness", "JR_UPPER", "--n", str(cli.VOTER_COUNT_MAX + 1)]
+        if command != "axioms":
+            argv += ["--mechanism", "exp-av", "--eps", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert f"voter count limited to n <= {cli.VOTER_COUNT_MAX}" in err
+
+    def test_voter_cap_admits_its_own_value(self, monkeypatch):
+        # the builder is not run: at the cap it takes about a second
+        built = []
+
+        def recorded(*args):
+            built.append(args)
+            return SimpleNamespace(inst="built")
+
+        monkeypatch.setattr(cli, "witness", recorded)
+        args = cli.build_parser().parse_args(
+            ["axioms", "--witness", "JR_UPPER", "--n", str(cli.VOTER_COUNT_MAX)]
+        )
+        assert cli._load_instance(args) == "built"
+        assert built == [(WitnessId.JR_UPPER, cli.VOTER_COUNT_MAX, 2, 4)]
+
+    @pytest.mark.parametrize("n, code", [(3, 0), (4, 3)])
+    def test_voter_cap_covers_parsed_profiles(self, capsys, tmp_path, monkeypatch, n, code):
+        monkeypatch.setattr(cli, "VOTER_COUNT_MAX", 3)
+        path = tmp_path / "voters.txt"
+        path.write_text("m=3 k=1\n" + "0 1\n" * n)
+        result = run_cli(capsys, "axioms", "--input", str(path))
+        assert result[0] == code
+        if code == 3:
+            assert result[1:] == ("", "error: voter count limited to n <= 3, got n=4\n")
 
     @pytest.mark.parametrize(
         "overrides, message",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from dpabc import (
     Axiom,
+    BallotModel,
+    CommitteeDistribution,
     InvalidParametersError,
     MECHANISMS,
     ResourceLimitError,
@@ -27,7 +30,9 @@ from dpabc import (
     axiom_committee_set,
     condorcet_committee,
     enumerate_committees,
+    random_instance,
 )
+from dpabc.core import canonical_committees
 from dpabc.mechanisms import (
     AUDIT_MECHANISMS,
     as_epsilon,
@@ -296,6 +301,84 @@ class TestSampling:
         for committee, p in zip(dist.committees, dist.probs):
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts.get(committee, 0) / n - p) <= 3 * se
+
+    @pytest.mark.parametrize("eps", ["0.1", "1"])
+    @pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
+    @pytest.mark.parametrize("wid", list(WitnessId))
+    def test_draw_is_the_linear_inverse_cdf_walk(self, wid, mechanism, eps):
+        dist = MECHANISMS[mechanism](witness(wid).inst, eps)
+        for seed in range(500):
+            assert sample(dist, seed) == linear_walk(dist, seed)
+
+    def test_draw_is_the_linear_walk_on_a_wide_law(self):
+        inst = random_instance(12, 10, 6, BallotModel("impartial", 0.3), 12)
+        dist = exp_av_distribution(inst, 1)
+        assert len(dist.committees) == 924
+        for seed in range(500):
+            assert sample(dist, seed) == linear_walk(dist, seed)
+
+    def test_draw_past_a_short_total_is_the_last_committee(self):
+        # probabilities summing to 0.6: a uniform at or above the total
+        # falls through every committee
+        committees = canonical_committees(4, 2)
+        dist = hand_built_law(committees, (0.1,) * len(committees))
+        total = sum(dist.probs)
+        assert total < 1
+        seeds = range(200)
+        past = [s for s in seeds if next(uniform_stream(s)) >= total]
+        assert len(past) >= 50
+        assert all(sample(dist, s) == committees[-1] for s in past)
+        assert all(sample(dist, s) == linear_walk(dist, s) for s in seeds)
+
+    def test_draw_on_a_running_sum_moves_past_it(self):
+        # the walk needs u < running sum, so a uniform equal to the first
+        # committee's probability draws the second committee
+        seed = 0
+        u = next(uniform_stream(seed))
+        assert math.exp(math.log(u)) == u
+        committees = canonical_committees(4, 2)
+        dist = hand_built_law(committees, (u,) + (0.1,) * (len(committees) - 1))
+        assert dist.cumulative[0] == u
+        assert sample(dist, seed) == linear_walk(dist, seed) == committees[1]
+
+    def test_sequential_draws_golden_digest(self):
+        # every witness at eps 1 and 1/3, seeds 0..199
+        digest = hashlib.sha256()
+        for eps in ("1", "1/3"):
+            for wid in WitnessId:
+                inst = witness(wid).inst
+                for seed in range(200):
+                    drawn = list(sample_sequential_av(inst, eps, seed))
+                    digest.update(f"{wid.value} {eps} {seed} {drawn}\n".encode())
+        assert digest.hexdigest() == (
+            "768c53cc00e6a75ed28167ef4710add662355d511b8231dabad7d0fa6a538f36"
+        )
+
+
+def hand_built_law(committees, probs):
+    """A law on the committees of C(4, 2) with the given probabilities,
+    which need not sum to 1."""
+    return CommitteeDistribution(
+        instance=make_instance([{0}], 4, 2),
+        epsilon=Fraction(1),
+        mechanism="hand-built",
+        committees=committees,
+        scores=None,
+        scale=1,
+        log_probs=tuple(map(math.log, probs)),
+    )
+
+
+def linear_walk(dist, seed):
+    """The inverse-CDF draw written out: add probabilities left to right
+    and return the first committee whose running sum exceeds the uniform."""
+    u = next(uniform_stream(seed))
+    acc = 0.0
+    for committee, p in zip(dist.committees, dist.probs):
+        acc += p
+        if u < acc:
+            return committee
+    return dist.committees[-1]
 
 
 class TestDistributionInvariants:
