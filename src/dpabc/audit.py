@@ -273,11 +273,6 @@ def measure_levels(dist: CommitteeDistribution) -> dict:
     return levels
 
 
-def spread_log(dist: CommitteeDistribution) -> float:
-    """max - min log probability; at most n*eps for any neutral DP rule."""
-    return max(dist.log_probs) - min(dist.log_probs)
-
-
 def dp_level(
     rule: Callable[[Instance], CommitteeDistribution], inst: Instance
 ) -> DpAuditReport:
@@ -381,29 +376,3 @@ def evaluate_bounds(levels: dict, inst: Instance, epsilon, premises: dict) -> li
     """Every bound in the table, checked against the measured ``levels``
     (``measure_levels(dist)``) with ``premises = bound_premises(inst)``."""
     return [check_bound(bid, levels, inst, epsilon, premises) for bid in BoundId]
-
-
-@dataclass(frozen=True)
-class JrMassBound:
-    """Lower bounds on the probability mass a rule puts on JR committees."""
-
-    instance_specific: float
-    instance_free: float
-
-
-def jr_probability_bound(jr_level: float, jr_count: int, m: int, k: int) -> JrMassBound:
-    """Mass bounds implied by a JR level (min JR/non-JR probability ratio).
-
-    instance_specific: level*t / (level*t + C(m,k) - t) with t = jr_count;
-    instance_free:     level / (level + C(m,k) - 1).
-    """
-    if jr_level <= 0:
-        raise InvalidParametersError(f"jr_level must be positive, got {jr_level}")
-    total = math.comb(m, k)
-    if not 1 <= jr_count <= total:
-        raise InvalidParametersError(
-            f"jr_count must lie in 1..C({m},{k})={total}, got {jr_count}"
-        )
-    specific = jr_level * jr_count / (jr_level * jr_count + total - jr_count)
-    free = jr_level / (jr_level + total - 1)
-    return JrMassBound(instance_specific=specific, instance_free=free)

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import Instance, InvalidParametersError, canonical_committees
 
@@ -43,16 +42,6 @@ class Axiom(Enum):
 
 
 JR_FAMILY = (Axiom.JR, Axiom.PJR, Axiom.EJR)
-
-
-@dataclass(frozen=True)
-class CohesiveWitness:
-    """A maximal l-cohesive group: the set of all voters approving every
-    member of ``core_alternatives`` (with ``|core_alternatives| = ell``)."""
-
-    ell: int
-    core_alternatives: frozenset
-    voters: frozenset
 
 
 def _cohesive_groups(inst: Instance, top: int) -> list:
@@ -80,24 +69,6 @@ def _cohesive_groups(inst: Instance, top: int) -> list:
 
     extend((), (1 << n) - 1, 0)
     return out
-
-
-def cohesive_witnesses(inst: Instance, ell: int) -> list:
-    """For every alternative set ``T`` with ``|T| = ell``, the maximal voter
-    set ``V_T = {i : T subset P_i}``, kept whenever ``k*|V_T| >= ell*n``.
-
-    Maximal witnesses suffice for JR/EJR checking: any l-cohesive group with
-    common core ``T`` is a subset of ``V_T``.
-    """
-    if not 1 <= ell <= inst.k:
-        raise InvalidParametersError(f"need 1 <= ell <= k, got ell={ell}, k={inst.k}")
-    return [
-        CohesiveWitness(
-            ell, frozenset(T), frozenset(i for i in range(inst.n) if voters >> i & 1)
-        )
-        for size, T, voters in _cohesive_groups(inst, ell)
-        if size == ell
-    ]
 
 
 def _mask(alternatives) -> int:
@@ -145,27 +116,31 @@ def _pjr_groups(inst: Instance) -> list:
 
     A violating group's intersection and union depend only on which ballot
     types it contains, and taking every voter of each included type maximizes
-    the group size, so scanning subsets of distinct ballot types decides PJR
-    exactly. A subset with an empty intersection is cohesive for no ``ell``,
-    and neither is any superset, so the scan prunes there. For each union only
-    the largest ``cap`` (largest ``ell`` the group is cohesive for) is kept.
+    the group size, so sets of distinct ballot types decide PJR exactly. A
+    group's ``cap`` (the largest ``ell`` it is cohesive for) depends only on
+    its intersection, its union and its voter count, and rises with the
+    count; so one pass over the types keeps, per (intersection, union), the
+    most voters of any non-empty type set that has them. Each type opens its
+    own state and extends every earlier state whose intersection it meets: at
+    most ``min(2^types, 3^m)`` states. For each union only the largest
+    ``cap`` is kept.
     """
     n, k = inst.n, inst.k
-    types = [(ballot, voters.bit_count()) for ballot, voters in _ballot_types(inst)]
-    best: dict = {}
-
-    def extend(start: int, common: int, union: int, size: int) -> None:
-        for i in range(start, len(types)):
-            ballot, count = types[i]
+    most: dict = {}
+    for ballot, voters in _ballot_types(inst):
+        count = voters.bit_count()
+        for (common, union), size in list(most.items()):
             if common & ballot:
-                shared, covered, voters = common & ballot, union | ballot, size + count
-                # largest l this group can be cohesive for
-                cap = min(k, shared.bit_count(), (k * voters) // n)
-                if cap > best.get(covered, 0):
-                    best[covered] = cap
-                extend(i + 1, shared, covered, voters)
-
-    extend(0, (1 << inst.m) - 1, 0, 0)
+                key = (common & ballot, union | ballot)
+                if size + count > most.get(key, 0):
+                    most[key] = size + count
+        # no set of earlier types has this ballot as intersection and union
+        most[ballot, ballot] = count
+    best: dict = {}
+    for (common, union), size in most.items():
+        cap = min(k, common.bit_count(), k * size // n)
+        if cap > best.get(union, 0):
+            best[union] = cap
     return list(best.items())
 
 
@@ -209,7 +184,7 @@ def _violations(inst: Instance, ax: Axiom) -> int:
             operator.or_, (_ballot_table(m, k, u)[1][cap] for u, cap in _pjr_groups(inst)), 0
         )
     if ax not in (Axiom.JR, Axiom.EJR):
-        raise InvalidParametersError(f"satisfies_axiom expects JR/PJR/EJR, got {ax}")
+        raise InvalidParametersError(f"axiom_committee_set expects JR/PJR/EJR, got {ax}")
     top = 1 if ax is Axiom.JR else k
     types = [(_ballot_table(m, k, t)[1], voters) for t, voters in _ballot_types(inst)]
     groups = {(ell, v) for ell, _, v in _cohesive_groups(inst, top)}
@@ -221,12 +196,6 @@ def _violations(inst: Instance, ax: Axiom) -> int:
         members = [(below[ell], voters.bit_count()) for below, voters in types if voters & group]
         found |= _at_least(members, -(-ell * n // k))
     return found
-
-
-def satisfies_axiom(w: Sequence, inst: Instance, ax: Axiom) -> bool:
-    """Exact membership test of the size-``k`` committee ``w`` in
-    JR/PJR/EJR for ``inst``: a lookup in :func:`axiom_committee_set`."""
-    return tuple(sorted(w)) in axiom_committee_set(inst, ax)
 
 
 @lru_cache(maxsize=4096)
@@ -256,26 +225,6 @@ def _av_scores(inst: Instance) -> list:
     counts: the k-combinations of the counts come in the order of the
     k-combinations of ``range(m)``, the canonical committee order."""
     return list(map(sum, itertools.combinations(_approval_counts(inst), inst.k)))
-
-
-def av_score(w: Sequence, profile: Sequence) -> int:
-    """Total approval overlap: sum over voters of |ballot & w|."""
-    wset = frozenset(w)
-    return sum(len(frozenset(b) & wset) for b in profile)
-
-
-def pareto_dominates(w1: Sequence, w2: Sequence, profile: Sequence) -> bool:
-    """True iff every voter overlaps ``w1`` at least as much as ``w2`` and
-    some voter strictly more."""
-    s1, s2 = frozenset(w1), frozenset(w2)
-    strict = False
-    for b in profile:
-        o1, o2 = len(b & s1), len(b & s2)
-        if o1 < o2:
-            return False
-        if o1 > o2:
-            strict = True
-    return strict
 
 
 @lru_cache(maxsize=4096)

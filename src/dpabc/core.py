@@ -3,7 +3,7 @@
 Alternatives are integers ``0..m-1``. A ballot is a non-empty frozenset of
 alternatives, a profile is an ordered tuple of ballots, and an :class:`Instance`
 bundles a profile with the committee size ``k``. Committees are sorted tuples
-of ``k`` distinct alternatives; ``enumerate_committees`` fixes the canonical
+of ``k`` distinct alternatives; ``canonical_committees`` fixes the canonical
 (lexicographic) order that every distribution and report in this package
 indexes by.
 
@@ -97,17 +97,11 @@ def make_instance(ballots: Sequence, m: int, k: int) -> Instance:
     return Instance(tuple(frozenset(b) for b in ballots), m, k)
 
 
-def enumerate_committees(m: int, k: int) -> list:
-    """All C(m, k) size-``k`` committees in lexicographic order of their sorted
-    member indices. This order is the canonical global ordering used by
-    sampling and reports."""
-    return list(canonical_committees(m, k))
-
-
 @lru_cache(maxsize=64)
 def canonical_committees(m: int, k: int) -> tuple:
-    """The committees of :func:`enumerate_committees` as one shared tuple per
-    ``(m, k)``, for callers that only read it."""
+    """All C(m, k) size-``k`` committees in lexicographic order of their sorted
+    member indices, as one shared tuple per ``(m, k)``. This order is the
+    canonical global ordering used by sampling and reports."""
     if k < 1 or k > m:
         raise InvalidParametersError(f"need 1 <= k <= m, got k={k}, m={m}")
     return tuple(itertools.combinations(range(m), k))
@@ -129,38 +123,6 @@ def enumerate_neighbors(inst: Instance) -> Iterator[tuple]:
         for ballot in nonempty_subsets(inst.m):
             if ballot != current:
                 yield voter, inst.replace_ballot(voter, ballot)
-
-
-def profile_distance(p1: Sequence, p2: Sequence) -> int:
-    """Number of voter positions on which two equal-length profiles differ."""
-    if len(p1) != len(p2):
-        raise InvalidParametersError(
-            f"profiles have different lengths: {len(p1)} vs {len(p2)}"
-        )
-    return sum(1 for b1, b2 in zip(p1, p2) if frozenset(b1) != frozenset(b2))
-
-
-def _check_permutation(sigma: Sequence, m: int) -> None:
-    if len(sigma) != m or sorted(sigma) != list(range(m)):
-        raise InvalidParametersError(f"sigma is not a permutation of 0..{m - 1}: {sigma}")
-
-
-def permute(inst: Instance, sigma: Sequence) -> Instance:
-    """Apply an alternative permutation elementwise to every ballot.
-
-    ``sigma`` maps alternative ``a`` to ``sigma[a]``; ``n`` and ``k`` are
-    unchanged."""
-    _check_permutation(sigma, inst.m)
-    return Instance(
-        tuple(frozenset(sigma[a] for a in ballot) for ballot in inst.ballots),
-        inst.m,
-        inst.k,
-    )
-
-
-def permute_committee(committee: Sequence, sigma: Sequence) -> tuple:
-    """Image of a committee under an alternative permutation, re-sorted."""
-    return tuple(sorted(sigma[a] for a in committee))
 
 
 def parse_instance(text: str) -> Instance:

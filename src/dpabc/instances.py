@@ -51,7 +51,6 @@ class WitnessInstance:
     inst: Instance
     companion: Optional[Instance]
     tagged: dict
-    index_note: str
     chain: Optional[tuple] = field(default=None)  # PE_CHAIN dominance order
 
 
@@ -108,8 +107,6 @@ def _jr_upper(n: int, k: int, m: int) -> WitnessInstance:
         base,
         companion,
         tagged,
-        "singleton blocks at indices 0 and 1; committee fillers 2..k; "
-        "remaining ballot is the complement of {0,1}",
     )
 
 
@@ -148,8 +145,6 @@ def _pjr_upper(n: int, k: int, m: int) -> WitnessInstance:
         base,
         companion,
         tagged,
-        "singleton blocks at indices 0..k-1; voter 0's extra approval is "
-        "index k (companion: k+1)",
     )
 
 
@@ -174,8 +169,6 @@ def _ejr_upper(n: int, k: int, m: int) -> WitnessInstance:
         base,
         companion,
         tagged,
-        "singleton blocks at indices 0..k-1; the companion's first block "
-        "moves to index k",
     )
 
 
@@ -219,8 +212,6 @@ def _pe_chain(n: int, k: int, m: int) -> WitnessInstance:
         base,
         None,
         tagged,
-        "primary block 0..k-1, middle block k..k+n-2, tail block "
-        "k+n-1..k+n+k-2",
         chain=tuple(chain),
     )
 
@@ -254,7 +245,6 @@ def _cc_upper(n: int, k: int, m: int) -> WitnessInstance:
         base,
         companion,
         tagged,
-        "contested alternatives at indices 0 and 1; shared block 2..k",
     )
 
 
@@ -294,7 +284,6 @@ def _jr_pjr_3way(n: int, k: int, m: int) -> WitnessInstance:
         base,
         companion,
         tagged,
-        "pair ballots over indices 0..4; committee fillers from 5 up",
     )
 
 
@@ -331,8 +320,6 @@ def _pjr_ejr_3way(n: int, k: int, m: int) -> WitnessInstance:
         base,
         companion,
         tagged,
-        "core block 0..k-1, extras k..2k-1, companion replacement block "
-        "{k} + 2k..3k-2",
     )
 
 
@@ -355,7 +342,6 @@ def _fig3_divergence(n: int, k: int, m: int) -> WitnessInstance:
         base,
         None,
         tagged,
-        "private alternatives 0..k-1 (one per group), shared block k..2k-1",
     )
 
 
@@ -379,7 +365,6 @@ def _cc_jr_incompat(n: int, k: int, m: int) -> WitnessInstance:
         base,
         None,
         tagged,
-        "majority ballot 0..k-1, minority ballot k..2k-1",
     )
 
 
@@ -413,15 +398,6 @@ def witness(
         k,
         m if m is not None else default_m,
     )
-
-
-def sidecar(w: WitnessInstance) -> str:
-    """Sidecar text listing a witness's tagged committees (one per line)."""
-    lines = [f"# {w.id.value}: {w.index_note}"]
-    for name in sorted(w.tagged):
-        members = " ".join(str(a) for a in w.tagged[name])
-        lines.append(f"{name}: {members}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

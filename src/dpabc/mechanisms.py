@@ -156,22 +156,6 @@ class CommitteeDistribution:
         that :func:`sample` bisects."""
         return tuple(itertools.accumulate(self.probs))
 
-    def index(self, committee: Sequence) -> int:
-        return self.committees.index(tuple(sorted(committee)))
-
-    def prob(self, committee: Sequence) -> float:
-        return self.probs[self.index(committee)]
-
-    def log_prob(self, committee: Sequence) -> float:
-        return self.log_probs[self.index(committee)]
-
-    def exact_ratio_coeff(self, w1: Sequence, w2: Sequence) -> Optional[Fraction]:
-        """q(w1) - q(w2): the probability ratio is exactly e^(coeff * eps)."""
-        if self.scores is None:
-            return None
-        diff = self.scores[self.index(w1)] - self.scores[self.index(w2)]
-        return Fraction(diff, self.scale)
-
 
 def _from_scores(
     inst: Instance, epsilon: Fraction, mechanism: str, scores: Sequence, scale: int

@@ -3,12 +3,19 @@
 These deliberately re-derive the axiom semantics from the raw definitions by
 enumerating every voter subset (and every cohesiveness parameter), with no
 shortcuts shared with the package implementation. They are the ground truth
-the fast checkers are validated against.
+the fast checkers are validated against. After them come the reference
+predicates (AV score, Pareto dominance, profile distance, alternative
+permutations), the maximal cohesive groups, the JR mass bound and a law's
+exact probability-ratio coefficient, which tests compare the package's
+outputs with.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
-from dpabc import Axiom
+from dpabc import Axiom, Instance, InvalidParametersError
 
 
 def brute_satisfies(w, inst, ax):
@@ -53,8 +60,6 @@ def brute_longest_chain(inst, start_ok, end_ok):
     """Most dominance arrows on a chain from a ``start_ok`` committee to an
     ``end_ok`` one (-1 if none), by memoised depth-first search over
     ``pareto_dominates`` on every ordered committee pair."""
-    from dpabc import pareto_dominates
-
     committees = list(itertools.combinations(range(inst.m), inst.k))
     memo = {}
 
@@ -72,3 +77,113 @@ def brute_longest_chain(inst, start_ok, end_ok):
 
     lengths = [longest_from(w) for w in committees if start_ok(w)]
     return max((x for x in lengths if x is not None), default=-1)
+
+
+def av_score(w, profile):
+    """Total approval overlap: sum over voters of |ballot & w|."""
+    wset = frozenset(w)
+    return sum(len(frozenset(b) & wset) for b in profile)
+
+
+def pareto_dominates(w1, w2, profile):
+    """True iff every voter overlaps ``w1`` at least as much as ``w2`` and
+    some voter strictly more."""
+    s1, s2 = frozenset(w1), frozenset(w2)
+    strict = False
+    for b in profile:
+        o1, o2 = len(b & s1), len(b & s2)
+        if o1 < o2:
+            return False
+        if o1 > o2:
+            strict = True
+    return strict
+
+
+def profile_distance(p1, p2):
+    """Number of voter positions on which two equal-length profiles differ."""
+    if len(p1) != len(p2):
+        raise InvalidParametersError(
+            f"profiles have different lengths: {len(p1)} vs {len(p2)}"
+        )
+    return sum(1 for b1, b2 in zip(p1, p2) if frozenset(b1) != frozenset(b2))
+
+
+def _check_permutation(sigma, m):
+    if len(sigma) != m or sorted(sigma) != list(range(m)):
+        raise InvalidParametersError(f"sigma is not a permutation of 0..{m - 1}: {sigma}")
+
+
+def permute(inst, sigma):
+    """Apply an alternative permutation elementwise to every ballot.
+
+    ``sigma`` maps alternative ``a`` to ``sigma[a]``; ``n`` and ``k`` are
+    unchanged."""
+    _check_permutation(sigma, inst.m)
+    return Instance(
+        tuple(frozenset(sigma[a] for a in ballot) for ballot in inst.ballots),
+        inst.m,
+        inst.k,
+    )
+
+
+def permute_committee(committee, sigma):
+    """Image of a committee under an alternative permutation, re-sorted."""
+    return tuple(sorted(sigma[a] for a in committee))
+
+
+@dataclass(frozen=True)
+class CohesiveWitness:
+    """A maximal l-cohesive group: the set of all voters approving every
+    member of ``core_alternatives`` (with ``|core_alternatives| = ell``)."""
+
+    ell: int
+    core_alternatives: frozenset
+    voters: frozenset
+
+
+def cohesive_witnesses(inst, ell):
+    """For every alternative set ``T`` with ``|T| = ell``, in lexicographic
+    order, the maximal voter set ``V_T = {i : T subset P_i}``, kept whenever
+    ``k*|V_T| >= ell*n``. Any l-cohesive group with common core ``T`` is a
+    subset of ``V_T``."""
+    if not 1 <= ell <= inst.k:
+        raise InvalidParametersError(f"need 1 <= ell <= k, got ell={ell}, k={inst.k}")
+    found = []
+    for core in itertools.combinations(range(inst.m), ell):
+        voters = frozenset(i for i, b in enumerate(inst.ballots) if b.issuperset(core))
+        if inst.k * len(voters) >= ell * inst.n:
+            found.append(CohesiveWitness(ell, frozenset(core), voters))
+    return found
+
+
+@dataclass(frozen=True)
+class JrMassBound:
+    """Lower bounds on the probability mass a rule puts on JR committees."""
+
+    instance_specific: float
+    instance_free: float
+
+
+def jr_probability_bound(jr_level, jr_count, m, k):
+    """Mass bounds implied by a JR level (min JR/non-JR probability ratio).
+
+    instance_specific: level*t / (level*t + C(m,k) - t) with t = jr_count;
+    instance_free:     level / (level + C(m,k) - 1).
+    """
+    if jr_level <= 0:
+        raise InvalidParametersError(f"jr_level must be positive, got {jr_level}")
+    total = math.comb(m, k)
+    if not 1 <= jr_count <= total:
+        raise InvalidParametersError(
+            f"jr_count must lie in 1..C({m},{k})={total}, got {jr_count}"
+        )
+    specific = jr_level * jr_count / (jr_level * jr_count + total - jr_count)
+    free = jr_level / (jr_level + total - 1)
+    return JrMassBound(instance_specific=specific, instance_free=free)
+
+
+def ratio_coeff(dist, numerator, denominator):
+    """The exact coefficient ``c`` with P(numerator) / P(denominator) =
+    e^(c * eps), from the law's integer scores."""
+    i, j = dist.committees.index(numerator), dist.committees.index(denominator)
+    return Fraction(dist.scores[i] - dist.scores[j], dist.scale)

@@ -10,8 +10,6 @@ from dpabc import (
     BoundId,
     axiom_committee_set,
     condorcet_committee,
-    enumerate_committees,
-    pareto_dominates,
     InvalidParametersError,
     ResourceLimitError,
     check_bound,
@@ -19,23 +17,27 @@ from dpabc import (
     enumerate_neighbors,
     evaluate_bounds,
     exp_av_distribution,
-    jr_probability_bound,
     make_instance,
     make_rule,
     measure_levels,
-    profile_distance,
     rr_axiom_distribution,
     rr_condorcet_distribution,
-    spread_log,
     uniform_distribution,
     witness,
     WitnessId,
 )
 from dpabc.audit import _DominanceWalk, bound_premises
 from dpabc.axioms import JR_FAMILY
+from dpabc.core import canonical_committees
 from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS
 
-from brute import brute_longest_chain
+from brute import (
+    brute_longest_chain,
+    jr_probability_bound,
+    pareto_dominates,
+    profile_distance,
+    ratio_coeff,
+)
 from strategies import instances
 
 
@@ -212,11 +214,9 @@ class TestLevelInvariants:
     def test_randomized_response_attains_half_eps_on_every_proper_set(self):
         # whenever the targeted axiom's committee set is proper, the measured
         # level of the matching randomized response is exactly e^(eps/2)
-        from dpabc import axiom_committee_set, enumerate_committees
-
         for wid in WitnessId:
             w = witness(wid)
-            total = len(enumerate_committees(w.inst.m, w.inst.k))
+            total = len(canonical_committees(w.inst.m, w.inst.k))
             for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
                 members = axiom_committee_set(w.inst, ax)
                 if not 0 < len(members) < total:
@@ -268,7 +268,7 @@ class TestSpread:
         for wid in (WitnessId.JR_UPPER, WitnessId.CC_UPPER, WitnessId.PE_CHAIN):
             w = witness(wid)
             dist = MECHANISMS[mechanism](w.inst, 1)
-            assert spread_log(dist) <= w.inst.n * 1.0 + 1e-9
+            assert max(dist.log_probs) - min(dist.log_probs) <= w.inst.n * 1.0 + 1e-9
 
 
 def checked(bound_id, dist):
@@ -359,7 +359,7 @@ def boundary_pairs(inst, ax):
     """Every (numerator, denominator) committee pair on the boundary of
     ``ax``, straight from the definitions; PE pairs in ``dominance_pairs``
     order (ordered committee pairs in canonical order)."""
-    committees = enumerate_committees(inst.m, inst.k)
+    committees = canonical_committees(inst.m, inst.k)
     if ax in JR_FAMILY:
         members = set(axiom_committee_set(inst, ax))
         return [(a, b) for a in committees for b in committees if a in members and b not in members]
@@ -386,12 +386,12 @@ class TestLevelScanOracle:
             if not pairs:
                 assert level.vacuous and level.coeff is None, ax
                 continue
-            coeffs = [dist.exact_ratio_coeff(a, b) for a, b in pairs]
+            coeffs = [ratio_coeff(dist, a, b) for a, b in pairs]
             low = min(coeffs)
             assert level.coeff == low, ax
             assert level.log_value == float(low * dist.epsilon), ax
             assert level.attaining_pair in pairs, ax
-            assert dist.exact_ratio_coeff(*level.attaining_pair) == low, ax
+            assert ratio_coeff(dist, *level.attaining_pair) == low, ax
             if ax is Axiom.PE:
                 assert level.attaining_pair == pairs[coeffs.index(low)]
 
@@ -400,7 +400,11 @@ class TestLevelScanOracle:
             inst = witness(wid).inst
             dist = MECHANISMS["seq-av"](inst, 1)
             for ax, level in measure_levels(dist).items():
-                gaps = [dist.log_prob(a) - dist.log_prob(b) for a, b in boundary_pairs(inst, ax)]
+                index = dist.committees.index
+                gaps = [
+                    dist.log_probs[index(a)] - dist.log_probs[index(b)]
+                    for a, b in boundary_pairs(inst, ax)
+                ]
                 assert level.coeff is None
                 assert level.log_value == min(gaps, default=math.inf), (wid, ax)
 

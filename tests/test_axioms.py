@@ -10,27 +10,29 @@ from dpabc import (
     Axiom,
     BallotModel,
     InvalidParametersError,
-    av_score,
     axiom_committee_set,
-    cohesive_witnesses,
     condorcet_committee,
     dominance_pairs,
     dp_level,
-    enumerate_committees,
     make_instance,
-    pareto_dominates,
-    permute,
-    permute_committee,
     random_instance,
-    satisfies_axiom,
     uniform_distribution,
     witness,
     WitnessId,
 )
 import dpabc
-from dpabc.axioms import JR_FAMILY, _approval_counts
+from dpabc.axioms import JR_FAMILY, _approval_counts, _cohesive_groups
+from dpabc.core import canonical_committees
 
-from brute import brute_condorcet, brute_satisfies
+from brute import (
+    av_score,
+    brute_condorcet,
+    brute_satisfies,
+    cohesive_witnesses,
+    pareto_dominates,
+    permute,
+    permute_committee,
+)
 from strategies import instances, instances_with_permutation
 
 
@@ -69,29 +71,43 @@ class TestCohesiveWitnesses:
         found = cohesive_witnesses(inst, 1)
         assert [sorted(w.voters) for w in found] == [[0, 1]]
 
+    @settings(max_examples=100, deadline=None)
+    @given(instances(max_m=6, max_n=8, max_k=3))
+    def test_walk_yields_the_maximal_groups_of_every_size(self, inst):
+        # the depth-first walk behind JR and EJR against the definition
+        groups = _cohesive_groups(inst, inst.k)
+        for ell in range(1, inst.k + 1):
+            walked = [
+                (frozenset(core), frozenset(i for i in range(inst.n) if voters >> i & 1))
+                for size, core, voters in groups
+                if size == ell
+            ]
+            expected = [(w.core_alternatives, w.voters) for w in cohesive_witnesses(inst, ell)]
+            assert walked == expected, ell
+
 
 class TestSatisfiesAxiom:
     def test_jr_upper_membership_flips_across_neighbor(self):
         w = witness(WitnessId.JR_UPPER)
         committee = w.tagged["W"]
-        assert satisfies_axiom(committee, w.inst, Axiom.JR)
-        assert not satisfies_axiom(committee, w.companion, Axiom.JR)
+        assert committee in axiom_committee_set(w.inst, Axiom.JR)
+        assert committee not in axiom_committee_set(w.companion, Axiom.JR)
 
     def test_fig3_pjr_without_ejr(self):
         w = witness(WitnessId.FIG3_DIVERGENCE)
-        assert satisfies_axiom(w.tagged["W_2"], w.inst, Axiom.PJR)
-        assert not satisfies_axiom(w.tagged["W_2"], w.inst, Axiom.EJR)
-        assert satisfies_axiom(w.tagged["W_1"], w.inst, Axiom.EJR)
+        assert w.tagged["W_2"] in axiom_committee_set(w.inst, Axiom.PJR)
+        assert w.tagged["W_2"] not in axiom_committee_set(w.inst, Axiom.EJR)
+        assert w.tagged["W_1"] in axiom_committee_set(w.inst, Axiom.EJR)
 
     def test_full_committee_satisfies_everything(self):
         inst = make_instance([{0, 1}, {2}, {0}], 3, 3)
         for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
-            assert satisfies_axiom((0, 1, 2), inst, ax)
+            assert (0, 1, 2) in axiom_committee_set(inst, ax)
 
     def test_rejects_efficiency_axioms(self):
         inst = make_instance([{0}], 3, 1)
-        with pytest.raises(InvalidParametersError):
-            satisfies_axiom((0,), inst, Axiom.PE)
+        with pytest.raises(InvalidParametersError, match="axiom_committee_set"):
+            axiom_committee_set(inst, Axiom.PE)
 
 
 class TestAxiomCommitteeSet:
@@ -125,7 +141,7 @@ class TestParetoDominance:
     @settings(max_examples=30, deadline=None)
     @given(instances(max_m=5, max_n=5))
     def test_strict_partial_order(self, inst):
-        committees = enumerate_committees(inst.m, inst.k)
+        committees = canonical_committees(inst.m, inst.k)
         dominates = {
             (a, b)
             for a in committees
@@ -146,7 +162,7 @@ class TestParetoDominance:
         # the PE level keeps the first minimal pair, so the order matters too
         expected = tuple(
             (a, b)
-            for a, b in itertools.permutations(enumerate_committees(inst.m, inst.k), 2)
+            for a, b in itertools.permutations(canonical_committees(inst.m, inst.k), 2)
             if pareto_dominates(a, b, inst.ballots)
         )
         assert dominance_pairs(inst) == expected
@@ -164,7 +180,7 @@ class TestAvScore:
     @settings(max_examples=40)
     @given(instances(max_m=5, max_n=6))
     def test_summation_orders_agree(self, inst):
-        for w in enumerate_committees(inst.m, inst.k):
+        for w in canonical_committees(inst.m, inst.k):
             per_alternative = sum(
                 sum(1 for b in inst.ballots if a in b) for a in w
             )
@@ -228,7 +244,7 @@ class TestCondorcet:
         # (2, 3) is the last of the C(4, 2) committees; the elimination scan
         # must switch to it at its final step
         inst = make_instance([{2, 3}, {2, 3}, {0}], 4, 2)
-        assert enumerate_committees(4, 2)[-1] == (2, 3)
+        assert canonical_committees(4, 2)[-1] == (2, 3)
         assert condorcet_committee(inst) == brute_condorcet(inst) == (2, 3)
 
     def test_elimination_survivor_on_a_cycle_is_rejected(self):
@@ -242,8 +258,8 @@ class TestCondorcet:
 
         cycle = [(3, 4, 5), (1, 2, 3), (0, 1, 4)]
         assert all(beats(cycle[i], cycle[(i + 1) % 3]) for i in range(3))
-        survivor = enumerate_committees(6, 3)[0]
-        for w in enumerate_committees(6, 3)[1:]:
+        survivor = canonical_committees(6, 3)[0]
+        for w in canonical_committees(6, 3)[1:]:
             if not beats(survivor, w):
                 survivor = w
         assert survivor == cycle[0]
@@ -254,7 +270,7 @@ class TestCondorcet:
         w = witness(WitnessId.CC_JR_INCOMPAT)
         winner = condorcet_committee(w.inst)
         assert winner == w.tagged["W_c"]
-        assert not satisfies_axiom(winner, w.inst, Axiom.JR)
+        assert winner not in axiom_committee_set(w.inst, Axiom.JR)
 
 
 class TestNeutrality:
@@ -262,11 +278,11 @@ class TestNeutrality:
     @given(instances_with_permutation(max_m=5, max_n=5), st.data())
     def test_checkers_commute_with_permutation(self, inst_sigma, data):
         inst, sigma = inst_sigma
-        committees = enumerate_committees(inst.m, inst.k)
+        committees = canonical_committees(inst.m, inst.k)
         w = data.draw(st.sampled_from(committees))
         ax = data.draw(st.sampled_from([Axiom.JR, Axiom.PJR, Axiom.EJR]))
-        assert satisfies_axiom(w, inst, ax) == satisfies_axiom(
-            permute_committee(w, sigma), permute(inst, sigma), ax
+        assert (w in axiom_committee_set(inst, ax)) == (
+            permute_committee(w, sigma) in axiom_committee_set(permute(inst, sigma), ax)
         )
 
 
@@ -280,9 +296,9 @@ class TestAgainstBruteOracle:
     @settings(max_examples=40, deadline=None)
     @given(instances(max_m=5, max_n=5, max_k=3), st.data())
     def test_matches_raw_enumeration(self, inst, data):
-        w = data.draw(st.sampled_from(enumerate_committees(inst.m, inst.k)))
+        w = data.draw(st.sampled_from(canonical_committees(inst.m, inst.k)))
         for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
-            assert satisfies_axiom(w, inst, ax) == brute_satisfies(w, inst, ax)
+            assert (w in axiom_committee_set(inst, ax)) == brute_satisfies(w, inst, ax)
 
     @pytest.mark.parametrize("m, k, p, seed", DIVERSE_PROFILES)
     def test_every_committee_on_many_ballot_types(self, m, k, p, seed):
@@ -290,11 +306,9 @@ class TestAgainstBruteOracle:
         assert len(set(inst.ballots)) >= 8
         for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
             expected = tuple(
-                w for w in enumerate_committees(m, k) if brute_satisfies(w, inst, ax)
+                w for w in canonical_committees(m, k) if brute_satisfies(w, inst, ax)
             )
             assert axiom_committee_set(inst, ax) == expected
-            for w in enumerate_committees(m, k):
-                assert satisfies_axiom(w, inst, ax) == (w in expected)
 
     @pytest.mark.parametrize("m, k, p, seed", DIVERSE_PROFILES)
     def test_replicated_voters_cross_a_word_of_voter_bits(self, m, k, p, seed):
@@ -306,7 +320,7 @@ class TestAgainstBruteOracle:
         assert replicated.n == 70
         for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
             expected = tuple(
-                w for w in enumerate_committees(m, k) if brute_satisfies(w, inst, ax)
+                w for w in canonical_committees(m, k) if brute_satisfies(w, inst, ax)
             )
             assert axiom_committee_set(replicated, ax) == expected
 
@@ -348,11 +362,35 @@ class TestManyBallotTypes:
     def test_jr_ejr_match_the_direct_reduction(self, m, n, k, seed):
         inst = bloc_profile(m, n, k, seed)
         assert len(set(inst.ballots)) >= 25
-        committees = enumerate_committees(m, k)
+        committees = canonical_committees(m, k)
         for ax in (Axiom.JR, Axiom.EJR):
             expected = tuple(w for w in committees if not direct_violates(w, inst, ax))
             assert 0 < len(expected) < len(committees)
             assert axiom_committee_set(inst, ax) == expected
+
+
+def distinct_ballot_profile(rng):
+    """A profile over 4-6 alternatives whose 3-12 voters all cast different
+    ballots, so every voter is a ballot type of its own."""
+    m, n, k = rng.randint(4, 6), rng.randint(3, 12), rng.randint(1, 3)
+    masks = rng.sample(range(1, 1 << m), n)
+    return make_instance([{a for a in range(m) if mask >> a & 1} for mask in masks], m, k)
+
+
+class TestPjrOnDistinctBallots:
+    """The PJR pass over ballot types where there are as many types as
+    voters, against the raw definition over every voter subset."""
+
+    def test_pjr_sets_match_brute(self):
+        rng = random.Random(20261018)
+        violators = 0
+        for _ in range(150):
+            inst = distinct_ballot_profile(rng)
+            committees = canonical_committees(inst.m, inst.k)
+            expected = tuple(w for w in committees if brute_satisfies(w, inst, Axiom.PJR))
+            assert axiom_committee_set(inst, Axiom.PJR) == expected, inst
+            violators += len(committees) - len(expected)
+        assert violators > 0
 
 
 def audit_traffic(inst):
@@ -372,16 +410,13 @@ class TestAuditTrafficOracle:
         inst = witness(wid).inst
         traffic = audit_traffic(inst)
         assert len(traffic) == 1 + len(set(inst.ballots)) * (2**inst.m - 2)
-        committees = enumerate_committees(inst.m, inst.k)
+        committees = canonical_committees(inst.m, inst.k)
         for neighbour in traffic:
             for ax in JR_FAMILY:
                 members = axiom_committee_set(neighbour, ax)
                 assert members == tuple(
                     w for w in committees if brute_satisfies(w, neighbour, ax)
                 ), (neighbour, ax)
-                assert [satisfies_axiom(w, neighbour, ax) for w in committees] == [
-                    w in members for w in committees
-                ]
 
 
 def test_every_module_table_is_bounded():

@@ -12,7 +12,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dpabc
-from dpabc import MECHANISMS, format_instance, make_instance, witness, WitnessId
+from dpabc import (
+    MECHANISMS,
+    BallotModel,
+    format_instance,
+    make_instance,
+    random_instance,
+    witness,
+    WitnessId,
+)
 from dpabc import audit, cli
 from dpabc.cli import main
 
@@ -530,6 +538,23 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["record"] == "sample"
+
+    def test_axioms_on_sixty_ballot_types_exits_0(self, tmp_path):
+        # 200 voters cast 61 distinct ballots over 6 alternatives; PJR takes
+        # one pass over the types, not a walk over every subset of them
+        inst = random_instance(6, 200, 3, BallotModel("impartial", 0.5), 3)
+        path = tmp_path / "profile.txt"
+        path.write_text(format_instance(inst))
+        env = {**os.environ, "PYTHONPATH": str(Path(dpabc.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "dpabc", "axioms", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "pjr" in [r.get("axiom") for r in parse_jsonl(result.stdout)]
 
 
 class TestTradeoffGridScript:

@@ -8,38 +8,36 @@ from dpabc import (
     Instance,
     InvalidParametersError,
     ProfileParseError,
-    enumerate_committees,
     enumerate_neighbors,
     format_instance,
     make_instance,
     parse_instance,
-    permute,
-    permute_committee,
-    profile_distance,
     witness,
     WitnessId,
 )
+from dpabc.core import canonical_committees
 
+from brute import permute, permute_committee, profile_distance
 from strategies import instances, instances_with_permutation
 
 
 class TestEnumerateCommittees:
     def test_full_committee_is_single(self):
-        assert enumerate_committees(3, 3) == [(0, 1, 2)]
+        assert list(canonical_committees(3, 3)) == [(0, 1, 2)]
 
     def test_four_choose_two(self):
-        committees = enumerate_committees(4, 2)
+        committees = list(canonical_committees(4, 2))
         assert len(committees) == 6
         assert committees[0] == (0, 1)
         assert committees[-1] == (2, 3)
 
     def test_five_choose_two_count(self):
-        assert len(enumerate_committees(5, 2)) == 10
+        assert len(canonical_committees(5, 2)) == 10
 
     def test_all_desk_scale_sizes(self):
         for m in range(1, 9):
             for k in range(1, m + 1):
-                committees = enumerate_committees(m, k)
+                committees = list(canonical_committees(m, k))
                 assert len(committees) == math.comb(m, k)
                 assert len(set(committees)) == len(committees)
                 assert committees == sorted(committees)
@@ -48,7 +46,7 @@ class TestEnumerateCommittees:
     @pytest.mark.parametrize("m,k", [(4, 0), (4, 5), (3, -1)])
     def test_invalid_parameters(self, m, k):
         with pytest.raises(InvalidParametersError):
-            enumerate_committees(m, k)
+            canonical_committees(m, k)
 
 
 class TestNeighbors:

@@ -9,23 +9,24 @@ from dpabc import (
     Axiom,
     BallotModel,
     InvalidParametersError,
-    av_score,
     axiom_committee_set,
     condorcet_committee,
     enumerate_neighbors,
     format_instance,
-    pareto_dominates,
     parse_instance,
-    profile_distance,
     random_instance,
-    satisfies_axiom,
-    sidecar,
     witness,
     WitnessId,
 )
 from dpabc.instances import DEFAULT_PARAMETERS
 
-from brute import brute_condorcet, brute_satisfies
+from brute import (
+    av_score,
+    brute_condorcet,
+    brute_satisfies,
+    pareto_dominates,
+    profile_distance,
+)
 
 IN, OUT = True, False
 
@@ -156,7 +157,7 @@ class TestTaggedMemberships:
             committee = w.tagged[tag]
             inst = profiles[which]
             for ax, expected in expectations.items():
-                assert satisfies_axiom(committee, inst, ax) == expected, (
+                assert (committee in axiom_committee_set(inst, ax)) == expected, (
                     wid,
                     tag,
                     which,
@@ -235,12 +236,6 @@ class TestExport:
     def test_profile_round_trips_through_text_format(self, wid):
         w = witness(wid)
         assert parse_instance(format_instance(w.inst)) == w.inst
-
-    def test_sidecar_lists_all_tags(self):
-        w = witness(WitnessId.PE_CHAIN)
-        text = sidecar(w)
-        for tag, committee in w.tagged.items():
-            assert f"{tag}: " + " ".join(str(a) for a in committee) in text
 
 
 class TestRandomInstance:
