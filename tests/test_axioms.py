@@ -21,8 +21,9 @@ from dpabc import (
     WitnessId,
 )
 import dpabc
-from dpabc.axioms import JR_FAMILY, _approval_counts, _cohesive_groups
-from dpabc.core import canonical_committees
+from dpabc import axioms
+from dpabc.axioms import JR_FAMILY, _approval_counts, _cohesive_groups, _pjr_groups
+from dpabc.core import ResourceLimitError, canonical_committees
 
 from brute import (
     av_score,
@@ -89,15 +90,16 @@ class TestCohesiveWitnesses:
 class TestSatisfiesAxiom:
     def test_jr_upper_membership_flips_across_neighbor(self):
         w = witness(WitnessId.JR_UPPER)
-        committee = w.tagged["W"]
+        committee = tuple(sorted(w.tagged["W"]))
         assert committee in axiom_committee_set(w.inst, Axiom.JR)
         assert committee not in axiom_committee_set(w.companion, Axiom.JR)
 
     def test_fig3_pjr_without_ejr(self):
         w = witness(WitnessId.FIG3_DIVERGENCE)
-        assert w.tagged["W_2"] in axiom_committee_set(w.inst, Axiom.PJR)
-        assert w.tagged["W_2"] not in axiom_committee_set(w.inst, Axiom.EJR)
-        assert w.tagged["W_1"] in axiom_committee_set(w.inst, Axiom.EJR)
+        w_1, w_2 = (tuple(sorted(w.tagged[tag])) for tag in ("W_1", "W_2"))
+        assert w_2 in axiom_committee_set(w.inst, Axiom.PJR)
+        assert w_2 not in axiom_committee_set(w.inst, Axiom.EJR)
+        assert w_1 in axiom_committee_set(w.inst, Axiom.EJR)
 
     def test_full_committee_satisfies_everything(self):
         inst = make_instance([{0, 1}, {2}, {0}], 3, 3)
@@ -391,6 +393,24 @@ class TestPjrOnDistinctBallots:
             assert axiom_committee_set(inst, Axiom.PJR) == expected, inst
             violators += len(committees) - len(expected)
         assert violators > 0
+
+
+class TestPjrWorkCaps:
+    """Ballots {0, p} for p = 1..10 share alternative 0, and every set of
+    them has its own (intersection, union): the PJR pass ends holding
+    2^10 - 1 = 1023 states, after 2^j - 1 visits at ballot j + 1, 1013 in
+    all."""
+
+    INST = make_instance([{0, p} for p in range(1, 11)], 11, 2)
+
+    @pytest.mark.parametrize("cap, limit", [("PJR_STATE_MAX", 1023), ("PJR_VISIT_MAX", 1013)])
+    def test_pass_reaches_exactly_the_cap(self, monkeypatch, cap, limit):
+        expected = _pjr_groups(self.INST)
+        monkeypatch.setattr(axioms, cap, limit)
+        assert _pjr_groups(self.INST) == expected
+        monkeypatch.setattr(axioms, cap, limit - 1)
+        with pytest.raises(ResourceLimitError, match="PJR"):
+            _pjr_groups(self.INST)
 
 
 def audit_traffic(inst):

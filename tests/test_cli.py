@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -555,6 +556,26 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert "pjr" in [r.get("axiom") for r in parse_jsonl(result.stdout)]
+
+    def test_axioms_past_the_pjr_state_cap_exits_3(self, tmp_path):
+        # ballots {0, p} for p = 1..17: every set of them is a PJR state of
+        # its own, 2^17 - 1 > PJR_STATE_MAX, so the pass stops at the cap
+        # within 1 GB of address space
+        inst = make_instance([{0, p} for p in range(1, 18)], 18, 2)
+        path = tmp_path / "profile.txt"
+        path.write_text(format_instance(inst))
+        env = {**os.environ, "PYTHONPATH": str(Path(dpabc.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "dpabc", "axioms", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9)),
+        )
+        assert result.returncode == cli.EXIT_POLICY_CAP, result.stderr
+        assert result.stdout == ""
+        assert "PJR" in result.stderr
 
 
 class TestTradeoffGridScript:
