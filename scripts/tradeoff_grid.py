@@ -21,7 +21,7 @@ from dpabc import (
     witness_id,
     WitnessId,
 )
-from dpabc.mechanisms import AUDIT_MECHANISMS
+from dpabc.mechanisms import AUDIT_MECHANISMS, as_epsilon
 
 
 def fmt(level):
@@ -38,31 +38,43 @@ def witness_arg(name):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def eps_arg(text):
+    """A budget as the CLI reads it, kept as typed; a bad one is a usage error."""
+    try:
+        as_epsilon(text)
+    except InvalidParametersError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--witness", action="append", type=witness_arg, help="witness id (repeatable)"
     )
-    parser.add_argument("--eps", nargs="*", default=["0.1", "0.5", "1", "2"])
+    parser.add_argument("--eps", nargs="*", type=eps_arg, default=["0.1", "0.5", "1", "2"])
     args = parser.parse_args()
 
     wids = args.witness or list(WitnessId)
     order = (Axiom.JR, Axiom.PJR, Axiom.EJR, Axiom.PE, Axiom.CC)
 
-    for wid in wids:
-        built = witness(wid)
-        inst = built.inst
-        print(f"\n== {wid.value} (n={inst.n}, k={inst.k}, m={inst.m})")
-        print("   two-way caps (log): jr/pjr/cc <= eps, "
-              f"ejr <= {-(-inst.n // inst.k)}*eps, pe <= eps/{inst.k}")
-        header = "mechanism      eps    " + "  ".join(f"{ax.value:>6}" for ax in order)
-        print(header)
-        for eps in args.eps:
-            for name in AUDIT_MECHANISMS:
-                dist = MECHANISMS[name](inst, eps)
-                levels = measure_levels(dist)
-                row = "  ".join(fmt(levels[ax]) for ax in order)
-                print(f"{name:<14} {eps:>4}  {row}")
+    lines = []
+    try:
+        # a budget too large for a rule is a usage error, not a traceback
+        for wid in wids:
+            inst = witness(wid).inst
+            lines.append(f"\n== {wid.value} (n={inst.n}, k={inst.k}, m={inst.m})")
+            lines.append("   two-way caps (log): jr/pjr/cc <= eps, "
+                         f"ejr <= {-(-inst.n // inst.k)}*eps, pe <= eps/{inst.k}")
+            lines.append("mechanism      eps    " + "  ".join(f"{ax.value:>6}" for ax in order))
+            for eps in args.eps:
+                for name in AUDIT_MECHANISMS:
+                    levels = measure_levels(MECHANISMS[name](inst, eps))
+                    row = "  ".join(fmt(levels[ax]) for ax in order)
+                    lines.append(f"{name:<14} {eps:>4}  {row}")
+    except InvalidParametersError as exc:
+        parser.error(str(exc))
+    print(*lines, sep="\n")
 
 
 if __name__ == "__main__":

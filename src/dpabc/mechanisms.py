@@ -49,18 +49,14 @@ from .axioms import (
     axiom_committee_set,
     condorcet_committee,
 )
-from .core import (
-    Instance,
-    InvalidParametersError,
-    ResourceLimitError,
-    canonical_committees,
-)
+from .core import Instance, InvalidParametersError, canonical_committees
 
 RandomSeed = int
 
 _MASK64 = (1 << 64) - 1
 
-# sequential law enumerates O(m!/(m-k)!) pick orders; keep it desk-scale
+# limits nothing here; bench/workloads.py reads it to pick the profiles whose
+# sequential draws it checks against the exact law
 SEQUENTIAL_LAW_MAX_M = 8
 
 
@@ -216,31 +212,28 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
     """Exact law of the k-round without-replacement AV sampler.
 
     Each round picks one not-yet-chosen alternative with probability
-    proportional to e^(approvals(a) * eps / (2k)); the law is obtained by
-    summing the probabilities of all ordered pick sequences per committee.
+    proportional to its weight e^(approvals(a) * eps / (2k)). One pass per
+    round over the chosen sets: the first j picks are the set S with
+    probability the sum, over its last pick a, of P(S - a) * w_a / (the weight
+    S - a leaves). Every sum is an ``fsum``, so it does not depend on the order
+    of its terms, and alternatives of equal weight swap the law onto itself
+    bit for bit. The weight left is summed over the unchosen alternatives,
+    never taken as total minus chosen, which cancels at large eps.
     """
     eps = as_epsilon(epsilon)
-    if inst.m > SEQUENTIAL_LAW_MAX_M:
-        raise ResourceLimitError(
-            f"sequential law enumeration limited to m <= {SEQUENTIAL_LAW_MAX_M}, got m={inst.m}"
-        )
     weights = _sequential_weights(inst, eps)
-    committees = canonical_committees(inst.m, inst.k)
-    mass = {w: 0.0 for w in committees}
-    chosen: list = []
-
-    def descend(remaining: list, prob: float) -> None:
-        if len(chosen) == inst.k:
-            mass[tuple(sorted(chosen))] += prob
-            return
-        total = sum(map(weights.__getitem__, remaining))
-        for a in remaining:
-            chosen.append(a)
-            descend([b for b in remaining if b != a], prob * weights[a] / total)
-            chosen.pop()
-
-    descend(list(range(inst.m)), 1.0)
-    if 0.0 in mass.values():
+    law = {(): 1.0}
+    for j in range(1, inst.k + 1):
+        left = {s: math.fsum(w for a, w in enumerate(weights) if a not in s) for s in law}
+        # combinations(s, j - 1) leaves out s's members from last to first
+        law = {
+            s: math.fsum(
+                law[rest] * weights[a] / left[rest]
+                for a, rest in zip(reversed(s), itertools.combinations(s, j - 1))
+            )
+            for s in itertools.combinations(range(inst.m), j)
+        }
+    if 0.0 in law.values():
         raise InvalidParametersError(
             "epsilon too large: a committee's sequential probability underflows a float"
         )
@@ -248,10 +241,10 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
         instance=inst,
         epsilon=eps,
         mechanism="seq-av",
-        committees=committees,
+        committees=canonical_committees(inst.m, inst.k),
         scores=None,
         scale=1,
-        log_probs=tuple(math.log(mass[w]) for w in committees),
+        log_probs=tuple(map(math.log, law.values())),
     )
 
 

@@ -5,9 +5,9 @@ enumerating every voter subset (and every cohesiveness parameter), with no
 shortcuts shared with the package implementation. They are the ground truth
 the fast checkers are validated against. After them come the reference
 predicates (AV score, Pareto dominance, profile distance, alternative
-permutations), the maximal cohesive groups, the JR mass bound and a law's
-exact probability-ratio coefficient, which tests compare the package's
-outputs with.
+permutations), the maximal cohesive groups, the JR mass bound, a law's
+exact probability-ratio coefficient and the sequential AV law summed over
+every pick order, which tests compare the package's outputs with.
 """
 
 import itertools
@@ -187,3 +187,30 @@ def ratio_coeff(dist, numerator, denominator):
     e^(c * eps), from the law's integer scores."""
     i, j = dist.committees.index(numerator), dist.committees.index(denominator)
     return Fraction(dist.scores[i] - dist.scores[j], dist.scale)
+
+
+def brute_sequential_law(inst, epsilon):
+    """The k-round AV sampler's probability of each committee, in
+    ``itertools.combinations`` order, by summing every ordered pick sequence:
+    each round picks an unchosen alternative ``a`` with probability
+    w_a / (sum of the unchosen weights), w_a = e^(approvals(a) * eps / (2k)).
+    A committee whose probability underflows reads 0.0."""
+    x, scale = float(epsilon), 2 * inst.k
+    weights = [
+        math.exp(sum(a in b for b in inst.ballots) * x / scale) for a in range(inst.m)
+    ]
+    mass = {w: 0.0 for w in itertools.combinations(range(inst.m), inst.k)}
+    chosen = []
+
+    def descend(remaining, prob):
+        if len(chosen) == inst.k:
+            mass[tuple(sorted(chosen))] += prob
+            return
+        total = sum(weights[b] for b in remaining)
+        for a in remaining:
+            chosen.append(a)
+            descend([b for b in remaining if b != a], prob * weights[a] / total)
+            chosen.pop()
+
+    descend(list(range(inst.m)), 1.0)
+    return list(mass.values())

@@ -229,7 +229,7 @@ class TestAuditCommands:
                 digest.update(f"{wid.value} {mechanism} {code}\n".encode())
                 digest.update(out.encode())
         assert digest.hexdigest() == (
-            "1febb63e6c6cde9299d572054addde717464a7cadc56a9d85d419df5d1e7c43d"
+            "002aeb88bd6cda9553b5bc38d4750c475ebf9b9342e6c532e8d6deb6c1ca3540"
         )
 
 
@@ -247,7 +247,7 @@ class TestAuditCommands:
                     digest.update(f"{wid.value} {mechanism} {eps} {code}\n".encode())
                     digest.update(out.encode())
         assert digest.hexdigest() == (
-            "cbde903234420dbb128cbc7c024f17f76adf6c16953dd3ed8abfa49e4ac9a4dd"
+            "08dc1ddd0b3bb7a82b83983b30971dfb7c74fd97c070d4217359130b5f9def3a"
         )
 
 
@@ -578,14 +578,24 @@ class TestModuleEntryPoint:
         assert "PJR" in result.stderr
 
 
-class TestTradeoffGridScript:
-    SCRIPT = Path(__file__).parents[1] / "scripts" / "tradeoff_grid.py"
+def run_script(name, *argv):
+    script = Path(__file__).parents[1] / "scripts" / name
+    env = {**os.environ, "PYTHONPATH": str(Path(dpabc.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
+    )
 
+
+def assert_usage_error(result, message):
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+class TestTradeoffGridScript:
     def run_script(self, *argv):
-        env = {**os.environ, "PYTHONPATH": str(Path(dpabc.__file__).parents[1])}
-        return subprocess.run(
-            [sys.executable, str(self.SCRIPT), *argv], capture_output=True, text=True, env=env
-        )
+        return run_script("tradeoff_grid.py", *argv)
 
     def test_witness_ids_resolve_as_in_the_cli(self):
         spelled = self.run_script("--witness", "pe-chain", "--eps", "1")
@@ -596,7 +606,42 @@ class TestTradeoffGridScript:
 
     def test_unknown_witness_is_a_usage_error(self):
         result = self.run_script("--witness", "no-such-witness")
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert "unknown witness id 'no-such-witness'" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert_usage_error(result, "unknown witness id 'no-such-witness'")
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            ("abc", "cannot parse epsilon 'abc'"),
+            ("0", "epsilon '0' is 0"),
+            ("-1", "epsilon must be positive"),
+            # parses, but the exp-av weight exponent overflows a float
+            ("1e308", "epsilon too large"),
+        ],
+    )
+    def test_bad_budget_is_a_usage_error(self, eps, message):
+        assert_usage_error(self.run_script("--eps", "1", eps), message)
+
+
+class TestSequentialDivergenceScript:
+    def run_script(self, *argv):
+        return run_script("sequential_divergence.py", *argv)
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            ("abc", "cannot parse epsilon 'abc'"),
+            ("0", "epsilon '0' is 0"),
+            # parses, but the sequential weights overflow a float
+            ("1e300", "epsilon too large"),
+        ],
+    )
+    def test_bad_budget_is_a_usage_error(self, eps, message):
+        assert_usage_error(self.run_script("--eps", eps), message)
+
+    def test_every_witness_is_audited(self):
+        result = self.run_script("--eps", "1")
+        assert result.returncode == 0
+        rows = {line.split()[0]: line.split()[1:] for line in result.stdout.splitlines()[2:]}
+        assert sorted(rows) == sorted(wid.value for wid in WitnessId)
+        assert rows["JR_PJR_3WAY"][3:] == ["0.4596", "0.3200"]
+        assert rows["PJR_EJR_3WAY"][3:] == ["0.7550", "0.6480"]

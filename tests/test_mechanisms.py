@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from dpabc import (
     CommitteeDistribution,
     InvalidParametersError,
     MECHANISMS,
-    ResourceLimitError,
     enumerate_neighbors,
     exp_av_distribution,
     make_instance,
@@ -38,7 +38,7 @@ from dpabc.mechanisms import (
     weight_exponent,
 )
 
-from brute import permute, permute_committee, ratio_coeff
+from brute import brute_sequential_law, permute, permute_committee, ratio_coeff
 from strategies import instances, instances_with_permutation
 
 ALL_MECHANISMS = sorted(MECHANISMS)
@@ -235,10 +235,77 @@ class TestSequentialAv:
         )
         assert tv == pytest.approx(0.0131145404, abs=1e-9)
 
-    def test_policy_cap(self):
-        inst = make_instance([{0}], 9, 2)
-        with pytest.raises(ResourceLimitError):
-            sequential_av_distribution(inst, 1)
+    # every witness, and seeded profiles with m = 5..8 and k = 2..m-1
+    LAW_PROFILES = [(wid.value, witness(wid).inst) for wid in WitnessId] + [
+        (
+            f"random-{seed}",
+            random_instance(
+                5 + seed % 4,
+                4 + seed % 5,
+                2 + seed % (3 + seed % 4),
+                BallotModel("impartial", 0.4) if seed % 2 else BallotModel("disjoint-groups"),
+                seed,
+            ),
+        )
+        for seed in range(8)
+    ]
+
+    @pytest.mark.parametrize("eps", ["0.1", "1", "3", "30", "100", "300"])
+    @pytest.mark.parametrize("name, inst", LAW_PROFILES, ids=[n for n, _ in LAW_PROFILES])
+    def test_law_matches_pick_order_oracle(self, name, inst, eps):
+        expected = brute_sequential_law(inst, eps)
+        if 0.0 in expected:
+            with pytest.raises(InvalidParametersError, match="underflows"):
+                sequential_av_distribution(inst, eps)
+            return
+        law = sequential_av_distribution(inst, eps)
+        assert law.committees == canonical_committees(inst.m, inst.k)
+        for log_p, p in zip(law.log_probs, expected, strict=True):
+            assert abs(log_p - math.log(p)) <= 1e-12
+
+    def test_law_past_the_old_m_cap_matches_oracle(self):
+        inst = witness(WitnessId.JR_UPPER, m=12).inst
+        law = sequential_av_distribution(inst, 1)
+        expected = brute_sequential_law(inst, 1)
+        assert len(law.log_probs) == len(expected) == math.comb(12, inst.k)
+        for log_p, p in zip(law.log_probs, expected):
+            assert abs(log_p - math.log(p)) <= 1e-12
+
+    def test_law_at_m14_k7_sums_to_one(self):
+        inst = random_instance(14, 10, 7, BallotModel("impartial", 0.3), 5)
+        law = sequential_av_distribution(inst, 1)
+        assert len(law.probs) == 3432
+        assert math.fsum(law.probs) == pytest.approx(1.0, abs=1e-9)
+
+    SWAP_PROFILES = [("JR_PJR_3WAY", witness(WitnessId.JR_PJR_3WAY).inst)] + [
+        (f"random-{seed}", random_instance(8, 6, 3 + seed % 3, BallotModel("impartial", 0.4), seed))
+        for seed in range(6)
+    ]
+
+    @pytest.mark.parametrize("name, inst", SWAP_PROFILES, ids=[n for n, _ in SWAP_PROFILES])
+    def test_swapping_equally_approved_alternatives_maps_the_law_onto_itself(self, name, inst):
+        # on JR_PJR_3WAY alternatives 1 and 4 are each approved by two voters;
+        # sums taken left to right broke six of the committee pairs they swap
+        approvals = [sum(a in b for b in inst.ballots) for a in range(inst.m)]
+        law = sequential_av_distribution(inst, 1)
+        for x, y in itertools.combinations(range(inst.m), 2):
+            if approvals[x] != approvals[y]:
+                continue
+            sigma = list(range(inst.m))
+            sigma[x], sigma[y] = y, x
+            image = sequential_av_distribution(permute(inst, sigma), 1)
+            moved = dict(zip(image.committees, image.log_probs))
+            for w, log_p in zip(law.committees, law.log_probs):
+                assert moved[permute_committee(w, sigma)] == log_p, (x, y, w)
+
+    def test_dp_audit_keeps_the_first_of_mirrored_voters(self):
+        # voters 0 and 2 have mirror-image neighbours whose gaps tie exactly,
+        # so the strict ">" keeps voter 0
+        from dpabc import dp_level, make_rule
+
+        report = dp_level(make_rule("seq-av", 1), witness(WitnessId.PJR_EJR_3WAY).inst)
+        assert report.attaining == (0, frozenset({4, 6, 7}), (4, 6, 7))
+        assert report.max_log_ratio == pytest.approx(0.7550449542698265, abs=1e-12)
 
     def test_literal_sampler_matches_law(self):
         inst = make_instance([{0}, {0, 1}, {2}], 4, 2)
