@@ -27,8 +27,8 @@ Rules:
 
 Sampling uses splitmix64, a fixed 64-bit generator (Steele et al.'s constants):
 state advances by 0x9E3779B97F4A7C15 and is finalized by two xor-shift
-multiplies; uniforms take the top 53 bits. Same (distribution, seed) always
-yields the same committee.
+multiplies; uniforms take the top 53 bits, and the stream has a closed form in
+(seed, index). Same (distribution, seed) always yields the same committee.
 """
 
 from __future__ import annotations
@@ -54,27 +54,37 @@ from .core import Instance, InvalidParametersError, canonical_committees
 RandomSeed = int
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 # limits nothing here; bench/workloads.py reads it to pick the profiles whose
 # sequential draws it checks against the exact law
 SEQUENTIAL_LAW_MAX_M = 8
 
 
+def _mix(state: int) -> int:
+    """splitmix64's finalizer: two xor-shift multiplies, then an xor-shift."""
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def splitmix64(seed: RandomSeed) -> Iterator[int]:
     """Deterministic 64-bit stream; splittable by choice of seed."""
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+        state = (state + _GAMMA) & _MASK64
+        yield _mix(state)
 
 
 def uniform_stream(seed: RandomSeed) -> Iterator[float]:
     """Uniforms in [0, 1) from the top 53 bits of splitmix64 words."""
     for word in splitmix64(seed):
         yield (word >> 11) * 2.0**-53
+
+
+def _uniform(seed: RandomSeed, j: int) -> float:
+    """Item ``j`` (from 0) of ``uniform_stream(seed)``, in closed form."""
+    return (_mix((seed + (j + 1) * _GAMMA) & _MASK64) >> 11) * 2.0**-53
 
 
 def as_epsilon(epsilon) -> Fraction:
@@ -195,12 +205,13 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     return _from_scores(inst, eps, "exp-av", _av_scores(inst), 2 * inst.k)
 
 
-def _sequential_weights(inst: Instance, eps: Fraction) -> list:
-    """Per-alternative weights e^(approvals * eps / (2k)); a usage error when
-    their sum does not fit in a finite float."""
-    x, scale = float(eps), 2 * inst.k
+@functools.lru_cache(maxsize=64)
+def _sequential_weights(inst: Instance, epsilon) -> tuple:
+    """Weights e^(approvals * eps / (2k)), built once per (instance, budget); a
+    usage error, raised on every call, for a bad budget or an overflowing sum."""
+    x, scale = float(as_epsilon(epsilon)), 2 * inst.k
     try:
-        weights = [math.exp(c * x / scale) for c in _approval_counts(inst)]
+        weights = tuple(math.exp(c * x / scale) for c in _approval_counts(inst))
         if math.isfinite(sum(weights)):
             return weights
     except OverflowError:
@@ -249,24 +260,18 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
 
 
 def sample_sequential_av(inst: Instance, epsilon, seed: RandomSeed) -> tuple:
-    """Run the k-round sampler literally (one shot, seeded)."""
-    eps = as_epsilon(epsilon)
-    weights = _sequential_weights(inst, eps)
-    uniforms = uniform_stream(seed)
-    chosen: list = []
-    remaining = list(range(inst.m))
-    for _ in range(inst.k):
-        total = sum(map(weights.__getitem__, remaining))
-        u = next(uniforms) * total
-        acc = 0.0
-        pick = remaining[-1]
-        for a in remaining:
-            acc += weights[a]
-            if u < acc:
-                pick = a
-                break
-        chosen.append(pick)
-        remaining.remove(pick)
+    """Run the k-round sampler literally (one shot, seeded): round j walks the
+    unchosen weights in index order as :func:`sample` walks a law."""
+    try:
+        weights = list(_sequential_weights(inst, epsilon))
+    except TypeError:  # the cache hashes the budget; no budget type is unhashable
+        raise InvalidParametersError(f"cannot parse epsilon {epsilon!r}") from None
+    remaining, chosen = list(range(inst.m)), []
+    for j in range(inst.k):
+        u = _uniform(seed, j) * sum(weights)  # sum() is compensated on 3.12+, unlike accumulate
+        i = min(bisect.bisect_right(list(itertools.accumulate(weights)), u), len(weights) - 1)
+        chosen.append(remaining.pop(i))
+        del weights[i]
     return tuple(sorted(chosen))
 
 
@@ -293,7 +298,7 @@ def sample(dist: CommitteeDistribution, seed: RandomSeed) -> tuple:
     """Inverse-CDF draw over the canonical committee order; deterministic in
     (dist, seed). The first committee whose running sum exceeds the uniform
     wins, and the last one when rounding leaves the total at or below it."""
-    i = bisect.bisect_right(dist.cumulative, next(uniform_stream(seed)))
+    i = bisect.bisect_right(dist.cumulative, _uniform(seed, 0))
     return dist.committees[min(i, len(dist.committees) - 1)]
 
 

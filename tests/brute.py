@@ -6,8 +6,9 @@ shortcuts shared with the package implementation. They are the ground truth
 the fast checkers are validated against. After them come the reference
 predicates (AV score, Pareto dominance, profile distance, alternative
 permutations), the maximal cohesive groups, the JR mass bound, a law's
-exact probability-ratio coefficient and the sequential AV law summed over
-every pick order, which tests compare the package's outputs with.
+exact probability-ratio coefficient, the sequential AV law summed over
+every pick order and the sequential AV sampler walked pick by pick, which
+tests compare the package's outputs with.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dpabc import Axiom, Instance, InvalidParametersError
+from dpabc.mechanisms import as_epsilon, uniform_stream
 
 
 def brute_satisfies(w, inst, ax):
@@ -214,3 +216,31 @@ def brute_sequential_law(inst, epsilon):
 
     descend(list(range(inst.m)), 1.0)
     return list(mass.values())
+
+
+def brute_sequential_sample(inst, epsilon, seed):
+    """The k-round AV sampler written out: one splitmix64 uniform stream per
+    draw, and each round a left-to-right walk over the unchosen alternatives
+    that picks the first whose running weight exceeds the uniform times
+    their total (the last unchosen one when rounding leaves the total at or
+    below it)."""
+    x, scale = float(as_epsilon(epsilon)), 2 * inst.k
+    weights = [
+        math.exp(sum(a in b for b in inst.ballots) * x / scale) for a in range(inst.m)
+    ]
+    uniforms = uniform_stream(seed)
+    chosen = []
+    remaining = list(range(inst.m))
+    for _ in range(inst.k):
+        total = sum(map(weights.__getitem__, remaining))
+        u = next(uniforms) * total
+        acc = 0.0
+        pick = remaining[-1]
+        for a in remaining:
+            acc += weights[a]
+            if u < acc:
+                pick = a
+                break
+        chosen.append(pick)
+        remaining.remove(pick)
+    return tuple(sorted(chosen))

@@ -32,16 +32,32 @@ from dpabc import (
 from dpabc.core import canonical_committees
 from dpabc.mechanisms import (
     AUDIT_MECHANISMS,
+    _uniform,
     as_epsilon,
     splitmix64,
     uniform_stream,
     weight_exponent,
 )
 
-from brute import brute_sequential_law, permute, permute_committee, ratio_coeff
+from brute import (
+    brute_sequential_law,
+    brute_sequential_sample,
+    permute,
+    permute_committee,
+    ratio_coeff,
+)
 from strategies import instances, instances_with_permutation
 
 ALL_MECHANISMS = sorted(MECHANISMS)
+
+# seeds at and past the ends of the 64-bit range, which the sampler reduces
+# mod 2^64
+EDGE_SEEDS = (-1, -(2**63), 2**64 - 1, 2**64 + 7, 2**70)
+
+# the sampling benchmark's three profile shapes, (m, k, generation seed), and
+# the 2000 seeds it draws with
+BENCH_SHAPES = ((8, 4, 8), (10, 5, 10), (12, 6, 12))
+BENCH_SEEDS = range(1_000_000, 1_002_000)
 
 
 class TestEpsilonParsing:
@@ -84,6 +100,22 @@ class TestEpsilonParsing:
         # the weights fit, but a committee's probability underflows to 0
         with pytest.raises(InvalidParametersError, match="underflows"):
             sequential_av_distribution(inst, "1400")
+
+    def test_cached_weights_still_reject_a_bad_budget_on_every_call(self):
+        inst = witness(WitnessId.PE_CHAIN).inst
+        sample_sequential_av(inst, 1, 0)
+        for bad in ("1e300", "0", "abc", [1]):
+            for _ in range(2):
+                with pytest.raises(InvalidParametersError):
+                    sample_sequential_av(inst, bad, 0)
+        with pytest.raises(InvalidParametersError, match="underflows"):
+            sequential_av_distribution(inst, "1400")
+
+    def test_equal_budgets_of_any_type_draw_alike(self):
+        inst = witness(WitnessId.PE_CHAIN).inst
+        for seed in range(200):
+            drawn = {sample_sequential_av(inst, eps, seed) for eps in (1, "1", 1.0, Fraction(1))}
+            assert len(drawn) == 1, seed
 
 
 # decimal strings from 1e-320 (subnormal as a float) to 1e308
@@ -145,6 +177,21 @@ class TestSplitmix:
         a = [next(splitmix64(42)) for _ in range(3)]
         b = [next(splitmix64(42)) for _ in range(3)]
         assert a == b
+
+    def test_published_seed_zero_words(self):
+        stream = splitmix64(0)
+        assert [next(stream) for _ in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    def test_closed_form_uniform_is_the_stream_item(self):
+        for seed in (*range(2000), *EDGE_SEEDS):
+            stream = uniform_stream(seed)
+            assert [_uniform(seed, j) for j in range(32)] == [
+                next(stream) for _ in range(32)
+            ], seed
 
     def test_uniforms_in_unit_interval(self):
         stream = uniform_stream(7)
@@ -319,6 +366,23 @@ class TestSequentialAv:
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts.get(committee, 0) / n - p) <= 3 * se
 
+    @pytest.mark.parametrize("eps", ["0.1", "1", "1/3", "30"])
+    @pytest.mark.parametrize("wid", list(WitnessId))
+    def test_sampler_matches_the_pick_by_pick_oracle(self, wid, eps):
+        inst = witness(wid).inst
+        for seed in (*range(200), *EDGE_SEEDS):
+            assert sample_sequential_av(inst, eps, seed) == brute_sequential_sample(
+                inst, eps, seed
+            ), seed
+
+    @pytest.mark.parametrize("m, k, gen_seed", BENCH_SHAPES)
+    def test_sampler_matches_the_oracle_on_the_benchmark_shapes(self, m, k, gen_seed):
+        inst = random_instance(m, 10, k, BallotModel("impartial", 0.3), gen_seed)
+        for seed in (*BENCH_SEEDS, *EDGE_SEEDS):
+            assert sample_sequential_av(inst, 1, seed) == brute_sequential_sample(
+                inst, 1, seed
+            ), seed
+
     def test_literal_sampler_deterministic(self):
         inst = make_instance([{0}, {0, 1}, {2}], 4, 2)
         assert sample_sequential_av(inst, 1, 99) == sample_sequential_av(inst, 1, 99)
@@ -377,7 +441,7 @@ class TestSampling:
     @pytest.mark.parametrize("wid", list(WitnessId))
     def test_draw_is_the_linear_inverse_cdf_walk(self, wid, mechanism, eps):
         dist = MECHANISMS[mechanism](witness(wid).inst, eps)
-        for seed in range(500):
+        for seed in (*range(500), *EDGE_SEEDS):
             assert sample(dist, seed) == linear_walk(dist, seed)
 
     def test_draw_is_the_linear_walk_on_a_wide_law(self):
