@@ -112,36 +112,26 @@ class BoundCheck:
     attaining: tuple = ()
 
 
-class _DominanceWalk:
-    """An instance's dominance graph, built once and shared by every chain
-    walk: successor lists over canonical committee indices, and the
-    committees by AV score (the sum of their members' approval counts)
-    descending. Dominance strictly increases the dominator's total overlap,
-    so that order is a topological order."""
-
-    def __init__(self, inst: Instance):
-        self.committees = canonical_committees(inst.m, inst.k)
-        index = {w: i for i, w in enumerate(self.committees)}
-        self.succ: list = [[] for _ in self.committees]
-        for hi, lo in dominance_pairs(inst):
-            self.succ[index[hi]].append(index[lo])
-        scores = _av_scores(inst)
-        self.order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-
-    def longest(self, start_ok, end_ok) -> int:
-        """Longest number of dominance arrows along any chain whose first
-        committee satisfies ``start_ok`` and whose last satisfies ``end_ok``;
-        -1 when no such chain (of zero or more arrows) exists."""
-        best = [0 if start_ok(w) else None for w in self.committees]
-        for i in self.order:
-            if best[i] is None:
-                continue
-            step = best[i] + 1
-            for j in self.succ[i]:
-                if best[j] is None or best[j] < step:
-                    best[j] = step
-        ends = [b for w, b in zip(self.committees, best) if b is not None and end_ok(w)]
-        return max(ends, default=-1)
+def _longest_chain(inst: Instance, start_ok, end_ok) -> int:
+    """Longest number of dominance arrows along any chain whose first
+    committee satisfies ``start_ok`` and whose last satisfies ``end_ok``; -1
+    when no such chain (of zero or more arrows) exists. Dominance strictly
+    increases the dominator's AV score (the sum of its members' approval
+    counts), so the committees by AV score descending are a topological
+    order of the successor table."""
+    committees = canonical_committees(inst.m, inst.k)
+    succ = dominance_pairs(inst)
+    scores = _av_scores(inst)
+    best = [0 if start_ok(w) else None for w in committees]
+    for i in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
+        if best[i] is None:
+            continue
+        step = best[i] + 1
+        for j in succ[i]:
+            if best[j] is None or best[j] < step:
+                best[j] = step
+    ends = [b for w, b in zip(committees, best) if b is not None and end_ok(w)]
+    return max(ends, default=-1)
 
 
 # bound_id -> (levels, rhs as a multiple of eps given (n, k)). A PE level in a
@@ -172,10 +162,9 @@ def bound_premises(inst: Instance) -> dict:
     walk a dominance chain: nk arrows crossing the axiom boundary, or (for CC)
     nk-1 arrows starting off the Condorcet committee after one Condorcet-level
     step. Without that structure the composite inequality is unconstrained on
-    the instance. The chain walks share one dominance graph.
+    the instance. The chain walks read the instance's cached successor table.
     """
     need = inst.n * inst.k
-    walk = None
     premises: dict = {}
     for bound_id, (axioms, _) in _BOUNDS.items():
         reason = None
@@ -188,8 +177,7 @@ def bound_premises(inst: Instance) -> dict:
         elif bound_id is BoundId.PE_CC_3WAY:
             winner = condorcet_committee(inst)
             if winner is not None:
-                walk = walk or _DominanceWalk(inst)
-                chain = walk.longest(lambda w: w != winner, lambda w: True)
+                chain = _longest_chain(inst, lambda w: w != winner, lambda w: True)
                 if chain < need - 1:
                     reason = (
                         f"longest dominance chain starting off the Condorcet "
@@ -197,9 +185,8 @@ def bound_premises(inst: Instance) -> dict:
                     )
         elif Axiom.PE in axioms and len(axioms) > 1:
             partner = axioms[1]
-            walk = walk or _DominanceWalk(inst)
             members = set(axiom_committee_set(inst, partner))
-            chain = walk.longest(lambda w: w in members, lambda w: w not in members)
+            chain = _longest_chain(inst, members.__contains__, lambda w: w not in members)
             if chain < need:
                 reason = (
                     f"longest dominance chain from a {partner.value}-satisfying "
@@ -209,20 +196,15 @@ def bound_premises(inst: Instance) -> dict:
     return premises
 
 
-def _log_weights(dist: CommitteeDistribution) -> dict:
-    """Committee -> its exact integer score when the distribution has scores
-    (a pair's level is then their difference over ``dist.scale``), else
-    committee -> its log-probability."""
-    keys = dist.log_probs if dist.scores is None else dist.scores
-    return dict(zip(dist.committees, keys))
-
-
 def _pair_level(
-    dist: CommitteeDistribution, axiom: Axiom, pair: tuple, weights: dict
+    dist: CommitteeDistribution, axiom: Axiom, i: int, j: int, weights: Sequence
 ) -> AxiomLevel:
-    """The level realized by the (numerator, denominator) committee pair,
-    exact when the distribution carries scores."""
-    diff = weights[pair[0]] - weights[pair[1]]
+    """The level realized by canonical committees ``i`` over ``j``: their
+    score difference over ``dist.scale``, exact, when the distribution has
+    scores (``weights`` is ``dist.scores``), else their log-probability
+    difference (``weights`` is ``dist.log_probs``)."""
+    diff = weights[i] - weights[j]
+    pair = (dist.committees[i], dist.committees[j])
     if dist.scores is None:
         return AxiomLevel(axiom, diff, None, pair)
     log_value = weight_exponent(diff, dist.scale, dist.epsilon)
@@ -230,45 +212,51 @@ def _pair_level(
 
 
 def _boundary_level(
-    dist: CommitteeDistribution, axiom: Axiom, numerators: Sequence, weights: dict
+    dist: CommitteeDistribution, axiom: Axiom, numerators: list, weights: Sequence
 ) -> AxiomLevel:
-    """Min over pairs of a numerator and any other committee of their
-    probability ratio: the lowest-weight numerator over the highest-weight
-    other committee; ties resolve to the first committee in canonical order.
-    Vacuous when the numerators are none or all of the committees."""
-    members = set(numerators)
-    denominators = [w for w in dist.committees if w not in members]
-    if not numerators or not denominators:
+    """Min over pairs of a numerator and any other committee, all given by
+    ascending canonical index, of their probability ratio: the lowest-weight
+    numerator over the highest-weight other committee; ties resolve to the
+    lowest index. Vacuous when the numerators are none or all of the
+    committees."""
+    others = sorted(set(range(len(weights))).difference(numerators))
+    if not numerators or not others:
         return AxiomLevel(axiom, math.inf, None, None)
     key = weights.__getitem__
-    pair = (min(numerators, key=key), max(denominators, key=key))
-    return _pair_level(dist, axiom, pair, weights)
+    return _pair_level(dist, axiom, min(numerators, key=key), max(others, key=key), weights)
 
 
-def _pe_level(dist: CommitteeDistribution, weights: dict) -> AxiomLevel:
+def _pe_level(dist: CommitteeDistribution, weights: Sequence) -> AxiomLevel:
     """Level of Pareto efficiency: min P(dominator) / P(dominated) over all
-    dominance pairs, the first such pair on ties; vacuous when no committee
-    dominates another."""
-    pairs = dominance_pairs(dist.instance)
-    if not pairs:
+    dominance pairs, the first such pair in permutations order on ties;
+    vacuous when no committee dominates another."""
+    table = dominance_pairs(dist.instance)
+    low = min(
+        ((weights[i] - weights[j], i, j) for i, row in enumerate(table) for j in row),
+        default=None,
+    )
+    if low is None:
         return AxiomLevel(Axiom.PE, math.inf, None, None)
-    pair = min(pairs, key=lambda p: weights[p[0]] - weights[p[1]])
-    return _pair_level(dist, Axiom.PE, pair, weights)
+    return _pair_level(dist, Axiom.PE, low[1], low[2], weights)
 
 
 def measure_levels(dist: CommitteeDistribution) -> dict:
-    """All five axiom levels of a distribution on its instance, from one
-    weight table. A JR-family level is min P(satisfying) / P(violating), the
-    Condorcet level min P(W_c) / P(W) over W != W_c (vacuous without W_c)."""
+    """All five axiom levels of a distribution on its instance, read from
+    its scores (or, for the sequential law, its log-probabilities) by
+    canonical committee index. A JR-family level is min P(satisfying) /
+    P(violating), the Condorcet level min P(W_c) / P(W) over W != W_c
+    (vacuous without W_c)."""
     inst = dist.instance
-    weights = _log_weights(dist)
-    levels = {
-        ax: _boundary_level(dist, ax, axiom_committee_set(inst, ax), weights)
-        for ax in JR_FAMILY
-    }
+    weights = dist.log_probs if dist.scores is None else dist.scores
+
+    def satisfying(ax: Axiom) -> list:
+        members = set(axiom_committee_set(inst, ax))
+        return [i for i, w in enumerate(dist.committees) if w in members]
+
+    levels = {ax: _boundary_level(dist, ax, satisfying(ax), weights) for ax in JR_FAMILY}
     levels[Axiom.PE] = _pe_level(dist, weights)
     winner = condorcet_committee(inst)
-    condorcet = () if winner is None else (winner,)
+    condorcet = [] if winner is None else [dist.committees.index(winner)]
     levels[Axiom.CC] = _boundary_level(dist, Axiom.CC, condorcet, weights)
     return levels
 

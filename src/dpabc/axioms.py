@@ -245,21 +245,29 @@ def _av_scores(inst: Instance) -> list:
 
 @lru_cache(maxsize=4096)
 def dominance_pairs(inst: Instance) -> tuple:
-    """All ordered committee pairs (dominator, dominated), canonical order."""
-    committees = canonical_committees(inst.m, inst.k)
+    """The dominance relation as a successor table over canonical committee
+    indices: entry ``i`` is the ascending tuple of the indices ``j`` such that
+    committee ``i`` Pareto dominates committee ``j``. Read in order, the
+    ``(i, j)`` pairs come in ``itertools.permutations`` order. Every entry
+    takes its indices from one shared list, so a pair costs one slot."""
     overlaps = _overlaps(inst, _ballot_types(inst))
-    pairs = []
-    for i, j in itertools.permutations(range(len(committees)), 2):
-        oi, oj = overlaps[i], overlaps[j]
-        if all(a >= b for a, b in zip(oi, oj)) and oi != oj:
-            pairs.append((committees[i], committees[j]))
-    return tuple(pairs)
+    indices = list(range(len(overlaps)))
+    return tuple(
+        tuple(
+            itertools.compress(
+                indices, (oj != oi and all(map(operator.ge, oi, oj)) for oj in overlaps)
+            )
+        )
+        for oi in overlaps
+    )
 
 
 def pareto_frontier(inst: Instance) -> tuple:
-    """Committees not Pareto-dominated by any other committee."""
-    dominated = {lo for _, lo in dominance_pairs(inst)}
-    return tuple(w for w in canonical_committees(inst.m, inst.k) if w not in dominated)
+    """Committees not Pareto-dominated by any other committee: those whose
+    index appears in no entry of the successor table."""
+    dominated = set(itertools.chain.from_iterable(dominance_pairs(inst)))
+    committees = canonical_committees(inst.m, inst.k)
+    return tuple(w for i, w in enumerate(committees) if i not in dominated)
 
 
 @lru_cache(maxsize=4096)

@@ -98,8 +98,12 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _load_instance(args) -> Instance:
     """The instance named on the command line, its committee space and voter
-    count capped before a witness of size m or n is built."""
+    count capped before a witness of size m or n is built. The ``--n/--k/--m``
+    overrides are a usage error with ``--input``."""
     if args.input:
+        for name in "nkm":
+            if getattr(args, name) is not None:
+                raise InvalidParametersError(f"--{name} applies to --witness only, not --input")
         with open(args.input) as fh:
             inst = parse_instance(fh.read())
         n, m, k = inst.n, inst.m, inst.k

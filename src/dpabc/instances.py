@@ -47,7 +47,6 @@ class WitnessInstance:
     construction uses a neighboring/modified pair, and the tagged committees
     named by the construction."""
 
-    id: WitnessId
     inst: Instance
     companion: Optional[Instance]
     tagged: dict
@@ -102,12 +101,7 @@ def _jr_upper(n: int, k: int, m: int) -> WitnessInstance:
         "W": tuple(sorted((0,) + fillers)),
         "W_prime": tuple(sorted((1,) + fillers)),
     }
-    return WitnessInstance(
-        WitnessId.JR_UPPER,
-        base,
-        companion,
-        tagged,
-    )
+    return WitnessInstance(base, companion, tagged)
 
 
 def _pjr_upper(n: int, k: int, m: int) -> WitnessInstance:
@@ -140,12 +134,7 @@ def _pjr_upper(n: int, k: int, m: int) -> WitnessInstance:
         "W": tuple(range(1, k + 1)),
         "W_prime": tuple(range(1, k)) + (k + 1,),
     }
-    return WitnessInstance(
-        WitnessId.PJR_UPPER,
-        base,
-        companion,
-        tagged,
-    )
+    return WitnessInstance(base, companion, tagged)
 
 
 def _ejr_upper(n: int, k: int, m: int) -> WitnessInstance:
@@ -164,12 +153,7 @@ def _ejr_upper(n: int, k: int, m: int) -> WitnessInstance:
         "W": tuple(range(k)),
         "W_prime": tuple(sorted(set(range(1, k)) | {k})),
     }
-    return WitnessInstance(
-        WitnessId.EJR_UPPER,
-        base,
-        companion,
-        tagged,
-    )
+    return WitnessInstance(base, companion, tagged)
 
 
 def _pe_chain(n: int, k: int, m: int) -> WitnessInstance:
@@ -207,13 +191,7 @@ def _pe_chain(n: int, k: int, m: int) -> WitnessInstance:
     last = tuple(sorted(tail))
     tagged[f"W_{k + 1}_1"] = last
     chain.append(last)
-    return WitnessInstance(
-        WitnessId.PE_CHAIN,
-        base,
-        None,
-        tagged,
-        chain=tuple(chain),
-    )
+    return WitnessInstance(base, None, tagged, chain=tuple(chain))
 
 
 def _cc_upper(n: int, k: int, m: int) -> WitnessInstance:
@@ -240,12 +218,7 @@ def _cc_upper(n: int, k: int, m: int) -> WitnessInstance:
         "W": tuple(sorted(shared | {0})),
         "W_prime": tuple(sorted(shared | {1})),
     }
-    return WitnessInstance(
-        WitnessId.CC_UPPER,
-        base,
-        companion,
-        tagged,
-    )
+    return WitnessInstance(base, companion, tagged)
 
 
 def _jr_pjr_3way(n: int, k: int, m: int) -> WitnessInstance:
@@ -279,12 +252,7 @@ def _jr_pjr_3way(n: int, k: int, m: int) -> WitnessInstance:
         "W_1": tuple(sorted([0, 1, 3, 4] + list(range(5, k + 1)))),
         "W_1_prime": tuple(sorted([0, 2, 3, 4] + list(range(5, k + 1)))),
     }
-    return WitnessInstance(
-        WitnessId.JR_PJR_3WAY,
-        base,
-        companion,
-        tagged,
-    )
+    return WitnessInstance(base, companion, tagged)
 
 
 def _pjr_ejr_3way(n: int, k: int, m: int) -> WitnessInstance:
@@ -315,12 +283,7 @@ def _pjr_ejr_3way(n: int, k: int, m: int) -> WitnessInstance:
         "W_1": tuple(range(k)),
         "W_1_prime": tuple(range(k - 1)) + (2 * k,),
     }
-    return WitnessInstance(
-        WitnessId.PJR_EJR_3WAY,
-        base,
-        companion,
-        tagged,
-    )
+    return WitnessInstance(base, companion, tagged)
 
 
 def _fig3_divergence(n: int, k: int, m: int) -> WitnessInstance:
@@ -337,12 +300,7 @@ def _fig3_divergence(n: int, k: int, m: int) -> WitnessInstance:
         "W_1": tuple(range(k, 2 * k)),
         "W_2": tuple(range(k)),
     }
-    return WitnessInstance(
-        WitnessId.FIG3_DIVERGENCE,
-        base,
-        None,
-        tagged,
-    )
+    return WitnessInstance(base, None, tagged)
 
 
 def _cc_jr_incompat(n: int, k: int, m: int) -> WitnessInstance:
@@ -360,12 +318,7 @@ def _cc_jr_incompat(n: int, k: int, m: int) -> WitnessInstance:
         [majority if j < t + 1 else minority for j in range(n)], m, k
     )
     tagged = {"W_c": tuple(range(k)), "W_minority": tuple(range(k, 2 * k))}
-    return WitnessInstance(
-        WitnessId.CC_JR_INCOMPAT,
-        base,
-        None,
-        tagged,
-    )
+    return WitnessInstance(base, None, tagged)
 
 
 _BUILDERS = {

@@ -26,7 +26,7 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc.audit import _DominanceWalk, bound_premises
+from dpabc.audit import _longest_chain, bound_premises
 from dpabc.axioms import JR_FAMILY
 from dpabc.core import canonical_committees
 from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS
@@ -395,6 +395,19 @@ class TestLevelScanOracle:
             if ax is Axiom.PE:
                 assert level.attaining_pair == pairs[coeffs.index(low)]
 
+    @pytest.mark.parametrize("mechanism", ["exp-av", "seq-av", "rr-jr", "rr-condorcet"])
+    @settings(max_examples=100, deadline=None)
+    @given(inst=instances(max_m=5, max_n=4))
+    def test_attaining_pair_is_first_minimal_pair(self, mechanism, inst):
+        dist = MECHANISMS[mechanism](inst, 1)
+        weights = dist.log_probs if dist.scores is None else dist.scores
+        index = dist.committees.index
+        for ax, level in measure_levels(dist).items():
+            pairs = boundary_pairs(inst, ax)
+            gaps = [weights[index(a)] - weights[index(b)] for a, b in pairs]
+            first = pairs[gaps.index(min(gaps))] if pairs else None
+            assert level.attaining_pair == first, ax
+
     def test_float_law_levels_equal_brute_minimum(self):
         for wid in WitnessId:
             inst = witness(wid).inst
@@ -464,15 +477,14 @@ _CHAIN_BOUND = {
 
 
 class TestDominanceChainOracle:
-    """The shared dominance walk and the arrow counts in the vacuous notes
-    against a depth-first search over ``pareto_dominates``."""
+    """The chain walk over the successor table and the arrow counts in the
+    vacuous notes against a depth-first search over ``pareto_dominates``."""
 
     def check(self, inst):
-        walk = _DominanceWalk(inst)
         premises = bound_premises(inst)
         for name, start_ok, end_ok in chain_cases(inst):
             chain = brute_longest_chain(inst, start_ok, end_ok)
-            assert walk.longest(start_ok, end_ok) == chain, name
+            assert _longest_chain(inst, start_ok, end_ok) == chain, name
             note = premises[_CHAIN_BOUND[name]]
             assert note == expected_note(inst, name, chain), name
 

@@ -37,6 +37,17 @@ from brute import (
 from strategies import instances, instances_with_permutation
 
 
+def dominance_committee_pairs(inst):
+    """The successor table flattened into (dominator, dominated) committee
+    pairs, read entry by entry."""
+    committees = canonical_committees(inst.m, inst.k)
+    return [
+        (committees[i], committees[j])
+        for i, row in enumerate(dominance_pairs(inst))
+        for j in row
+    ]
+
+
 class TestCohesiveWitnesses:
     def test_jr_upper_single_witness(self):
         w = witness(WitnessId.JR_UPPER)
@@ -162,12 +173,14 @@ class TestParetoDominance:
     @given(instances(max_m=5, max_n=5))
     def test_dominance_pairs_match_predicate(self, inst):
         # the PE level keeps the first minimal pair, so the order matters too
-        expected = tuple(
+        expected = [
             (a, b)
             for a, b in itertools.permutations(canonical_committees(inst.m, inst.k), 2)
             if pareto_dominates(a, b, inst.ballots)
-        )
-        assert dominance_pairs(inst) == expected
+        ]
+        # one entry per committee; flattened, the pairs come in that order
+        assert len(dominance_pairs(inst)) == len(canonical_committees(inst.m, inst.k))
+        assert dominance_committee_pairs(inst) == expected
 
 
 class TestAvScore:
@@ -199,7 +212,7 @@ class TestAvScore:
     @settings(max_examples=30, deadline=None)
     @given(instances(max_m=5, max_n=5))
     def test_dominance_implies_strictly_greater_score(self, inst):
-        for hi, lo in dominance_pairs(inst):
+        for hi, lo in dominance_committee_pairs(inst):
             assert av_score(hi, inst.ballots) > av_score(lo, inst.ballots)
 
 
@@ -226,7 +239,7 @@ class TestCondorcet:
     def test_never_pareto_dominated(self, inst):
         winner = condorcet_committee(inst)
         if winner is not None:
-            assert all(lo != winner for _, lo in dominance_pairs(inst))
+            assert all(lo != winner for _, lo in dominance_committee_pairs(inst))
 
     @settings(max_examples=60, deadline=None)
     @given(instances(max_m=5, max_n=6))

@@ -22,7 +22,7 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc import audit, cli
+from dpabc import cli
 from dpabc.cli import main
 
 
@@ -205,16 +205,6 @@ class TestAuditCommands:
         jr = next(r for r in levels if r["axiom"] == "jr")
         assert jr["coeff"] == "1/2"
 
-    def test_audit_axioms_builds_one_weight_table(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, audit, "_log_weights")
-        code, _, _ = run_cli(
-            capsys,
-            "audit-axioms", "--mechanism", "exp-av", "--eps", "1",
-            "--witness", "PE_CHAIN",
-        )
-        assert code == 0
-        assert calls == [1]
-
     def test_audit_axioms_golden_digest(self, capsys):
         # every witness x every mechanism at eps 0.7; three seq-av runs
         # (EJR_UPPER, PJR_EJR_3WAY, FIG3_DIVERGENCE) exit 1 on a violation
@@ -320,6 +310,14 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert "C(m, ell) <= 5000" in err
+
+    @pytest.mark.parametrize("flag", ["--n", "--k", "--m"])
+    def test_witness_override_with_input_exits_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "p.txt"
+        path.write_text("m=4 k=2\n0 1\n2\n")
+        code, out, err = run_cli(capsys, "axioms", "--input", str(path), flag, "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} applies to --witness only, not --input\n"
 
     @pytest.mark.parametrize("n, k, m", [(41, 20, 40), (59, 29, 30), (13, 6, 15)])
     def test_committee_space_cap_covers_witness_overrides(self, capsys, n, k, m):
