@@ -52,8 +52,10 @@ def main():
     parser.add_argument(
         "--witness", action="append", type=witness_arg, help="witness id (repeatable)"
     )
-    parser.add_argument("--eps", nargs="*", type=eps_arg, default=["0.1", "0.5", "1", "2"])
+    # repeated flags add up; None (no flag) selects the default grid
+    parser.add_argument("--eps", nargs="*", type=eps_arg, action="extend")
     args = parser.parse_args()
+    eps_grid = ["0.1", "0.5", "1", "2"] if args.eps is None else args.eps
 
     wids = args.witness or list(WitnessId)
     order = (Axiom.JR, Axiom.PJR, Axiom.EJR, Axiom.PE, Axiom.CC)
@@ -67,7 +69,7 @@ def main():
             lines.append("   two-way caps (log): jr/pjr/cc <= eps, "
                          f"ejr <= {-(-inst.n // inst.k)}*eps, pe <= eps/{inst.k}")
             lines.append("mechanism      eps    " + "  ".join(f"{ax.value:>6}" for ax in order))
-            for eps in args.eps:
+            for eps in eps_grid:
                 for name in AUDIT_MECHANISMS:
                     levels = measure_levels(MECHANISMS[name](inst, eps))
                     row = "  ".join(fmt(levels[ax]) for ax in order)

@@ -18,7 +18,7 @@ class of neighbors, which is exact for anonymous rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from operator import sub
@@ -39,7 +39,7 @@ from .core import (
     canonical_committees,
     nonempty_subsets,
 )
-from .mechanisms import CommitteeDistribution, as_epsilon, weight_exponent
+from .mechanisms import CommitteeDistribution, weight_exponent
 
 TOLERANCE = 1e-9
 NEIGHBOR_AUDIT_MAX_M = 8
@@ -49,20 +49,31 @@ NEIGHBOR_AUDIT_MAX_M = 8
 class AxiomLevel:
     """Measured level of one axiom: the min boundary probability ratio.
 
-    ``log_value`` is ln(level); +inf means vacuous (no boundary pair exists).
-    ``coeff`` is the exact rational c with level = e^(c * eps) when the
-    distribution is exponential-family. ``attaining_pair`` is the
-    (numerator, denominator) committee pair realizing the minimum.
+    ``log_value`` is ln(level) at ``epsilon``, the distribution's budget;
+    +inf means vacuous (no boundary pair exists). ``coeff`` is the exact
+    rational c with level = e^(c * eps), at every eps, when the distribution
+    is exponential-family. ``attaining_pair`` is the (numerator,
+    denominator) committee pair realizing the minimum, also eps-free then.
     """
 
     axiom: Axiom
     log_value: float
     coeff: Optional[Fraction]
     attaining_pair: Optional[tuple]
+    epsilon: Fraction
 
     @property
     def vacuous(self) -> bool:
         return math.isinf(self.log_value)
+
+    def log_at(self, epsilon: Fraction) -> float:
+        """ln(level) at ``epsilon``: ``coeff * epsilon`` rounded as
+        ``log_value`` was; a level without ``coeff`` has no other budget."""
+        if self.coeff is not None:
+            return weight_exponent(self.coeff.numerator, self.coeff.denominator, epsilon)
+        if epsilon != self.epsilon and not self.vacuous:
+            raise ValueError(f"level measured at eps {self.epsilon} has no value at {epsilon}")
+        return self.log_value
 
 
 @dataclass(frozen=True)
@@ -96,20 +107,26 @@ class BoundId(Enum):
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One evaluated tradeoff bound, log domain: satisfied iff lhs <= rhs
-    within 1e-9 (exact rational comparison when both sides are pure
-    log-weight combinations). ``attaining`` lists, per involved level, the
-    committee pair realizing it."""
+    """One tradeoff bound evaluated against measured levels: satisfied iff
+    lhs <= rhs, both as multiples of eps when every level is exact, else in
+    log domain within 1e-9 at the levels' own budget. ``terms`` lists each
+    involved (level, weight); ``logs`` gives both sides at a budget."""
 
     bound_id: BoundId
-    lhs_log: float
-    rhs_log: float
     satisfied: bool
     vacuous: bool
     note: str
     lhs_coeff: Optional[Fraction]
-    rhs_coeff: Optional[Fraction]
-    attaining: tuple = ()
+    rhs_coeff: Fraction
+    terms: tuple = ()
+
+    def logs(self, epsilon: Fraction) -> tuple:
+        """``(lhs_log, rhs_log)`` at ``epsilon``; lhs is +inf when vacuous."""
+        rhs = self.rhs_coeff
+        rhs_log = weight_exponent(rhs.numerator, rhs.denominator, epsilon)
+        if self.vacuous:
+            return math.inf, rhs_log
+        return sum(weight * level.log_at(epsilon) for level, weight in self.terms), rhs_log
 
 
 def _longest_chain(inst: Instance, start_ok, end_ok) -> int:
@@ -206,9 +223,9 @@ def _pair_level(
     diff = weights[i] - weights[j]
     pair = (dist.committees[i], dist.committees[j])
     if dist.scores is None:
-        return AxiomLevel(axiom, diff, None, pair)
+        return AxiomLevel(axiom, diff, None, pair, dist.epsilon)
     log_value = weight_exponent(diff, dist.scale, dist.epsilon)
-    return AxiomLevel(axiom, log_value, Fraction(diff, dist.scale), pair)
+    return AxiomLevel(axiom, log_value, Fraction(diff, dist.scale), pair, dist.epsilon)
 
 
 def _boundary_level(
@@ -221,7 +238,7 @@ def _boundary_level(
     committees."""
     others = sorted(set(range(len(weights))).difference(numerators))
     if not numerators or not others:
-        return AxiomLevel(axiom, math.inf, None, None)
+        return AxiomLevel(axiom, math.inf, None, None, dist.epsilon)
     key = weights.__getitem__
     return _pair_level(dist, axiom, min(numerators, key=key), max(others, key=key), weights)
 
@@ -236,7 +253,7 @@ def _pe_level(dist: CommitteeDistribution, weights: Sequence) -> AxiomLevel:
         default=None,
     )
     if low is None:
-        return AxiomLevel(Axiom.PE, math.inf, None, None)
+        return AxiomLevel(Axiom.PE, math.inf, None, None, dist.epsilon)
     return _pair_level(dist, Axiom.PE, low[1], low[2], weights)
 
 
@@ -312,18 +329,16 @@ def dp_level(
     )
 
 
-def check_bound(
-    bound_id: BoundId, levels: dict, inst: Instance, epsilon, premises: dict
-) -> BoundCheck:
+def check_bound(bound_id: BoundId, levels: dict, inst: Instance, premises: dict) -> BoundCheck:
     """Evaluate one tradeoff bound against the measured ``levels``.
 
     A bound whose premise fails on ``inst`` (``premises`` is
-    ``bound_premises(inst)``) is reported vacuous. PE_CC_3WAY is checked in
-    the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
+    ``bound_premises(inst)``) is reported vacuous. Over exact levels the
+    check holds at every eps, else only at the levels' own. PE_CC_3WAY is
+    checked in the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
     """
     axioms = _BOUNDS[bound_id][0]
     rhs_coeff = Fraction(_BOUNDS[bound_id][1](inst.n, inst.k))
-    rhs_log = weight_exponent(rhs_coeff.numerator, rhs_coeff.denominator, as_epsilon(epsilon))
     reason = premises[bound_id]
     terms = []
     if reason is None:
@@ -341,26 +356,20 @@ def check_bound(
             None,
         )
     if reason is not None:
-        return BoundCheck(
-            bound_id, math.inf, rhs_log, True, True, f"vacuous: {reason}", None, rhs_coeff
-        )
+        return BoundCheck(bound_id, True, True, f"vacuous: {reason}", None, rhs_coeff)
 
-    lhs_log = sum(weight * level.log_value for level, weight in terms)
+    note = "checked in the satisfiable direction" if bound_id is BoundId.PE_CC_3WAY else ""
+    terms = tuple(terms)
     if all(level.coeff is not None for level, _ in terms):
         lhs_coeff = sum((weight * level.coeff for level, weight in terms), Fraction(0))
         satisfied = lhs_coeff <= rhs_coeff
-    else:
-        lhs_coeff = None
-        satisfied = lhs_log <= rhs_log + TOLERANCE
-    note = "checked in the satisfiable direction" if bound_id is BoundId.PE_CC_3WAY else ""
-    attaining = tuple((level.axiom, level.attaining_pair) for level, _ in terms)
-    return BoundCheck(
-        bound_id, lhs_log, rhs_log, satisfied, False, note, lhs_coeff, rhs_coeff,
-        attaining,
-    )
+        return BoundCheck(bound_id, satisfied, False, note, lhs_coeff, rhs_coeff, terms)
+    check = BoundCheck(bound_id, False, False, note, None, rhs_coeff, terms)
+    lhs_log, rhs_log = check.logs(terms[0][0].epsilon)
+    return replace(check, satisfied=lhs_log <= rhs_log + TOLERANCE)
 
 
-def evaluate_bounds(levels: dict, inst: Instance, epsilon, premises: dict) -> list:
+def evaluate_bounds(levels: dict, inst: Instance, premises: dict) -> list:
     """Every bound in the table, checked against the measured ``levels``
     (``measure_levels(dist)``) with ``premises = bound_premises(inst)``."""
-    return [check_bound(bid, levels, inst, epsilon, premises) for bid in BoundId]
+    return [check_bound(bid, levels, inst, premises) for bid in BoundId]

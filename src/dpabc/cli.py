@@ -67,6 +67,9 @@ VOTER_COUNT_MAX = 100_000
 
 DEFAULT_EPS_GRID = ("0.1", "1", "2")
 
+# one encoder for every record; json.dumps with options builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
 
 def _finite(x: float):
     return x if math.isfinite(x) else "inf"
@@ -79,7 +82,7 @@ def _frac(q: Optional[Fraction]):
 def _render(records: list, fmt: str) -> str:
     """Records as JSON lines with sorted keys, or as a plain table."""
     if fmt == "structured":
-        return "".join(json.dumps(r, sort_keys=True, default=str) + "\n" for r in records)
+        return "".join(_ENCODER.encode(r) + "\n" for r in records)
     lines = []
     for r in records:
         parts = [f"{key}={r[key]}" for key in sorted(r) if key != "record"]
@@ -172,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--axiom", choices=("jr", "pjr", "ejr"), help="restrict level records")
 
     p_rep = sub.add_parser("reproduce", help="full bound-check grid over all witnesses")
-    p_rep.add_argument("--eps", nargs="*", default=list(DEFAULT_EPS_GRID))
+    # repeated flags add up; None (no flag) selects DEFAULT_EPS_GRID
+    p_rep.add_argument("--eps", nargs="*", action="extend")
     _add_common_args(p_rep, mechanism=False)
     return parser
 
@@ -284,55 +288,67 @@ def _level_record(level, extra: dict) -> dict:
     }
 
 
-def _bound_record(check, extra: dict) -> dict:
-    return {
-        "record": "bound",
-        "bound": check.bound_id.value,
-        "lhs_log": _finite(check.lhs_log),
-        "rhs_log": check.rhs_log,
-        "lhs_coeff": _frac(check.lhs_coeff),
-        "rhs_coeff": _frac(check.rhs_coeff),
-        "satisfied": check.satisfied,
-        "vacuous": check.vacuous,
-        "note": check.note,
-        "attaining": [
-            {"level": axiom.value, "pair": [list(pair[0]), list(pair[1])]}
-            for axiom, pair in check.attaining
-            if pair is not None
-        ],
-        **extra,
-    }
+def _bound_records(checks: list, eps_values: Sequence, extra: dict) -> list:
+    """The records of ``checks`` at each budget in turn; the fields that do
+    not depend on eps are built once per check."""
+    fixed = [
+        {
+            "record": "bound",
+            "bound": check.bound_id.value,
+            "lhs_coeff": _frac(check.lhs_coeff),
+            "rhs_coeff": _frac(check.rhs_coeff),
+            "satisfied": check.satisfied,
+            "vacuous": check.vacuous,
+            "note": check.note,
+            "attaining": [
+                {"level": level.axiom.value, "pair": [list(w) for w in level.attaining_pair]}
+                for level, _ in check.terms
+            ],
+            **extra,
+        }
+        for check in checks
+    ]
+    return [
+        {**record, "eps": label, "lhs_log": _finite(lhs_log), "rhs_log": rhs_log}
+        for eps, label in zip(eps_values, map(str, eps_values))
+        for check, record in zip(checks, fixed)
+        for lhs_log, rhs_log in [check.logs(eps)]
+    ]
 
 
 def _cmd_audit_axioms(args) -> tuple:
     dist = _distribution(args)
     inst, eps = dist.instance, dist.epsilon
     levels = measure_levels(dist)
-    extra = {"mechanism": args.mechanism, "eps": str(eps)}
+    extra = {"mechanism": args.mechanism}
     wanted = (Axiom(args.axiom),) if args.axiom else tuple(levels)
-    records = [_level_record(levels[ax], extra) for ax in wanted]
-    checks = evaluate_bounds(levels, inst, eps, bound_premises(inst))
-    records += [_bound_record(check, extra) for check in checks]
+    records = [_level_record(levels[ax], {**extra, "eps": str(eps)}) for ax in wanted]
+    checks = evaluate_bounds(levels, inst, bound_premises(inst))
+    records += _bound_records(checks, [eps], extra)
     violated = any(not check.satisfied for check in checks)
     return records, EXIT_BOUND_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_reproduce(args) -> tuple:
-    if not args.eps:
+    eps_values = [as_epsilon(e) for e in (DEFAULT_EPS_GRID if args.eps is None else args.eps)]
+    if not eps_values:
         raise InvalidParametersError("reproduce needs at least one --eps value")
-    eps_values = [as_epsilon(e) for e in args.eps]
     records = []
-    violations = 0
     for wid in WitnessId:
         inst = witness(wid).inst
         premises = bound_premises(inst)
         for mechanism in AUDIT_MECHANISMS:
-            for eps in eps_values:
-                levels = measure_levels(MECHANISMS[mechanism](inst, eps))
-                extra = {"witness": wid.value, "mechanism": mechanism, "eps": str(eps)}
-                for check in evaluate_bounds(levels, inst, eps, premises):
-                    records.append(_bound_record(check, extra))
-                    violations += not check.satisfied
+            extra = {"witness": wid.value, "mechanism": mechanism}
+            # an exponential-family law's checks hold at every eps, so one law
+            # serves the grid; a law without scores is built at each budget
+            dist = MECHANISMS[mechanism](inst, eps_values[0])
+            grids = [eps_values] if dist.scores is not None else [[e] for e in eps_values]
+            for grid in grids:
+                if grid[0] != dist.epsilon:
+                    dist = MECHANISMS[mechanism](inst, grid[0])
+                checks = evaluate_bounds(measure_levels(dist), inst, premises)
+                records += _bound_records(checks, grid, extra)
+    violations = sum(not r["satisfied"] for r in records)
     records.append(
         {
             "record": "summary",

@@ -7,8 +7,9 @@ the fast checkers are validated against. After them come the reference
 predicates (AV score, Pareto dominance, profile distance, alternative
 permutations), the maximal cohesive groups, the JR mass bound, a law's
 exact probability-ratio coefficient, the sequential AV law summed over
-every pick order and the sequential AV sampler walked pick by pick, which
-tests compare the package's outputs with.
+every pick order, the sequential AV sampler walked pick by pick and the
+``dpabc reproduce`` records with every law built afresh at each budget,
+which tests compare the package's outputs with.
 """
 
 import itertools
@@ -16,8 +17,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dpabc import Axiom, Instance, InvalidParametersError
-from dpabc.mechanisms import as_epsilon, uniform_stream
+from dpabc import (
+    MECHANISMS,
+    Axiom,
+    Instance,
+    InvalidParametersError,
+    WitnessId,
+    bound_premises,
+    cli,
+    evaluate_bounds,
+    measure_levels,
+    witness,
+)
+from dpabc.mechanisms import as_epsilon, uniform_stream, weight_exponent
 
 
 def brute_satisfies(w, inst, ax):
@@ -244,3 +256,49 @@ def brute_sequential_sample(inst, epsilon, seed):
         chosen.append(pick)
         remaining.remove(pick)
     return tuple(sorted(chosen))
+
+
+def brute_reproduce(eps_values):
+    """``dpabc reproduce --eps *eps_values`` as parsed JSON records, looping
+    over every witness x ``cli.AUDIT_MECHANISMS`` x budget: each law is built,
+    its levels measured and its bounds checked at that budget, and both log
+    sides are read from those levels, not rescaled from another budget."""
+    eps_values = [as_epsilon(e) for e in eps_values]
+    records = []
+    for wid in WitnessId:
+        inst = witness(wid).inst
+        premises = bound_premises(inst)
+        for mechanism in cli.AUDIT_MECHANISMS:
+            for eps in eps_values:
+                levels = measure_levels(MECHANISMS[mechanism](inst, eps))
+                for check in evaluate_bounds(levels, inst, premises):
+                    lhs_log = math.inf
+                    if not check.vacuous:
+                        lhs_log = sum(weight * lv.log_value for lv, weight in check.terms)
+                    rhs = check.rhs_coeff
+                    records.append({
+                        "record": "bound",
+                        "witness": wid.value,
+                        "mechanism": mechanism,
+                        "eps": str(eps),
+                        "bound": check.bound_id.value,
+                        "lhs_log": lhs_log if math.isfinite(lhs_log) else "inf",
+                        "rhs_log": weight_exponent(rhs.numerator, rhs.denominator, eps),
+                        "lhs_coeff": None if check.lhs_coeff is None else str(check.lhs_coeff),
+                        "rhs_coeff": str(rhs),
+                        "satisfied": check.satisfied,
+                        "vacuous": check.vacuous,
+                        "note": check.note,
+                        "attaining": [
+                            {"level": lv.axiom.value, "pair": [list(w) for w in lv.attaining_pair]}
+                            for lv, _ in check.terms
+                        ],
+                    })
+    records.append({
+        "record": "summary",
+        "witnesses": len(WitnessId),
+        "mechanisms": len(cli.AUDIT_MECHANISMS),
+        "eps_grid": [str(e) for e in eps_values],
+        "violations": sum(not r["satisfied"] for r in records),
+    })
+    return records

@@ -75,11 +75,11 @@ def _grid_failures(bound_ids):
                 dist = MECHANISMS[mechanism](built.inst, eps)
                 levels = measure_levels(dist)
                 for bid in bound_ids:
-                    result = check_bound(bid, levels, built.inst, eps, premises)
+                    result = check_bound(bid, levels, built.inst, premises)
                     if not result.vacuous and not result.satisfied:
                         failures.append(
                             (wid.value, mechanism, str(eps), bid.value,
-                             result.lhs_log, result.rhs_log)
+                             *result.logs(eps))
                         )
     return failures
 
@@ -164,10 +164,10 @@ def test_criterion_5_three_way_bound_compliance():
     for eps in (Fraction("0.1"), Fraction(1), Fraction(2)):
         dist = rr_condorcet_distribution(built.inst, eps)
         result = check_bound(
-            BoundId.CC_JR_PRODUCT, measure_levels(dist), built.inst, eps,
+            BoundId.CC_JR_PRODUCT, measure_levels(dist), built.inst,
             bound_premises(built.inst),
         )
-        if result.vacuous or result.lhs_coeff != 0 or abs(result.lhs_log) > TOL:
+        if result.vacuous or result.lhs_coeff != 0 or abs(result.logs(eps)[0]) > TOL:
             failures.append(("cc-jr product not attained", str(eps), result))
     _verdict(5, "all three-way bounds hold on the grid and the CC*JR product "
                 "bound is attained by the Condorcet response", failures)

@@ -243,7 +243,7 @@ class TestLevelInvariants:
         inst = make_instance([{0, 1}, {2}], 3, 3)  # k = m: one committee
         levels = measure_levels(uniform_distribution(inst))
         assert all(level.vacuous for level in levels.values())
-        checks = evaluate_bounds(levels, inst, 1, bound_premises(inst))
+        checks = evaluate_bounds(levels, inst, bound_premises(inst))
         assert all(c.vacuous for c in checks)
         assert all(c.satisfied for c in checks)
 
@@ -256,7 +256,7 @@ class TestBoundGrid:
             premises = bound_premises(w.inst)
             for mechanism in AUDIT_MECHANISMS:
                 dist = MECHANISMS[mechanism](w.inst, "0.5")
-                for result in evaluate_bounds(measure_levels(dist), w.inst, "0.5", premises):
+                for result in evaluate_bounds(measure_levels(dist), w.inst, premises):
                     assert result.vacuous or result.satisfied, (
                         wid, mechanism, result.bound_id,
                     )
@@ -274,7 +274,7 @@ class TestSpread:
 def checked(bound_id, dist):
     """``bound_id`` checked against ``dist``'s levels at eps 1."""
     inst = dist.instance
-    return check_bound(bound_id, measure_levels(dist), inst, 1, bound_premises(inst))
+    return check_bound(bound_id, measure_levels(dist), inst, bound_premises(inst))
 
 
 class TestCheckBound:
@@ -292,7 +292,7 @@ class TestCheckBound:
         check = checked(BoundId.CC_JR_PRODUCT, dist)
         assert check.satisfied and not check.vacuous
         assert check.lhs_coeff == Fraction(0)  # cc level e^eps, jr level e^-eps
-        assert abs(check.lhs_log) <= 1e-9
+        assert abs(check.logs(dist.epsilon)[0]) <= 1e-9
 
     def test_cc_jr_product_vacuous_when_winner_satisfies_jr(self):
         w = witness(WitnessId.CC_UPPER)  # its Condorcet committee satisfies JR
@@ -335,15 +335,28 @@ class TestCheckBound:
     def test_missing_measurement_names_level(self):
         w = witness(WitnessId.JR_UPPER)
         with pytest.raises(InvalidParametersError, match="jr"):
-            check_bound(BoundId.JR_2WAY, {}, w.inst, 1, bound_premises(w.inst))
+            check_bound(BoundId.JR_2WAY, {}, w.inst, bound_premises(w.inst))
 
     def test_premises_cover_whole_table(self):
         assert list(bound_premises(witness(WitnessId.PE_CHAIN).inst)) == list(BoundId)
 
+    def test_inexact_levels_refuse_another_eps(self):
+        # seq-av has no scores: its levels and checks hold at eps 1 only
+        inst = witness(WitnessId.PE_CHAIN).inst
+        levels = measure_levels(MECHANISMS["seq-av"](inst, 1))
+        level = next(lv for lv in levels.values() if not lv.vacuous)
+        assert level.coeff is None and level.log_at(Fraction(1)) == level.log_value
+        check = check_bound(BoundId.JR_2WAY, levels, inst, bound_premises(inst))
+        assert not check.vacuous and check.lhs_coeff is None
+        assert check.logs(Fraction(1))[0] == levels[Axiom.JR].log_value
+        for stale in (level.log_at, check.logs):
+            with pytest.raises(ValueError, match="measured at eps 1 has no value at 2"):
+                stale(Fraction(2))
+
     def test_evaluate_bounds_covers_whole_table(self):
         w = witness(WitnessId.JR_UPPER)
         levels = measure_levels(uniform_distribution(w.inst))
-        checks = evaluate_bounds(levels, w.inst, 1, bound_premises(w.inst))
+        checks = evaluate_bounds(levels, w.inst, bound_premises(w.inst))
         assert {c.bound_id for c in checks} == set(BoundId)
 
 
@@ -431,10 +444,10 @@ class TestHoistedPremises:
         inst = witness(wid).inst
         dist = MECHANISMS[mechanism](inst, eps)
         per_cell = [
-            check_bound(b, measure_levels(dist), inst, eps, bound_premises(inst))
+            check_bound(b, measure_levels(dist), inst, bound_premises(inst))
             for b in BoundId
         ]
-        assert evaluate_bounds(measure_levels(dist), inst, eps, bound_premises(inst)) == per_cell
+        assert evaluate_bounds(measure_levels(dist), inst, bound_premises(inst)) == per_cell
 
 
 def chain_cases(inst):

@@ -25,6 +25,8 @@ from dpabc import (
 from dpabc import cli
 from dpabc.cli import main
 
+from brute import brute_reproduce
+
 
 INSTANCE_COMMANDS = ["dist", "sample", "axioms", "audit-dp", "audit-axioms"]
 
@@ -440,8 +442,53 @@ class TestReproduce:
         premises = count_calls(monkeypatch, cli, "bound_premises")
         code, _, _ = run_cli(capsys, "reproduce")
         assert code == 0
-        assert levels == [9 * 6 * 3]  # witnesses x audited rules x eps grid
+        # witnesses x audited rules: each law serves the whole eps grid
+        assert levels == [9 * 6]
         assert premises == [9]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ("0.1", "1", "2"),
+            ("1/3", "7/5"),
+            ("1e-9", "1e300"),
+            ("0.001", "50", "0.3"),
+            ("1", "1"),
+            ("2/7", "1e-300"),
+        ],
+    )
+    def test_records_match_per_eps_oracle(self, capsys, grid):
+        code, out, _ = run_cli(capsys, "reproduce", "--eps", *grid)
+        assert code == 0
+        assert parse_jsonl(out) == brute_reproduce(grid)
+
+    def test_law_without_scores_is_built_at_each_eps(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "AUDIT_MECHANISMS", cli.AUDIT_MECHANISMS + ("seq-av",))
+        for grid in (("0.1", "1", "2"), ("1/3", "7/5", "1/3")):
+            code, out, _ = run_cli(capsys, "reproduce", "--eps", *grid)
+            records = parse_jsonl(out)
+            assert records == brute_reproduce(grid)
+            assert code == (1 if records[-1]["violations"] else 0)
+            assert "seq-av" in {r.get("mechanism") for r in records}
+
+    def test_overflow_at_a_later_eps_exits_2_with_empty_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "--eps", "1", "1e308")
+        assert code == 2
+        assert out == ""
+        assert "epsilon too large" in err
+
+    def test_repeated_eps_flags_add_up(self, capsys):
+        repeated = run_cli(capsys, "reproduce", "--eps", "0.1", "--eps", "2")
+        assert repeated == run_cli(capsys, "reproduce", "--eps", "0.1", "2")
+        assert parse_jsonl(repeated[1])[-1]["eps_grid"] == ["1/10", "2"]
+
+    def test_golden_digest_on_a_rational_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "--eps", "1/3", "7/5")
+        assert code == 0
+        assert out.count("\n") == 1405
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e4b948a3929e9419b5f8a705acc4558f0d9f3e171b553b35489a160b0b76b672"
+        )
 
     def test_witness_override_flags(self, capsys):
         code, out, _ = run_cli(
@@ -601,6 +648,13 @@ class TestTradeoffGridScript:
         assert spelled.returncode == canonical.returncode == 0
         assert spelled.stdout == canonical.stdout
         assert "== PE_CHAIN" in spelled.stdout
+
+    def test_repeated_eps_flags_add_up(self):
+        repeated = self.run_script("--witness", "PE_CHAIN", "--eps", "0.1", "--eps", "2")
+        together = self.run_script("--witness", "PE_CHAIN", "--eps", "0.1", "2")
+        assert repeated.returncode == together.returncode == 0
+        assert repeated.stdout == together.stdout
+        assert " 0.1 " in repeated.stdout and "    2 " in repeated.stdout
 
     def test_unknown_witness_is_a_usage_error(self):
         result = self.run_script("--witness", "no-such-witness")
