@@ -31,7 +31,6 @@ from .core import (
     ResourceLimitError,
     enumerate_neighbors,
     format_instance,
-    make_instance,
     parse_instance,
 )
 from .instances import (

@@ -15,12 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
-
-Alternative = int
-Ballot = frozenset
-Committee = tuple
-Profile = tuple
+from typing import Iterator
 
 
 class InvalidParametersError(ValueError):
@@ -46,6 +41,8 @@ class Instance:
 
     Invariants enforced at construction: ``m >= 3``, ``1 <= k <= m``,
     ``n >= 1``, and every ballot is a non-empty subset of ``range(m)``.
+    ``ballots`` may be any iterable of iterables; it is stored as a tuple of
+    frozensets.
     """
 
     ballots: tuple
@@ -57,9 +54,9 @@ class Instance:
             raise InvalidParametersError(f"need m >= 3 alternatives, got m={self.m}")
         if not 1 <= self.k <= self.m:
             raise InvalidParametersError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
-        if not self.ballots:
-            raise InvalidParametersError("profile must contain at least one voter")
         canonical = tuple(_ballot(i, b, self.m) for i, b in enumerate(self.ballots))
+        if not canonical:
+            raise InvalidParametersError("profile must contain at least one voter")
         object.__setattr__(self, "ballots", canonical)
 
     @property
@@ -90,11 +87,6 @@ def _ballot(voter: int, ballot, m: int) -> frozenset:
             f"voter {voter} approves alternatives outside 0..{m - 1}: {sorted(b)}"
         )
     return b
-
-
-def make_instance(ballots: Sequence, m: int, k: int) -> Instance:
-    """Convenience constructor accepting any iterable-of-iterables profile."""
-    return Instance(tuple(frozenset(b) for b in ballots), m, k)
 
 
 @lru_cache(maxsize=64)
@@ -128,9 +120,10 @@ def enumerate_neighbors(inst: Instance) -> Iterator[tuple]:
 def parse_instance(text: str) -> Instance:
     """Parse the profile text format.
 
-    Line 1 is ``m=<int> k=<int>``; each further non-blank line lists one
-    voter's approved alternative indices separated by spaces. Blank lines and
-    ``#`` comments are ignored. Empty ballots are rejected.
+    Line 1 is ``m=<int> k=<int>``, both fields once each in either order and
+    nothing else; each further non-blank line lists one voter's approved
+    alternative indices separated by spaces. Blank lines and ``#`` comments
+    are ignored. Empty ballots are rejected.
     """
     header = None
     ballots = []
@@ -142,9 +135,11 @@ def parse_instance(text: str) -> Instance:
             parts = line.split()
             try:
                 fields = dict(p.split("=", 1) for p in parts)
+                if len(parts) != 2 or fields.keys() != {"m", "k"}:
+                    raise ValueError
                 m = int(fields["m"])
                 k = int(fields["k"])
-            except (ValueError, KeyError):
+            except ValueError:
                 raise ProfileParseError(
                     f"expected header 'm=<int> k=<int>', got {line!r}", lineno
                 ) from None

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from dpabc import make_instance
+from dpabc import Instance
 
 
 @st.composite
@@ -17,7 +17,7 @@ def instances(draw, min_m=3, max_m=6, max_n=8, max_k=3):
             max_size=n,
         )
     )
-    return make_instance(ballots, m, k)
+    return Instance(ballots, m, k)
 
 
 @st.composite

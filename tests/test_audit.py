@@ -17,7 +17,7 @@ from dpabc import (
     enumerate_neighbors,
     evaluate_bounds,
     exp_av_distribution,
-    make_instance,
+    Instance,
     make_rule,
     measure_levels,
     rr_axiom_distribution,
@@ -39,6 +39,7 @@ from brute import (
     ratio_coeff,
 )
 from strategies import instances
+from witnesses import companion
 
 
 class TestAxiomLevel:
@@ -93,7 +94,7 @@ class TestPeLevel:
         assert level.coeff == Fraction(1, 4)  # min AV gap 1, k = 2
 
     def test_vacuous_without_dominance_pairs(self):
-        inst = make_instance([{0, 1, 2}] * 2, 3, 2)  # all committees tie
+        inst = Instance([{0, 1, 2}] * 2, 3, 2)  # all committees tie
         level = measure_levels(uniform_distribution(inst))[Axiom.PE]
         assert level.vacuous
 
@@ -135,17 +136,17 @@ class TestDpLevel:
         assert report.max_log_ratio <= 1 + 1e-9
 
     def test_policy_cap_names_limit(self):
-        inst = make_instance([{0}], 9, 2)
+        inst = Instance([{0}], 9, 2)
         with pytest.raises(ResourceLimitError, match="m <= 8"):
             dp_level(make_rule("uniform", 1), inst)
 
     def test_direction_symmetric_on_designed_pair(self):
         # auditing from either profile of the flip pair finds the same worst
         # ratio: the absolute log difference covers both directions
-        w = witness(WitnessId.CC_UPPER)
+        inst = witness(WitnessId.CC_UPPER).inst
         rule = make_rule("rr-condorcet", 1)
-        assert dp_level(rule, w.inst).max_log_ratio == pytest.approx(
-            dp_level(rule, w.companion).max_log_ratio, abs=1e-12
+        assert dp_level(rule, inst).max_log_ratio == pytest.approx(
+            dp_level(rule, companion(WitnessId.CC_UPPER, inst)).max_log_ratio, abs=1e-12
         )
 
 
@@ -205,7 +206,7 @@ class TestAnonymity:
             dist = MECHANISMS[mechanism](inst, 1)
             ballots = inst.ballots
             for order in (ballots[::-1], ballots[1:] + ballots[:1]):
-                other = MECHANISMS[mechanism](make_instance(order, inst.m, inst.k), 1)
+                other = MECHANISMS[mechanism](Instance(order, inst.m, inst.k), 1)
                 assert other.log_probs == dist.log_probs
                 assert other.scores == dist.scores
 
@@ -240,7 +241,7 @@ class TestLevelInvariants:
                 assert level.coeff >= Fraction(1, 2 * w.inst.k)
 
     def test_degenerate_full_committee_space_is_all_vacuous(self):
-        inst = make_instance([{0, 1}, {2}], 3, 3)  # k = m: one committee
+        inst = Instance([{0, 1}, {2}], 3, 3)  # k = m: one committee
         levels = measure_levels(uniform_distribution(inst))
         assert all(level.vacuous for level in levels.values())
         checks = evaluate_bounds(levels, inst, bound_premises(inst))
@@ -315,7 +316,7 @@ class TestCheckBound:
         assert "dominance chain" in check.note
 
     def test_pe_cc_applicable_on_single_voter_instance(self):
-        inst = make_instance([{0, 1}], 5, 2)  # W_c exists; chain of nk-1 = 1 arrow
+        inst = Instance([{0, 1}], 5, 2)  # W_c exists; chain of nk-1 = 1 arrow
         dist = exp_av_distribution(inst, 1)
         check = checked(BoundId.PE_CC_3WAY, dist)
         assert not check.vacuous

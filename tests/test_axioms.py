@@ -14,7 +14,7 @@ from dpabc import (
     condorcet_committee,
     dominance_pairs,
     dp_level,
-    make_instance,
+    Instance,
     random_instance,
     uniform_distribution,
     witness,
@@ -24,6 +24,7 @@ import dpabc
 from dpabc import axioms
 from dpabc.axioms import JR_FAMILY, _approval_counts, _cohesive_groups, _pjr_groups
 from dpabc.core import ResourceLimitError, canonical_committees
+from dpabc.instances import DEFAULT_PARAMETERS
 
 from brute import (
     av_score,
@@ -35,6 +36,7 @@ from brute import (
     permute_committee,
 )
 from strategies import instances, instances_with_permutation
+from witnesses import companion, tagged
 
 
 def dominance_committee_pairs(inst):
@@ -57,7 +59,7 @@ class TestCohesiveWitnesses:
         assert found[0].voters == frozenset({0, 1})
 
     def test_unanimous_singleton(self):
-        inst = make_instance([{0}] * 4, 3, 1)
+        inst = Instance([{0}] * 4, 3, 1)
         found = cohesive_witnesses(inst, 1)
         assert len(found) == 1
         assert found[0].core_alternatives == frozenset({0})
@@ -71,7 +73,7 @@ class TestCohesiveWitnesses:
         assert found[0].voters == frozenset(range(4))
 
     def test_ell_out_of_range(self):
-        inst = make_instance([{0}], 3, 1)
+        inst = Instance([{0}], 3, 1)
         with pytest.raises(InvalidParametersError):
             cohesive_witnesses(inst, 2)
         with pytest.raises(InvalidParametersError):
@@ -79,7 +81,7 @@ class TestCohesiveWitnesses:
 
     def test_threshold_is_exact_rational(self):
         # n=3, k=2: 1-cohesive needs k*|V| >= n, i.e. |V| >= 1.5, so |V| >= 2
-        inst = make_instance([{0}, {0}, {1}], 3, 2)
+        inst = Instance([{0}, {0}, {1}], 3, 2)
         found = cohesive_witnesses(inst, 1)
         assert [sorted(w.voters) for w in found] == [[0, 1]]
 
@@ -100,25 +102,28 @@ class TestCohesiveWitnesses:
 
 class TestSatisfiesAxiom:
     def test_jr_upper_membership_flips_across_neighbor(self):
-        w = witness(WitnessId.JR_UPPER)
-        committee = tuple(sorted(w.tagged["W"]))
+        wid = WitnessId.JR_UPPER
+        w = witness(wid)
+        committee = tagged(wid, *DEFAULT_PARAMETERS[wid])["W"]
         assert committee in axiom_committee_set(w.inst, Axiom.JR)
-        assert committee not in axiom_committee_set(w.companion, Axiom.JR)
+        assert committee not in axiom_committee_set(companion(wid, w.inst), Axiom.JR)
 
     def test_fig3_pjr_without_ejr(self):
-        w = witness(WitnessId.FIG3_DIVERGENCE)
-        w_1, w_2 = (tuple(sorted(w.tagged[tag])) for tag in ("W_1", "W_2"))
+        wid = WitnessId.FIG3_DIVERGENCE
+        w = witness(wid)
+        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        w_1, w_2 = tags["W_1"], tags["W_2"]
         assert w_2 in axiom_committee_set(w.inst, Axiom.PJR)
         assert w_2 not in axiom_committee_set(w.inst, Axiom.EJR)
         assert w_1 in axiom_committee_set(w.inst, Axiom.EJR)
 
     def test_full_committee_satisfies_everything(self):
-        inst = make_instance([{0, 1}, {2}, {0}], 3, 3)
+        inst = Instance([{0, 1}, {2}, {0}], 3, 3)
         for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
             assert (0, 1, 2) in axiom_committee_set(inst, ax)
 
     def test_rejects_efficiency_axioms(self):
-        inst = make_instance([{0}], 3, 1)
+        inst = Instance([{0}], 3, 1)
         with pytest.raises(InvalidParametersError, match="axiom_committee_set"):
             axiom_committee_set(inst, Axiom.PE)
 
@@ -129,7 +134,7 @@ class TestAxiomCommitteeSet:
         assert axiom_committee_set(w.inst, Axiom.JR) == ((0, 1), (0, 2), (0, 3))
 
     def test_no_cohesive_group_means_all_satisfy(self):
-        inst = make_instance([{0}, {1}, {2}], 3, 1)
+        inst = Instance([{0}, {1}, {2}], 3, 1)
         assert axiom_committee_set(inst, Axiom.JR) == ((0,), (1,), (2,))
 
     @settings(max_examples=60, deadline=None)
@@ -148,8 +153,9 @@ class TestParetoDominance:
 
     def test_chain_head(self):
         w = witness(WitnessId.PE_CHAIN)
-        assert pareto_dominates(w.tagged["W_1_1"], w.tagged["W_1_2"], w.inst.ballots)
-        assert not pareto_dominates(w.tagged["W_1_2"], w.tagged["W_1_1"], w.inst.ballots)
+        tags = tagged(WitnessId.PE_CHAIN, *DEFAULT_PARAMETERS[WitnessId.PE_CHAIN])
+        assert pareto_dominates(tags["W_1_1"], tags["W_1_2"], w.inst.ballots)
+        assert not pareto_dominates(tags["W_1_2"], tags["W_1_1"], w.inst.ballots)
 
     @settings(max_examples=30, deadline=None)
     @given(instances(max_m=5, max_n=5))
@@ -218,7 +224,7 @@ class TestAvScore:
 
 class TestCondorcet:
     def test_unanimous(self):
-        inst = make_instance([{0, 1}] * 3, 4, 2)
+        inst = Instance([{0, 1}] * 3, 4, 2)
         assert condorcet_committee(inst) == (0, 1)
 
     def test_cc_upper_witness(self):
@@ -226,12 +232,12 @@ class TestCondorcet:
         assert condorcet_committee(w.inst) == (0, 2)
 
     def test_disjoint_split_has_none(self):
-        inst = make_instance([{0}, {1}], 3, 1)
+        inst = Instance([{0}, {1}], 3, 1)
         assert condorcet_committee(inst) is None
 
     def test_exact_tie_blocks(self):
         # two voters, each preferring a different committee: no strict majority
-        inst = make_instance([{0, 1}, {2, 3}], 4, 2)
+        inst = Instance([{0, 1}, {2, 3}], 4, 2)
         assert condorcet_committee(inst) is None
 
     @settings(max_examples=40, deadline=None)
@@ -258,14 +264,14 @@ class TestCondorcet:
     def test_condorcet_committee_last_in_canonical_order(self):
         # (2, 3) is the last of the C(4, 2) committees; the elimination scan
         # must switch to it at its final step
-        inst = make_instance([{2, 3}, {2, 3}, {0}], 4, 2)
+        inst = Instance([{2, 3}, {2, 3}, {0}], 4, 2)
         assert canonical_committees(4, 2)[-1] == (2, 3)
         assert condorcet_committee(inst) == brute_condorcet(inst) == (2, 3)
 
     def test_elimination_survivor_on_a_cycle_is_rejected(self):
         # the elimination scan ends on (3, 4, 5), which sits on the majority
         # cycle (3, 4, 5) > (1, 2, 3) > (0, 1, 4) > (3, 4, 5)
-        inst = make_instance([{0, 1, 2, 3}, {0, 4}, {3, 5}], 6, 3)
+        inst = Instance([{0, 1, 2, 3}, {0, 4}, {3, 5}], 6, 3)
 
         def beats(w1, w2):
             wins = sum(len(b & set(w1)) > len(b & set(w2)) for b in inst.ballots)
@@ -282,9 +288,10 @@ class TestCondorcet:
         assert brute_condorcet(inst) is None
 
     def test_incompatibility_witness_fails_jr(self):
-        w = witness(WitnessId.CC_JR_INCOMPAT)
+        wid = WitnessId.CC_JR_INCOMPAT
+        w = witness(wid)
         winner = condorcet_committee(w.inst)
-        assert winner == w.tagged["W_c"]
+        assert winner == tagged(wid, *DEFAULT_PARAMETERS[wid])["W_c"]
         assert winner not in axiom_committee_set(w.inst, Axiom.JR)
 
 
@@ -331,7 +338,7 @@ class TestAgainstBruteOracle:
         # threshold by 7, so the sets equal the original profile's; n = 70
         # voters do not fit in a 64-bit voter mask
         inst = random_instance(m, 10, k, BallotModel("impartial", p), seed)
-        replicated = make_instance([b for b in inst.ballots for _ in range(7)], m, k)
+        replicated = Instance([b for b in inst.ballots for _ in range(7)], m, k)
         assert replicated.n == 70
         for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
             expected = tuple(
@@ -366,7 +373,7 @@ def bloc_profile(m, n, k, seed):
         p = 0.1 if i % 3 else 0.5
         extra = {a for a in range(2, m) if rng.random() < p}
         ballots.append(({0, 1} if i % 3 else set()) | extra or {m - 1})
-    return make_instance(ballots, m, k)
+    return Instance(ballots, m, k)
 
 
 class TestManyBallotTypes:
@@ -389,7 +396,7 @@ def distinct_ballot_profile(rng):
     ballots, so every voter is a ballot type of its own."""
     m, n, k = rng.randint(4, 6), rng.randint(3, 12), rng.randint(1, 3)
     masks = rng.sample(range(1, 1 << m), n)
-    return make_instance([{a for a in range(m) if mask >> a & 1} for mask in masks], m, k)
+    return Instance([{a for a in range(m) if mask >> a & 1} for mask in masks], m, k)
 
 
 class TestPjrOnDistinctBallots:
@@ -414,7 +421,7 @@ class TestPjrWorkCaps:
     2^10 - 1 = 1023 states, after 2^j - 1 visits at ballot j + 1, 1013 in
     all."""
 
-    INST = make_instance([{0, p} for p in range(1, 11)], 11, 2)
+    INST = Instance([{0, p} for p in range(1, 11)], 11, 2)
 
     @pytest.mark.parametrize("cap, limit", [("PJR_STATE_MAX", 1023), ("PJR_VISIT_MAX", 1013)])
     def test_pass_reaches_exactly_the_cap(self, monkeypatch, cap, limit):

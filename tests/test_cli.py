@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 import dpabc
 from dpabc import (
+    AUDIT_MECHANISMS,
     MECHANISMS,
     BallotModel,
     format_instance,
-    make_instance,
+    Instance,
     random_instance,
     witness,
     WitnessId,
@@ -85,7 +86,7 @@ class TestDist:
         assert first == second
 
     def test_reads_profile_file(self, capsys, tmp_path):
-        inst = make_instance([{0, 1}, {2}], 3, 1)
+        inst = Instance([{0, 1}, {2}], 3, 1)
         path = tmp_path / "profile.txt"
         path.write_text(format_instance(inst))
         code, out, _ = run_cli(
@@ -182,7 +183,7 @@ class TestAuditCommands:
         assert record["within_budget"] is True
 
     def test_audit_dp_policy_cap_exit_code(self, capsys, tmp_path):
-        inst = make_instance([{0}], 9, 2)
+        inst = Instance([{0}], 9, 2)
         path = tmp_path / "big.txt"
         path.write_text(format_instance(inst))
         code, _, err = run_cli(
@@ -224,6 +225,23 @@ class TestAuditCommands:
             "002aeb88bd6cda9553b5bc38d4750c475ebf9b9342e6c532e8d6deb6c1ca3540"
         )
 
+
+    def test_audit_dp_golden_digest(self, capsys):
+        # every witness x every audited mechanism at eps 1; the attaining
+        # voter pins the witnesses' voter order
+        digest = hashlib.sha256()
+        for wid in WitnessId:
+            for mechanism in AUDIT_MECHANISMS:
+                code, out, _ = run_cli(
+                    capsys,
+                    "audit-dp", "--mechanism", mechanism, "--eps", "1",
+                    "--witness", wid.value,
+                )
+                digest.update(f"{wid.value} {mechanism} {code}\n".encode())
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "9d01084cda9b305d1d4d92e6c5aa5547374a1fc202cf0e0ed1586e5efb86e860"
+        )
 
     def test_dist_golden_digest(self, capsys):
         # every witness x every mechanism at eps 0.7 and 1/3, all exit 0
@@ -606,7 +624,7 @@ class TestModuleEntryPoint:
         # ballots {0, p} for p = 1..17: every set of them is a PJR state of
         # its own, 2^17 - 1 > PJR_STATE_MAX, so the pass stops at the cap
         # within 1 GB of address space
-        inst = make_instance([{0, p} for p in range(1, 18)], 18, 2)
+        inst = Instance([{0, p} for p in range(1, 18)], 18, 2)
         path = tmp_path / "profile.txt"
         path.write_text(format_instance(inst))
         env = {**os.environ, "PYTHONPATH": str(Path(dpabc.__file__).parents[1])}

@@ -10,7 +10,6 @@ from dpabc import (
     ProfileParseError,
     enumerate_neighbors,
     format_instance,
-    make_instance,
     parse_instance,
     witness,
     WitnessId,
@@ -18,6 +17,7 @@ from dpabc import (
 from dpabc.core import canonical_committees
 
 from brute import permute, permute_committee, profile_distance
+from witnesses import companion
 from strategies import instances, instances_with_permutation
 
 
@@ -51,18 +51,18 @@ class TestEnumerateCommittees:
 
 class TestNeighbors:
     def test_single_voter_three_alternatives(self):
-        inst = make_instance([{0}], 3, 1)
+        inst = Instance([{0}], 3, 1)
         assert sum(1 for _ in enumerate_neighbors(inst)) == 6  # 2^3 - 2
 
     def test_two_voters_three_alternatives(self):
-        inst = make_instance([{0}, {1, 2}], 3, 1)
+        inst = Instance([{0}, {1, 2}], 3, 1)
         neighbors = list(enumerate_neighbors(inst))
         assert len(neighbors) == 12  # n * (2^m - 2)
 
     def test_contains_designed_companion(self):
-        w = witness(WitnessId.JR_UPPER)
-        produced = {nb.ballots for _, nb in enumerate_neighbors(w.inst)}
-        assert w.companion.ballots in produced
+        inst = witness(WitnessId.JR_UPPER).inst
+        produced = {nb.ballots for _, nb in enumerate_neighbors(inst)}
+        assert companion(WitnessId.JR_UPPER, inst).ballots in produced
 
     @settings(max_examples=40)
     @given(instances(max_m=4, max_n=4))
@@ -82,16 +82,18 @@ class TestNeighbors:
 
 class TestProfileDistance:
     def test_identical(self):
-        inst = make_instance([{0}, {1}], 3, 1)
+        inst = Instance([{0}, {1}], 3, 1)
         assert profile_distance(inst.ballots, inst.ballots) == 0
 
     def test_neighboring_witness_pair(self):
-        w = witness(WitnessId.JR_UPPER)
-        assert profile_distance(w.inst.ballots, w.companion.ballots) == 1
+        inst = witness(WitnessId.JR_UPPER).inst
+        paired = companion(WitnessId.JR_UPPER, inst)
+        assert profile_distance(inst.ballots, paired.ballots) == 1
 
     def test_block_rewrite_distance(self):
-        w = witness(WitnessId.EJR_UPPER)  # n=4, k=2: profiles differ on 2 voters
-        assert profile_distance(w.inst.ballots, w.companion.ballots) == 2
+        inst = witness(WitnessId.EJR_UPPER).inst  # n=4, k=2: profiles differ on 2 voters
+        paired = companion(WitnessId.EJR_UPPER, inst)
+        assert profile_distance(inst.ballots, paired.ballots) == 2
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidParametersError):
@@ -100,16 +102,16 @@ class TestProfileDistance:
 
 class TestPermute:
     def test_identity(self):
-        inst = make_instance([{0, 1}, {2}], 3, 2)
+        inst = Instance([{0, 1}, {2}], 3, 2)
         assert permute(inst, (0, 1, 2)) == inst
 
     def test_swap_is_involution(self):
-        inst = make_instance([{0, 1}, {2}], 3, 2)
+        inst = Instance([{0, 1}, {2}], 3, 2)
         swap = (1, 0, 2)
         assert permute(permute(inst, swap), swap) == inst
 
     def test_pointwise_mapping(self):
-        inst = make_instance([{0}], 3, 1)
+        inst = Instance([{0}], 3, 1)
         assert permute(inst, (1, 0, 2)).ballots[0] == frozenset({1})
 
     def test_committee_image_sorted(self):
@@ -117,7 +119,7 @@ class TestPermute:
         assert permute_committee((0, 1), (2, 0, 1)) == (0, 2)
 
     def test_not_a_bijection(self):
-        inst = make_instance([{0}], 3, 1)
+        inst = Instance([{0}], 3, 1)
         with pytest.raises(InvalidParametersError):
             permute(inst, (0, 0, 2))
         with pytest.raises(InvalidParametersError):
@@ -140,25 +142,33 @@ class TestPermute:
 class TestInstanceInvariants:
     def test_empty_ballot_rejected(self):
         with pytest.raises(InvalidParametersError):
-            make_instance([set()], 3, 1)
+            Instance([set()], 3, 1)
 
     def test_committee_size_bounds(self):
         with pytest.raises(InvalidParametersError):
-            make_instance([{0}], 3, 4)
+            Instance([{0}], 3, 4)
         with pytest.raises(InvalidParametersError):
-            make_instance([{0}], 3, 0)
+            Instance([{0}], 3, 0)
 
     def test_minimum_alternatives(self):
         with pytest.raises(InvalidParametersError):
-            make_instance([{0}], 2, 1)
+            Instance([{0}], 2, 1)
 
     def test_out_of_range_alternative(self):
         with pytest.raises(InvalidParametersError):
-            make_instance([{3}], 3, 1)
+            Instance([{3}], 3, 1)
 
     def test_no_voters(self):
         with pytest.raises(InvalidParametersError):
             Instance((), 3, 1)
+
+    def test_no_voters_from_a_generator(self):
+        # a generator is truthy even when empty: emptiness is decided on the
+        # materialized profile
+        with pytest.raises(InvalidParametersError, match="at least one voter"):
+            Instance((b for b in []), 3, 1)
+        inst = Instance((b for b in [{0}, [1, 2]]), 3, 1)
+        assert inst.ballots == (frozenset({0}), frozenset({1, 2}))
 
 
 class TestReplaceBallot:
@@ -166,7 +176,7 @@ class TestReplaceBallot:
     the constructor rejects, with the same message, and build an equal
     instance."""
 
-    INST = make_instance([{0, 1}, {2}, {1, 3}], 4, 2)
+    INST = Instance([{0, 1}, {2}, {1, 3}], 4, 2)
 
     @pytest.mark.parametrize(
         "voter, ballot, message",
@@ -207,7 +217,7 @@ class TestReplaceBallot:
 
 class TestTextFormat:
     def test_round_trip(self):
-        inst = make_instance([{0, 2, 3}, {1}], 4, 2)
+        inst = Instance([{0, 2, 3}, {1}], 4, 2)
         assert parse_instance(format_instance(inst)) == inst
 
     def test_comments_and_blank_lines(self):
@@ -216,9 +226,21 @@ class TestTextFormat:
         assert inst.ballots == (frozenset({0, 2}), frozenset({1}))
 
     def test_bad_header_reports_line(self):
-        with pytest.raises(ProfileParseError) as err:
-            parse_instance("m=3\n0\n")
-        assert err.value.line == 1
+        for header in (
+            "m=3",
+            "m=4 k=2 m=5",
+            "m=4 k=2 k=2",
+            "m=4 k=2 foo=bar",
+            "foo=bar m=4 k=2",
+            "m=4 m=4",
+            "m=4 k",
+        ):
+            with pytest.raises(ProfileParseError) as err:
+                parse_instance(f"{header}\n0\n")
+            assert err.value.line == 1, header
+
+    def test_header_fields_in_either_order(self):
+        assert parse_instance("k=2 m=4\n0\n") == parse_instance("m=4 k=2\n0\n")
 
     def test_empty_ballot_reports_line(self):
         with pytest.raises(ProfileParseError) as err:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -28,6 +29,7 @@ from brute import (
     pareto_dominates,
     profile_distance,
 )
+from witnesses import companion, pe_chain, tagged
 
 IN, OUT = True, False
 
@@ -83,10 +85,11 @@ MEMBERSHIP_FACTS = {
 }
 
 
-def _profiles(w):
-    yield "base", w.inst
-    if w.companion is not None:
-        yield "companion", w.companion
+def _profiles(wid, inst):
+    yield "base", inst
+    paired = companion(wid, inst)
+    if paired is not None:
+        yield "companion", paired
 
 
 class TestConstruction:
@@ -95,10 +98,11 @@ class TestConstruction:
         w = witness(wid)
         n, k, m = DEFAULT_PARAMETERS[wid]
         assert (w.inst.n, w.inst.k, w.inst.m) == (n, k, m)
-        for committee in w.tagged.values():
+        for committee in tagged(wid, n, k, m).values():
             assert committee in canonical_committees(m, k)
-        if w.companion is not None:
-            assert (w.companion.n, w.companion.k, w.companion.m) == (n, k, m)
+        paired = companion(wid, w.inst)
+        if paired is not None:
+            assert (paired.n, paired.k, paired.m) == (n, k, m)
 
     def test_companion_present_exactly_for_paired_constructions(self):
         paired = {
@@ -110,21 +114,22 @@ class TestConstruction:
             WitnessId.PJR_EJR_3WAY,
         }
         for wid in WitnessId:
-            w = witness(wid)
-            assert (w.companion is not None) == (wid in paired)
+            assert (companion(wid, witness(wid).inst) is not None) == (wid in paired)
 
     def test_neighboring_pairs_are_neighbors(self):
-        for wid in (WitnessId.JR_UPPER, WitnessId.PJR_UPPER, WitnessId.CC_UPPER):
-            w = witness(wid)
-            assert profile_distance(w.inst.ballots, w.companion.ballots) == 1
-            produced = {nb.ballots for _, nb in enumerate_neighbors(w.inst)}
-            assert w.companion.ballots in produced
+        for wid in (
+            WitnessId.JR_UPPER, WitnessId.PJR_UPPER, WitnessId.CC_UPPER, WitnessId.JR_PJR_3WAY
+        ):
+            inst = witness(wid).inst
+            paired = companion(wid, inst)
+            assert profile_distance(inst.ballots, paired.ballots) == 1
+            produced = {nb.ballots for _, nb in enumerate_neighbors(inst)}
+            assert paired.ballots in produced
 
     def test_block_rewrite_distance_matches_ceil(self):
-        w = witness(WitnessId.EJR_UPPER)
-        assert profile_distance(w.inst.ballots, w.companion.ballots) == 2
-        w = witness(WitnessId.PJR_EJR_3WAY)
-        assert profile_distance(w.inst.ballots, w.companion.ballots) == 2
+        for wid in (WitnessId.EJR_UPPER, WitnessId.PJR_EJR_3WAY):
+            inst = witness(wid).inst
+            assert profile_distance(inst.ballots, companion(wid, inst).ballots) == 2
 
     @pytest.mark.parametrize(
         "wid,kwargs,fragment",
@@ -150,10 +155,10 @@ class TestConstruction:
 class TestTaggedMemberships:
     @pytest.mark.parametrize("wid", sorted(MEMBERSHIP_FACTS, key=lambda w: w.value))
     def test_fast_checkers_confirm_tags(self, wid):
-        w = witness(wid)
-        profiles = dict(_profiles(w))
+        profiles = dict(_profiles(wid, witness(wid).inst))
+        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
         for tag, which, expectations in MEMBERSHIP_FACTS[wid]:
-            committee = w.tagged[tag]
+            committee = tags[tag]
             inst = profiles[which]
             for ax, expected in expectations.items():
                 assert (tuple(sorted(committee)) in axiom_committee_set(inst, ax)) == expected, (
@@ -165,41 +170,47 @@ class TestTaggedMemberships:
 
     @pytest.mark.parametrize("wid", sorted(MEMBERSHIP_FACTS, key=lambda w: w.value))
     def test_brute_oracle_confirms_tags(self, wid):
-        w = witness(wid)
-        profiles = dict(_profiles(w))
+        profiles = dict(_profiles(wid, witness(wid).inst))
+        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
         for tag, which, expectations in MEMBERSHIP_FACTS[wid]:
-            committee = w.tagged[tag]
+            committee = tags[tag]
             inst = profiles[which]
             for ax, expected in expectations.items():
                 assert brute_satisfies(committee, inst, ax) == expected
 
     def test_ejr_upper_sets_are_singletons(self):
-        w = witness(WitnessId.EJR_UPPER)
-        for inst, tag in ((w.inst, "W"), (w.companion, "W_prime")):
+        wid = WitnessId.EJR_UPPER
+        base = witness(wid).inst
+        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        for inst, tag in ((base, "W"), (companion(wid, base), "W_prime")):
             for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
-                assert axiom_committee_set(inst, ax) == (w.tagged[tag],)
+                assert axiom_committee_set(inst, ax) == (tags[tag],)
 
 
 class TestPeChain:
     def test_chain_length_and_tags(self):
         w = witness(WitnessId.PE_CHAIN)
-        assert len(w.chain) == w.inst.n * w.inst.k + 1
-        assert w.chain[0] == w.tagged["W_1_1"]
-        assert w.chain[-1] == w.tagged["W_3_1"]
+        chain = pe_chain(w.inst.n, w.inst.k)
+        tags = tagged(WitnessId.PE_CHAIN, *DEFAULT_PARAMETERS[WitnessId.PE_CHAIN])
+        assert len(chain) == w.inst.n * w.inst.k + 1
+        assert chain[0] == tags["W_1_1"]
+        assert chain[-1] == tags["W_3_1"]
 
     def test_consecutive_dominance_and_av_descent(self):
         w = witness(WitnessId.PE_CHAIN)
-        scores = [av_score(c, w.inst.ballots) for c in w.chain]
+        chain = pe_chain(w.inst.n, w.inst.k)
+        scores = [av_score(c, w.inst.ballots) for c in chain]
         assert scores == [4, 3, 2, 1, 0]
-        for hi, lo in zip(w.chain, w.chain[1:]):
+        for hi, lo in zip(chain, chain[1:]):
             assert pareto_dominates(hi, lo, w.inst.ballots)
 
     def test_scaled_chain(self):
         w = witness(WitnessId.PE_CHAIN, n=3, k=2, m=8)
-        scores = [av_score(c, w.inst.ballots) for c in w.chain]
-        assert len(w.chain) == 7
+        chain = pe_chain(3, 2)
+        scores = [av_score(c, w.inst.ballots) for c in chain]
+        assert len(chain) == 7
         assert scores == sorted(scores, reverse=True)
-        for hi, lo in zip(w.chain, w.chain[1:]):
+        for hi, lo in zip(chain, chain[1:]):
             assert pareto_dominates(hi, lo, w.inst.ballots)
 
     @pytest.mark.parametrize("n,k,m", [(2, 2, 5), (3, 2, 8), (2, 3, 9)])
@@ -207,27 +218,32 @@ class TestPeChain:
         # row p, column q of the grid overlaps voter j in exactly k-p members
         # for j < q-1 and k-p+1 members afterwards; the tail committee in none
         w = witness(WitnessId.PE_CHAIN, n=n, k=k, m=m)
+        tags = tagged(WitnessId.PE_CHAIN, n, k, m)
         for p in range(1, k + 1):
             for q in range(1, n + 1):
-                committee = frozenset(w.tagged[f"W_{p}_{q}"])
+                committee = frozenset(tags[f"W_{p}_{q}"])
                 overlaps = [len(b & committee) for b in w.inst.ballots]
                 assert overlaps == [k - p] * (q - 1) + [k - p + 1] * (n - q + 1)
-        tail = frozenset(w.tagged[f"W_{k + 1}_1"])
+        tail = frozenset(tags[f"W_{k + 1}_1"])
         assert [len(b & tail) for b in w.inst.ballots] == [0] * n
 
 
 class TestCondorcetWitnesses:
     def test_cc_upper_winners_flip(self):
-        w = witness(WitnessId.CC_UPPER)
-        assert condorcet_committee(w.inst) == w.tagged["W"]
-        assert condorcet_committee(w.companion) == w.tagged["W_prime"]
-        assert w.tagged["W"] != w.tagged["W_prime"]
-        assert brute_condorcet(w.inst) == w.tagged["W"]
+        wid = WitnessId.CC_UPPER
+        inst = witness(wid).inst
+        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        assert condorcet_committee(inst) == tags["W"]
+        assert condorcet_committee(companion(wid, inst)) == tags["W_prime"]
+        assert tags["W"] != tags["W_prime"]
+        assert brute_condorcet(inst) == tags["W"]
 
     def test_incompatibility_winner(self):
-        w = witness(WitnessId.CC_JR_INCOMPAT)
-        assert condorcet_committee(w.inst) == w.tagged["W_c"]
-        assert brute_condorcet(w.inst) == w.tagged["W_c"]
+        wid = WitnessId.CC_JR_INCOMPAT
+        inst = witness(wid).inst
+        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        assert condorcet_committee(inst) == tags["W_c"]
+        assert brute_condorcet(inst) == tags["W_c"]
 
 
 class TestExport:
@@ -235,6 +251,15 @@ class TestExport:
     def test_profile_round_trips_through_text_format(self, wid):
         w = witness(wid)
         assert parse_instance(format_instance(w.inst)) == w.inst
+
+    def test_witness_profiles_golden_digest(self):
+        # every default witness's ballots, in voter order
+        digest = hashlib.sha256()
+        for wid in WitnessId:
+            digest.update(format_instance(witness(wid).inst).encode())
+        assert digest.hexdigest() == (
+            "3dbe9fd0a81c42c95f423465820173955aad75c46e0a34f30bee5944154eeec3"
+        )
 
 
 class TestRandomInstance:

@@ -15,7 +15,7 @@ from dpabc import (
     MECHANISMS,
     enumerate_neighbors,
     exp_av_distribution,
-    make_instance,
+    Instance,
     rr_axiom_distribution,
     rr_condorcet_distribution,
     sample,
@@ -85,7 +85,7 @@ class TestEpsilonParsing:
             weight_exponent(8, 4, as_epsilon("1e308"))
         assert weight_exponent(8, 4, as_epsilon("1e300")) == 2e300
         # AV(0,1) = 8 with k = 2, so q = 2 and q*eps overflows at eps = 1e308
-        inst = make_instance([{0, 1}] * 4, 3, 2)
+        inst = Instance([{0, 1}] * 4, 3, 2)
         with pytest.raises(InvalidParametersError, match="overflows"):
             exp_av_distribution(inst, "1e308")
         exp_av_distribution(inst, "1e300")  # q*eps = 2e300 still fits
@@ -235,12 +235,12 @@ class TestRandomizedResponse:
 
 class TestExpAv:
     def test_single_voter_closed_form(self):
-        inst = make_instance([{0}], 3, 1)
+        inst = Instance([{0}], 3, 1)
         dist = exp_av_distribution(inst, 2)
         assert prob(dist, (0,)) == pytest.approx(math.e / (math.e + 2), abs=1e-12)
 
     def test_equal_scores_give_uniform(self):
-        inst = make_instance([{0, 1, 2}] * 2, 3, 2)  # every committee scores 2n
+        inst = Instance([{0, 1, 2}] * 2, 3, 2)  # every committee scores 2n
         dist = exp_av_distribution(inst, 1)
         assert all(p == pytest.approx(1 / 3, abs=1e-12) for p in dist.probs)
 
@@ -264,14 +264,14 @@ class TestExpAv:
 
 class TestSequentialAv:
     def test_single_seat_matches_committee_level(self):
-        inst = make_instance([{0}, {0, 1}], 3, 1)
+        inst = Instance([{0}, {0, 1}], 3, 1)
         seq = sequential_av_distribution(inst, 2)
         com = exp_av_distribution(inst, 2)
         for p, q in zip(seq.probs, com.probs):
             assert p == pytest.approx(q, abs=1e-12)
 
     def test_full_committee_is_point_mass(self):
-        inst = make_instance([{0}], 3, 3)
+        inst = Instance([{0}], 3, 3)
         seq = sequential_av_distribution(inst, 1)
         assert seq.probs == pytest.approx((1.0,), abs=1e-12)
 
@@ -355,7 +355,7 @@ class TestSequentialAv:
         assert report.max_log_ratio == pytest.approx(0.7550449542698265, abs=1e-12)
 
     def test_literal_sampler_matches_law(self):
-        inst = make_instance([{0}, {0, 1}, {2}], 4, 2)
+        inst = Instance([{0}, {0, 1}, {2}], 4, 2)
         law = sequential_av_distribution(inst, 1)
         n = 20000
         counts = {}
@@ -384,7 +384,7 @@ class TestSequentialAv:
             ), seed
 
     def test_literal_sampler_deterministic(self):
-        inst = make_instance([{0}, {0, 1}, {2}], 4, 2)
+        inst = Instance([{0}, {0, 1}, {2}], 4, 2)
         assert sample_sequential_av(inst, 1, 99) == sample_sequential_av(inst, 1, 99)
 
     def test_measured_privacy_on_chain_instance(self):
@@ -415,18 +415,18 @@ class TestRrCondorcet:
 
 class TestSampling:
     def test_point_mass(self):
-        inst = make_instance([{0}], 3, 3)
+        inst = Instance([{0}], 3, 3)
         dist = sequential_av_distribution(inst, 1)
         assert all(sample(dist, s) == (0, 1, 2) for s in range(50))
 
     def test_deterministic_per_seed(self):
-        dist = uniform_distribution(make_instance([{0}], 4, 2))
+        dist = uniform_distribution(Instance([{0}], 4, 2))
         assert sample(dist, 123) == sample(dist, 123)
         drawn = {sample(dist, s) for s in range(200)}
         assert len(drawn) == 6  # all committees reachable
 
     def test_frequencies_match_exact_distribution(self):
-        dist = uniform_distribution(make_instance([{0}], 4, 2))
+        dist = uniform_distribution(Instance([{0}], 4, 2))
         n = 30000
         counts = {}
         for seed in range(n):
@@ -493,7 +493,7 @@ def hand_built_law(committees, probs):
     """A law on the committees of C(4, 2) with the given probabilities,
     which need not sum to 1."""
     return CommitteeDistribution(
-        instance=make_instance([{0}], 4, 2),
+        instance=Instance([{0}], 4, 2),
         epsilon=Fraction(1),
         mechanism="hand-built",
         committees=committees,
@@ -543,7 +543,7 @@ class TestDistributionInvariants:
 
     @pytest.mark.parametrize("committee", [(0,), (0, 1, 2), (0, 4), (1, 1)])
     def test_index_rejects_a_foreign_committee(self, committee):
-        dist = uniform_distribution(make_instance([{0}], 4, 2))
+        dist = uniform_distribution(Instance([{0}], 4, 2))
         with pytest.raises(ValueError):
             dist.committees.index(committee)
         with pytest.raises(ValueError):
