@@ -30,7 +30,13 @@ from enum import Enum
 from functools import lru_cache, reduce
 from typing import Optional
 
-from .core import Instance, InvalidParametersError, ResourceLimitError, canonical_committees
+from .core import (
+    Instance,
+    InvalidParametersError,
+    ResourceLimitError,
+    canonical_committees,
+    committee_index,
+)
 
 
 class Axiom(Enum):
@@ -163,10 +169,16 @@ def _pjr_groups(inst: Instance) -> list:
 def _at_least(rows: list, enough: int) -> int:
     """The committee bitset of the committees whose ``rows`` (``(committee
     bitset, voter count)`` pairs) that hold them count ``enough`` voters or
-    more. Every committee keeps a binary counter; ``planes[j]`` holds bit
-    ``j`` of all the counters at once."""
-    planes = [0] * sum(count for _, count in rows).bit_length()
+    more. A row counting ``enough`` (at least 1) on its own holds only such
+    committees, so it joins the result by OR; for the other rows every
+    committee keeps a binary counter, and ``planes[j]`` holds bit ``j`` of
+    all the counters at once."""
+    alone = 0
+    planes = [0] * sum(count for _, count in rows if count < enough).bit_length()
     for bits, count in rows:
+        if count >= enough:
+            alone |= bits
+            continue
         for j in range(count.bit_length()):
             carry = bits if count >> j & 1 else 0
             while carry:  # planes[j] gains carry, with the overflow moving up
@@ -181,7 +193,7 @@ def _at_least(rows: list, enough: int) -> int:
         else:
             above |= equal & plane
             equal &= ~plane
-    return above | equal
+    return alone | above | equal
 
 
 def _violations(inst: Instance, ax: Axiom) -> int:
@@ -275,12 +287,25 @@ def condorcet_committee(inst: Instance) -> Optional[tuple]:
     """The committee beating every other in strict pairwise majority, or None.
 
     Uniqueness is implied by the definition (two such committees would each
-    have to beat the other). No committee beats a Condorcet committee, so an
-    elimination scan that keeps the running candidate while it wins reaches
-    it and keeps it; a second pass verifies the survivor. That is at most
-    2(C(m,k) - 1) pairwise tallies over ballot types; exact ties block.
+    have to beat the other). For ``k < m``, every member ``a`` of a Condorcet
+    committee ``W`` is approved by a strict majority: ``W`` beats ``W - a + b``
+    for an outsider ``b``, and only voters approving ``a`` prefer ``W``. So
+    only committees of majority-approved alternatives are candidates, and
+    there is none when fewer than ``k`` alternatives are. No committee beats
+    a Condorcet committee, so an elimination scan over the candidates that
+    keeps the running candidate while it wins reaches it and keeps it; a
+    second pass verifies the survivor against every committee. That is at
+    most C(m', k) - 1 + C(m, k) - 1 pairwise tallies over ballot types, with
+    ``m'`` the majority-approved alternatives; exact ties block. For ``k = m``
+    the one committee has no other to beat.
     """
-    n, types = inst.n, _ballot_types(inst)
+    m, n, k = inst.m, inst.n, inst.k
+    if k == m:
+        return canonical_committees(m, k)[0]
+    majority = [a for a, c in enumerate(_approval_counts(inst)) if 2 * c > n]
+    if len(majority) < k:
+        return None
+    types = _ballot_types(inst)
     counts = [voters.bit_count() for _, voters in types]
     overlaps = _overlaps(inst, types)
 
@@ -288,10 +313,11 @@ def condorcet_committee(inst: Instance) -> Optional[tuple]:
         wins = itertools.compress(counts, map(operator.gt, overlaps[i], overlaps[j]))
         return 2 * sum(wins) > n
 
-    best = 0
-    for j in range(1, len(overlaps)):
+    index = committee_index(m, k)
+    best, *rest = (index[w] for w in itertools.combinations(majority, k))
+    for j in rest:
         if not beats(best, j):
             best = j
     if all(beats(best, j) for j in range(len(overlaps)) if j != best):
-        return canonical_committees(inst.m, inst.k)[best]
+        return canonical_committees(m, k)[best]
     return None

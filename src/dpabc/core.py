@@ -82,7 +82,8 @@ def _ballot(voter: int, ballot, m: int) -> frozenset:
     b = frozenset(ballot)
     if not b:
         raise InvalidParametersError(f"voter {voter} has an empty ballot")
-    if not all(isinstance(a, int) and 0 <= a < m for a in b):
+    # type(a) is int rejects bools, which parse_instance could not read back
+    if not all(type(a) is int and 0 <= a < m for a in b):
         raise InvalidParametersError(
             f"voter {voter} approves alternatives outside 0..{m - 1}: {sorted(b)}"
         )
@@ -97,6 +98,13 @@ def canonical_committees(m: int, k: int) -> tuple:
     if k < 1 or k > m:
         raise InvalidParametersError(f"need 1 <= k <= m, got k={k}, m={m}")
     return tuple(itertools.combinations(range(m), k))
+
+
+@lru_cache(maxsize=64)
+def committee_index(m: int, k: int) -> dict:
+    """Each canonical committee's position in ``canonical_committees(m, k)``,
+    as one shared dict per ``(m, k)``."""
+    return {w: i for i, w in enumerate(canonical_committees(m, k))}
 
 
 def nonempty_subsets(m: int) -> Iterator[frozenset]:

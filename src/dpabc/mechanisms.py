@@ -49,7 +49,7 @@ from .axioms import (
     axiom_committee_set,
     condorcet_committee,
 )
-from .core import Instance, InvalidParametersError, canonical_committees
+from .core import Instance, InvalidParametersError, canonical_committees, committee_index
 
 RandomSeed = int
 
@@ -184,6 +184,16 @@ def _from_scores(
     )
 
 
+def _indicator(inst: Instance, committees) -> list:
+    """Score 1 at each of ``committees``' canonical positions, found in the
+    shared index, and 0 elsewhere."""
+    index = committee_index(inst.m, inst.k)
+    scores = [0] * len(index)
+    for w in committees:
+        scores[index[w]] = 1
+    return scores
+
+
 def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistribution:
     """Randomized response on a JR-family axiom.
 
@@ -193,8 +203,7 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
     eps = as_epsilon(epsilon)
     if ax not in JR_FAMILY:
         raise InvalidParametersError(f"randomized response expects JR/PJR/EJR, got {ax}")
-    satisfying = set(axiom_committee_set(inst, ax))
-    scores = [int(w in satisfying) for w in canonical_committees(inst.m, inst.k)]
+    scores = _indicator(inst, axiom_committee_set(inst, ax))
     return _from_scores(inst, eps, f"rr-{ax.value}", scores, 2)
 
 
@@ -283,7 +292,7 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """
     eps = as_epsilon(epsilon)
     winner = condorcet_committee(inst)
-    scores = [int(w == winner) for w in canonical_committees(inst.m, inst.k)]
+    scores = _indicator(inst, () if winner is None else (winner,))
     return _from_scores(inst, eps, "rr-condorcet", scores, 1)
 
 

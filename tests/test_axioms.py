@@ -22,7 +22,7 @@ from dpabc import (
 )
 import dpabc
 from dpabc import axioms
-from dpabc.axioms import JR_FAMILY, _approval_counts, _cohesive_groups, _pjr_groups
+from dpabc.axioms import JR_FAMILY, _approval_counts, _at_least, _cohesive_groups, _pjr_groups
 from dpabc.core import ResourceLimitError, canonical_committees
 from dpabc.instances import DEFAULT_PARAMETERS
 
@@ -269,8 +269,10 @@ class TestCondorcet:
         assert condorcet_committee(inst) == brute_condorcet(inst) == (2, 3)
 
     def test_elimination_survivor_on_a_cycle_is_rejected(self):
-        # the elimination scan ends on (3, 4, 5), which sits on the majority
-        # cycle (3, 4, 5) > (1, 2, 3) > (0, 1, 4) > (3, 4, 5)
+        # an elimination scan over every committee would end on (3, 4, 5),
+        # which sits on the majority cycle (3, 4, 5) > (1, 2, 3) > (0, 1, 4)
+        # > (3, 4, 5); only alternatives 0 and 3 have two approvals of three,
+        # fewer than k, so condorcet_committee returns None before any scan
         inst = Instance([{0, 1, 2, 3}, {0, 4}, {3, 5}], 6, 3)
 
         def beats(w1, w2):
@@ -284,8 +286,37 @@ class TestCondorcet:
             if not beats(survivor, w):
                 survivor = w
         assert survivor == cycle[0]
+        assert [a for a, c in enumerate(_approval_counts(inst)) if 2 * c > inst.n] == [0, 3]
         assert condorcet_committee(inst) is None
         assert brute_condorcet(inst) is None
+
+    def test_majority_scan_survivor_is_rejected(self):
+        # alternatives 0 (4 of 5 voters) and 1 (3 of 5) pass the majority
+        # filter; (0,) does not beat (1,), so the scan ends on (1,), which
+        # the verification rejects: only voter 2 prefers it to (0,)
+        inst = Instance([{0, 1}, {0, 1}, {1}, {0, 2}, {0}], 3, 1)
+        assert _approval_counts(inst) == [4, 3, 1]
+        assert condorcet_committee(inst) is None
+        assert brute_condorcet(inst) is None
+
+    def test_full_committee_is_condorcet(self):
+        # k = m leaves one committee, with no other to beat, however few
+        # voters approve its members
+        inst = Instance([{0}, {1}, {2}], 3, 3)
+        assert condorcet_committee(inst) == brute_condorcet(inst) == (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(instances(max_m=6, max_n=7, max_k=5))
+    def test_members_are_majority_approved(self, inst):
+        winner = condorcet_committee(inst)
+        if winner is not None and inst.k < inst.m:
+            counts = _approval_counts(inst)
+            assert all(2 * counts[a] > inst.n for a in winner)
+
+    @pytest.mark.parametrize("wid", [wid for wid in WitnessId if witness(wid).inst.m <= 6])
+    def test_matches_brute_on_every_evaluated_neighbour(self, wid):
+        for neighbour in audit_traffic(witness(wid).inst):
+            assert condorcet_committee(neighbour) == brute_condorcet(neighbour), neighbour
 
     def test_incompatibility_witness_fails_jr(self):
         wid = WitnessId.CC_JR_INCOMPAT
@@ -415,6 +446,40 @@ class TestPjrOnDistinctBallots:
         assert violators > 0
 
 
+class TestAtLeast:
+    """The bit-sliced counter against a sum per committee, with rows that
+    reach ``enough`` on their own taken by OR."""
+
+    @staticmethod
+    def summed(rows, size, enough):
+        return sum(
+            1 << i
+            for i in range(size)
+            if sum(count for bits, count in rows if bits >> i & 1) >= enough
+        )
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_per_committee_sums(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 64)
+        rows = [(rng.getrandbits(size), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))]
+        top = max(count for _, count in rows)
+        # 1: every row reaches it alone; 10 and up: no row does; the largest
+        # count: that row does, and the others when they tie it
+        for enough in (1, rng.randint(10, 20), top, rng.randint(1, 20)):
+            assert _at_least(rows, enough) == self.summed(rows, size, enough), (rows, enough)
+
+    def test_some_rows_alone(self):
+        rows = [(0b0011, 5), (0b0110, 2), (0b1100, 2), (0b1000, 1)]
+        # committee 0: 5; 1: 7; 2: 4; 3: 3
+        assert _at_least(rows, 5) == 0b0011 == self.summed(rows, 4, 5)
+        assert _at_least(rows, 4) == 0b0111 == self.summed(rows, 4, 4)
+        assert _at_least(rows, 3) == 0b1111 == self.summed(rows, 4, 3)
+
+    def test_no_rows(self):
+        assert _at_least([], 1) == 0
+
+
 class TestPjrWorkCaps:
     """Ballots {0, p} for p = 1..10 share alternative 0, and every set of
     them has its own (intersection, union): the PJR pass ends holding
@@ -470,6 +535,7 @@ def test_every_module_table_is_bounded():
     }
     for name in (
         "dpabc.core.canonical_committees",
+        "dpabc.core.committee_index",
         "dpabc.axioms._committee_masks",
         "dpabc.axioms._ballot_table",
     ):

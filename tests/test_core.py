@@ -162,6 +162,12 @@ class TestInstanceInvariants:
         with pytest.raises(InvalidParametersError):
             Instance((), 3, 1)
 
+    def test_bool_alternative_rejected(self):
+        # True == 1 as an int, but format_instance would write "True 2",
+        # which parse_instance rejects
+        with pytest.raises(InvalidParametersError, match=r"outside 0\.\.2: \[True, 2\]"):
+            Instance([{True, 2}], 3, 1)
+
     def test_no_voters_from_a_generator(self):
         # a generator is truthy even when empty: emptiness is decided on the
         # materialized profile
@@ -185,6 +191,7 @@ class TestReplaceBallot:
             (0, {1, 4}, "voter 0 approves alternatives outside 0..3: [1, 4]"),
             (2, {-1}, "voter 2 approves alternatives outside 0..3: [-1]"),
             (2, {"0"}, "voter 2 approves alternatives outside 0..3: ['0']"),
+            (0, {False, 2}, "voter 0 approves alternatives outside 0..3: [False, 2]"),
         ],
     )
     def test_invalid_ballot_raises_the_constructor_message(self, voter, ballot, message):
