@@ -290,10 +290,11 @@ def dp_level(
     multiset), as every rule in ``MECHANISMS`` is. A voter whose ballot an
     earlier voter holds then yields only neighbors equal, as multisets, to
     ones already evaluated, so such voters are skipped: the rule runs once per
-    (ballot type, replacement) class. A skipped neighbor only repeats gaps
-    already seen and the strict ``>`` keeps the first attaining (voter,
-    replacement ballot, committee), so the report equals that of a scan over
-    every neighbor.
+    (ballot type, replacement) class. A neighbor whose law (its
+    ``log_probs``) an earlier neighbor had is not compared again. A skipped
+    neighbor only repeats gaps already seen and the strict ``>`` keeps the
+    first attaining (voter, replacement ballot, committee), so the report
+    equals that of a scan over every neighbor.
     """
     if inst.m > NEIGHBOR_AUDIT_MAX_M:
         raise ResourceLimitError(
@@ -306,6 +307,7 @@ def dp_level(
     attaining: Optional[tuple] = None
     evaluated = 0
     seen: set = set()
+    laws: set = set()
     for voter, current in enumerate(inst.ballots):
         if current in seen:
             continue
@@ -316,6 +318,9 @@ def dp_level(
             neighbor = inst.replace_ballot(voter, ballot)
             evaluated += 1
             other = rule(neighbor)
+            if other.log_probs in laws:
+                continue
+            laws.add(other.log_probs)
             top = max(map(abs, map(sub, base.log_probs, other.log_probs)))
             if top > worst:
                 worst = top

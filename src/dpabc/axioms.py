@@ -216,14 +216,32 @@ def _violations(inst: Instance, ax: Axiom) -> int:
     top = 1 if ax is Axiom.JR else k
     types = [(_ballot_table(m, k, t)[1], voters) for t, voters in _ballot_types(inst)]
     groups = {(ell, v) for ell, _, v in _cohesive_groups(inst, top)}
+    # a group inside another of the same ell adds no violators; by ell and
+    # size descending, a group's container comes first, and containment is
+    # transitive, so testing against the groups kept so far is enough
+    kept: dict = {}
     found = 0
-    for ell, group in groups:
-        # a group inside another of the same ell adds no violators
-        if any(e == ell and v != group and v | group == v for e, v in groups):
+    for ell, group in sorted(groups, key=lambda g: (g[0], -g[1].bit_count())):
+        same = kept.setdefault(ell, [])
+        if any(v | group == v for v in same):
             continue
+        same.append(group)
         members = [(below[ell], voters.bit_count()) for below, voters in types if voters & group]
         found |= _at_least(members, -(-ell * n // k))
     return found
+
+
+# "0" (no violation) becomes score 1 and "1" becomes score 0
+_SATISFIES = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _axiom_scores(inst: Instance, ax: Axiom) -> tuple:
+    """Per canonical committee, 1 if it satisfies ``ax`` and 0 if not: the
+    committee bitset of ``_violations`` read as one score tuple."""
+    count = len(canonical_committees(inst.m, inst.k))
+    # character i is bit i of the bitset
+    violating = format(_violations(inst, ax), f"0{count}b")[::-1]
+    return tuple(violating.encode().translate(_SATISFIES))
 
 
 @lru_cache(maxsize=4096)
@@ -232,10 +250,7 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
     The inclusion chain EJR subset PJR subset JR holds on every instance.
     """
-    committees = canonical_committees(inst.m, inst.k)
-    # character i is bit i: "0" where committee i does not violate
-    violating = format(_violations(inst, ax), f"0{len(committees)}b")[::-1]
-    return tuple(itertools.compress(committees, map("0".__eq__, violating)))
+    return tuple(itertools.compress(canonical_committees(inst.m, inst.k), _axiom_scores(inst, ax)))
 
 
 def _approval_counts(inst: Instance) -> list:
@@ -248,11 +263,11 @@ def _approval_counts(inst: Instance) -> list:
     return counts
 
 
-def _av_scores(inst: Instance) -> list:
+def _av_scores(inst: Instance) -> tuple:
     """Each canonical committee's AV score, the sum of its members' approval
     counts: the k-combinations of the counts come in the order of the
     k-combinations of ``range(m)``, the canonical committee order."""
-    return list(map(sum, itertools.combinations(_approval_counts(inst), inst.k)))
+    return tuple(map(sum, itertools.combinations(_approval_counts(inst), inst.k)))
 
 
 @lru_cache(maxsize=4096)

@@ -5,7 +5,10 @@ committee order. For the exponential-family rules the unnormalized weight of a
 committee is ``e^(q * eps)`` with ``q = score / scale``: the rule's integer
 score of the committee over one denominator per rule, so within-instance
 probability ratios are exact log-weight differences; only the normalizer is
-floating point.
+floating point. Such a law is a function of ``(scores, scale, eps)`` alone, so
+its log-probabilities are built once per distinct score vector (a small
+memo) and shared by every instance that yields that vector: on the DP audit
+grid most neighbours of a randomized-response rule repeat a vector.
 
 Every rule is anonymous: its law depends only on the multiset of ballots, not
 on which voter cast which. ``audit.dp_level`` relies on this.
@@ -39,14 +42,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .axioms import (
     JR_FAMILY,
     Axiom,
     _approval_counts,
     _av_scores,
-    axiom_committee_set,
+    _axiom_scores,
     condorcet_committee,
 )
 from .core import Instance, InvalidParametersError, canonical_committees, committee_index
@@ -163,35 +166,33 @@ class CommitteeDistribution:
         return tuple(itertools.accumulate(self.probs))
 
 
-def _from_scores(
-    inst: Instance, epsilon: Fraction, mechanism: str, scores: Sequence, scale: int
-) -> CommitteeDistribution:
-    """Committee ``i`` gets ``q = scores[i] / scale``; each distinct score's
-    float exponent is built once."""
+@functools.lru_cache(maxsize=64)
+def _law(scores: tuple, scale: int, epsilon: Fraction) -> tuple:
+    """The log-probabilities of committee ``i`` getting ``q = scores[i] /
+    scale``, built once per distinct ``(scores, scale, eps)``: each distinct
+    score's float exponent is built once. A budget that overflows raises on
+    every call, since the cache stores no exception."""
     exponent = {p: weight_exponent(p, scale, epsilon) for p in set(scores)}
     hi = max(exponent.values())
     shifted = {p: math.exp(x - hi) for p, x in exponent.items()}
     log_z = hi + math.log(sum(map(shifted.__getitem__, scores)))
     log_prob = {p: x - log_z for p, x in exponent.items()}
+    return tuple(map(log_prob.__getitem__, scores))
+
+
+def _from_scores(
+    inst: Instance, epsilon: Fraction, mechanism: str, scores: tuple, scale: int
+) -> CommitteeDistribution:
+    """Committee ``i`` gets ``q = scores[i] / scale``."""
     return CommitteeDistribution(
         instance=inst,
         epsilon=epsilon,
         mechanism=mechanism,
         committees=canonical_committees(inst.m, inst.k),
-        scores=tuple(scores),
+        scores=scores,
         scale=scale,
-        log_probs=tuple(map(log_prob.__getitem__, scores)),
+        log_probs=_law(scores, scale, epsilon),
     )
-
-
-def _indicator(inst: Instance, committees) -> list:
-    """Score 1 at each of ``committees``' canonical positions, found in the
-    shared index, and 0 elsewhere."""
-    index = committee_index(inst.m, inst.k)
-    scores = [0] * len(index)
-    for w in committees:
-        scores[index[w]] = 1
-    return scores
 
 
 def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistribution:
@@ -203,8 +204,7 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
     eps = as_epsilon(epsilon)
     if ax not in JR_FAMILY:
         raise InvalidParametersError(f"randomized response expects JR/PJR/EJR, got {ax}")
-    scores = _indicator(inst, axiom_committee_set(inst, ax))
-    return _from_scores(inst, eps, f"rr-{ax.value}", scores, 2)
+    return _from_scores(inst, eps, f"rr-{ax.value}", _axiom_scores(inst, ax), 2)
 
 
 def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
@@ -291,15 +291,17 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     committee gets 1 / (e^eps + C(m,k) - 1); otherwise uniform.
     """
     eps = as_epsilon(epsilon)
+    scores = [0] * len(canonical_committees(inst.m, inst.k))
     winner = condorcet_committee(inst)
-    scores = _indicator(inst, () if winner is None else (winner,))
-    return _from_scores(inst, eps, "rr-condorcet", scores, 1)
+    if winner is not None:
+        scores[committee_index(inst.m, inst.k)[winner]] = 1
+    return _from_scores(inst, eps, "rr-condorcet", tuple(scores), 1)
 
 
 def uniform_distribution(inst: Instance, epsilon=1) -> CommitteeDistribution:
     """Instance-independent uniform baseline over all committees."""
     eps = as_epsilon(epsilon)
-    scores = [0] * len(canonical_committees(inst.m, inst.k))
+    scores = (0,) * len(canonical_committees(inst.m, inst.k))
     return _from_scores(inst, eps, "uniform", scores, 1)
 
 

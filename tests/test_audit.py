@@ -172,6 +172,9 @@ _SMALL_WITNESSES = [wid for wid in WitnessId if witness(wid).inst.m <= 6]
 
 
 class TestDpLevelMatchesFullNeighborhood:
+    # every witness x every audited rule at eps 1, and seq-av on an m=8
+    # witness: on the m=8 witnesses many neighbours share a score vector, so
+    # the law memo and dp_level's skip of repeated laws are exercised
     @pytest.mark.parametrize(
         "wid, mechanism, eps",
         [
@@ -181,7 +184,13 @@ class TestDpLevelMatchesFullNeighborhood:
                 for mechanism in sorted(MECHANISMS)
                 for eps in ("0.1", "1")
             ),
-            (WitnessId.PJR_EJR_3WAY, "rr-ejr", "1"),
+            *(
+                (wid, mechanism, "1")
+                for wid in WitnessId
+                if wid not in _SMALL_WITNESSES
+                for mechanism in AUDIT_MECHANISMS
+            ),
+            (WitnessId.PJR_EJR_3WAY, "seq-av", "1"),
         ],
     )
     def test_same_report_as_full_scan(self, wid, mechanism, eps):

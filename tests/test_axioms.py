@@ -422,6 +422,36 @@ class TestManyBallotTypes:
             assert axiom_committee_set(inst, ax) == expected
 
 
+# prefix ballots {0..j}: a core's voters are those whose prefix reaches its
+# largest member, so the cohesive groups of each ell form nested chains; in
+# the second profile three more ballots add groups that overlap the chain
+# without nesting in it, which pruning by overlap would drop
+NESTED_CORE_PROFILES = [
+    Instance([set(range(j + 1)) for j in range(8)] + [set(range(8))] * 2, 8, 4),
+    Instance(
+        [set(range(j + 1)) for j in range(7)] + [{2, 4, 5, 6}, {0, 2, 4, 6, 7}, {2, 5, 6}], 8, 4
+    ),
+]
+
+
+class TestNestedCohesiveCores:
+    """A group inside another of the same ell is dropped by testing it
+    against the groups kept so far, visited by ell and size descending."""
+
+    @pytest.mark.parametrize("inst", NESTED_CORE_PROFILES)
+    def test_sets_match_brute(self, inst):
+        groups = {(ell, v) for ell, _, v in _cohesive_groups(inst, inst.k)}
+        nested = [
+            (ell, g) for ell, g in groups if any(e == ell and v != g and v | g == v for e, v in groups)
+        ]
+        assert len(nested) >= 5 and len(nested) > len(groups) / 2
+        committees = canonical_committees(inst.m, inst.k)
+        for ax in JR_FAMILY:
+            expected = tuple(w for w in committees if brute_satisfies(w, inst, ax))
+            assert 0 < len(expected) < len(committees)
+            assert axiom_committee_set(inst, ax) == expected
+
+
 def distinct_ballot_profile(rng):
     """A profile over 4-6 alternatives whose 3-12 voters all cast different
     ballots, so every voter is a ballot type of its own."""

@@ -29,9 +29,11 @@ from dpabc import (
     condorcet_committee,
     random_instance,
 )
-from dpabc.core import canonical_committees
+from dpabc.axioms import JR_FAMILY
+from dpabc.core import canonical_committees, committee_index
 from dpabc.mechanisms import (
     AUDIT_MECHANISMS,
+    _law,
     _uniform,
     as_epsilon,
     splitmix64,
@@ -40,6 +42,7 @@ from dpabc.mechanisms import (
 )
 
 from brute import (
+    brute_satisfies,
     brute_sequential_law,
     brute_sequential_sample,
     permute,
@@ -231,6 +234,77 @@ class TestRandomizedResponse:
         w = witness(WitnessId.JR_UPPER)
         with pytest.raises(InvalidParametersError):
             rr_axiom_distribution(w.inst, 0, Axiom.JR)
+
+
+def indicator_scores(inst, ax):
+    """The rr scores through the committee set: a 1 at each satisfying
+    committee's position in the shared committee index, 0 elsewhere."""
+    index = committee_index(inst.m, inst.k)
+    scores = [0] * len(index)
+    for w in axiom_committee_set(inst, ax):
+        scores[index[w]] = 1
+    return tuple(scores)
+
+
+# seeded random profiles small enough for the brute oracle, each with a
+# committee violating EJR; on m7-n8-k4-s29 the JR, PJR and EJR sets differ
+RANDOM_RR_PROFILES = [
+    (f"m{m}-n{n}-k{k}-s{seed}", random_instance(m, n, k, BallotModel("impartial", p), seed))
+    for m, n, k, p, seed in [
+        (5, 7, 2, 0.4, 2), (6, 8, 3, 0.3, 1), (6, 7, 3, 0.5, 1), (7, 8, 3, 0.3, 0),
+        (7, 8, 4, 0.5, 29), (5, 8, 3, 0.6, 12),
+    ]
+]
+RR_PROFILES = [(wid.value, witness(wid).inst) for wid in WitnessId] + RANDOM_RR_PROFILES
+
+
+class TestRrScores:
+    """The rr rules read the violator bitset as their 0/1 score tuple."""
+
+    @pytest.mark.parametrize("name, inst", RR_PROFILES, ids=[name for name, _ in RR_PROFILES])
+    def test_bitset_scores_match_the_committee_set_and_brute(self, name, inst):
+        committees = canonical_committees(inst.m, inst.k)
+        for ax in JR_FAMILY:
+            scores = rr_axiom_distribution(inst, 1, ax).scores
+            assert type(scores) is tuple and {type(q) for q in scores} == {int}
+            assert scores == indicator_scores(inst, ax)
+            assert scores == tuple(int(brute_satisfies(w, inst, ax)) for w in committees)
+
+    def test_every_random_profile_has_an_ejr_violator(self):
+        for name, inst in RANDOM_RR_PROFILES:
+            assert 0 in rr_axiom_distribution(inst, 1, Axiom.EJR).scores, name
+
+
+class TestLawMemo:
+    """A law is a function of (scores, scale, eps), built once per distinct
+    triple."""
+
+    def test_equal_scores_at_another_scale_or_budget_give_another_law(self):
+        scores = (1, 0, 0, 1, 0, 2)
+        keys = [(2, Fraction(1)), (1, Fraction(1)), (2, Fraction(3)), (4, Fraction(3))]
+        laws = [_law(scores, scale, eps) for scale, eps in keys]
+        assert len(set(laws)) == len(keys)
+        for (scale, eps), law in zip(keys, laws):
+            assert _law(scores, scale, eps) == law == _law.__wrapped__(scores, scale, eps)
+        inst = witness(WitnessId.JR_UPPER).inst
+        one, two = (rr_axiom_distribution(inst, eps, Axiom.JR) for eps in (1, 2))
+        assert one.scores == two.scores and one.log_probs != two.log_probs
+        assert ratio_coeff(two, (0, 1), (1, 2)) == Fraction(1, 2)
+
+    def test_instances_with_equal_scores_share_one_law(self):
+        inst = witness(WitnessId.JR_UPPER).inst
+        reordered = Instance(inst.ballots[::-1], inst.m, inst.k)
+        a, b = (rr_axiom_distribution(x, 1, Axiom.JR) for x in (inst, reordered))
+        assert a.log_probs is b.log_probs
+
+    def test_an_overflowing_budget_raises_on_every_call(self):
+        # AV(0,1) = 8 with k = 2, so q = 2 and q*eps overflows at eps = 1e308
+        inst = Instance([{0, 1}] * 4, 3, 2)
+        exp_av_distribution(inst, 1)
+        for _ in range(2):
+            with pytest.raises(InvalidParametersError, match="overflows"):
+                exp_av_distribution(inst, "1e308")
+        exp_av_distribution(inst, "1e300")
 
 
 class TestExpAv:
