@@ -11,8 +11,9 @@ vacuous (+inf) and excluded from bound checks with an explicit flag.
 ``dp_level`` measures the worst log-probability ratio over the full exhaustive
 neighborhood of one instance (every single-voter ballot replacement, both
 directions); the neighborhood has n*(2^m - 2) members, so the audit is capped
-at m <= 8 by policy. The rule runs once per (ballot type, replacement ballot)
-class of neighbors, which is exact for anonymous rules.
+at m <= 8 by policy. The rule runs once per ballot type and per orbit of
+replacement ballots under swapping twin alternatives (ones the same voters
+approve), which is exact for anonymous and neutral rules.
 """
 
 from __future__ import annotations
@@ -286,15 +287,26 @@ def dp_level(
     Maximizes |ln P(W | inst) - ln P(W | neighbor)| over all n*(2^m - 2)
     neighbors and all committees; the absolute value covers both directions.
 
-    Precondition: ``rule`` is anonymous (its law depends only on the ballot
-    multiset), as every rule in ``MECHANISMS`` is. A voter whose ballot an
-    earlier voter holds then yields only neighbors equal, as multisets, to
-    ones already evaluated, so such voters are skipped: the rule runs once per
-    (ballot type, replacement) class. A neighbor whose law (its
-    ``log_probs``) an earlier neighbor had is not compared again. A skipped
-    neighbor only repeats gaps already seen and the strict ``>`` keeps the
-    first attaining (voter, replacement ballot, committee), so the report
-    equals that of a scan over every neighbor.
+    Preconditions: ``rule`` is anonymous (its law depends only on the ballot
+    multiset) and neutral (relabelling the alternatives relabels its law's
+    committees, bit for bit), as every rule in ``MECHANISMS`` is.
+
+    * Anonymity: a voter whose ballot an earlier voter holds yields only
+      neighbors equal, as multisets, to ones already evaluated, so such
+      voters are skipped.
+    * Neutrality: alternatives are twins when the same voters approve them.
+      Swapping twins fixes every ballot of ``inst`` and maps the neighbor
+      (voter, b) to (voter, swapped b), whose gaps are the same floats on
+      swapped committees. Of each orbit of replacements under such swaps
+      only the first in scan order is evaluated: the one holding the
+      lowest-indexed members of each twin class. With t ballot types and
+      twin classes C, the rule runs t * (prod(|C| + 1) - 2) times.
+
+    A neighbor whose law (its ``log_probs``) an earlier neighbor had is not
+    compared again. A skipped neighbor only repeats a gap vector already
+    seen, up to order, and the strict ``>`` keeps the first attaining
+    (voter, replacement ballot, committee), so the report equals that of a
+    scan over every neighbor.
     """
     if inst.m > NEIGHBOR_AUDIT_MAX_M:
         raise ResourceLimitError(
@@ -302,7 +314,14 @@ def dp_level(
             f"got m={inst.m}"
         )
     base = rule(inst)
-    replacements = list(nonempty_subsets(inst.m))
+    types = set(inst.ballots)
+    last: dict = {}
+    twin = []  # each alternative's next lower-indexed twin, else itself
+    for a in range(inst.m):
+        approvers = frozenset(b for b in types if a in b)
+        twin.append(last.get(approvers, a))
+        last[approvers] = a
+    replacements = [b for b in nonempty_subsets(inst.m) if all(twin[a] in b for a in b)]
     worst = 0.0
     attaining: Optional[tuple] = None
     evaluated = 0

@@ -5,13 +5,17 @@ committee order. For the exponential-family rules the unnormalized weight of a
 committee is ``e^(q * eps)`` with ``q = score / scale``: the rule's integer
 score of the committee over one denominator per rule, so within-instance
 probability ratios are exact log-weight differences; only the normalizer is
-floating point. Such a law is a function of ``(scores, scale, eps)`` alone, so
+floating point, and it is an ``fsum``, correctly rounded whatever the order
+of its terms. Such a law is a function of ``(scores, scale, eps)`` alone, so
 its log-probabilities are built once per distinct score vector (a small
 memo) and shared by every instance that yields that vector: on the DP audit
 grid most neighbours of a randomized-response rule repeat a vector.
 
 Every rule is anonymous: its law depends only on the multiset of ballots, not
-on which voter cast which. ``audit.dp_level`` relies on this.
+on which voter cast which. Every rule is also neutral: relabelling the
+alternatives relabels the committees of its law, bit for bit, since scores
+are exact and every float sum is an ``fsum``. ``audit.dp_level`` relies on
+both.
 
 Rules:
 
@@ -167,15 +171,19 @@ class CommitteeDistribution:
 
 
 @functools.lru_cache(maxsize=64)
-def _law(scores: tuple, scale: int, epsilon: Fraction) -> tuple:
+def _law(scores: tuple, scale: int, eps_numerator: int, eps_denominator: int) -> tuple:
     """The log-probabilities of committee ``i`` getting ``q = scores[i] /
     scale``, built once per distinct ``(scores, scale, eps)``: each distinct
-    score's float exponent is built once. A budget that overflows raises on
-    every call, since the cache stores no exception."""
+    score's float exponent is built once. The budget is keyed by its
+    numerator and denominator: a ``Fraction`` is hashed afresh on every
+    lookup. Z is an ``fsum``, so permuted scores give the permuted law bit
+    for bit. A budget that overflows raises on every call, since the cache
+    stores no exception."""
+    epsilon = Fraction(eps_numerator, eps_denominator)
     exponent = {p: weight_exponent(p, scale, epsilon) for p in set(scores)}
     hi = max(exponent.values())
     shifted = {p: math.exp(x - hi) for p, x in exponent.items()}
-    log_z = hi + math.log(sum(map(shifted.__getitem__, scores)))
+    log_z = hi + math.log(math.fsum(map(shifted.__getitem__, scores)))
     log_prob = {p: x - log_z for p, x in exponent.items()}
     return tuple(map(log_prob.__getitem__, scores))
 
@@ -191,7 +199,7 @@ def _from_scores(
         committees=canonical_committees(inst.m, inst.k),
         scores=scores,
         scale=scale,
-        log_probs=_law(scores, scale, epsilon),
+        log_probs=_law(scores, scale, epsilon.numerator, epsilon.denominator),
     )
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpabc import (
     Axiom,
@@ -35,10 +36,12 @@ from brute import (
     brute_longest_chain,
     jr_probability_bound,
     pareto_dominates,
+    permute,
+    permute_committee,
     profile_distance,
     ratio_coeff,
 )
-from strategies import instances
+from strategies import instances, instances_with_permutation
 from witnesses import companion
 
 
@@ -168,6 +171,17 @@ def full_neighborhood_audit(rule, inst):
     return worst, attaining, checked
 
 
+def orbit_count(inst):
+    """Neighbors the rule runs on: per ballot type, one replacement per orbit
+    under swapping alternatives that the same voters approve, less the empty
+    ballot and the ballot itself."""
+    classes = {}
+    for a in range(inst.m):
+        approvers = frozenset(v for v, ballot in enumerate(inst.ballots) if a in ballot)
+        classes[approvers] = classes.get(approvers, 0) + 1
+    return len(set(inst.ballots)) * (math.prod(size + 1 for size in classes.values()) - 2)
+
+
 _SMALL_WITNESSES = [wid for wid in WitnessId if witness(wid).inst.m <= 6]
 
 
@@ -201,7 +215,58 @@ class TestDpLevelMatchesFullNeighborhood:
         assert report.max_log_ratio == worst
         assert report.attaining == attaining
         assert report.instances_checked == checked
-        assert report.neighbors_evaluated == len(set(inst.ballots)) * (2**inst.m - 2)
+        assert report.neighbors_evaluated == orbit_count(inst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        instances(max_m=5, max_n=4),
+        st.sampled_from(AUDIT_MECHANISMS + ("seq-av",)),
+        st.sampled_from(("0.1", "1")),
+    )
+    def test_same_report_as_full_scan_on_random_profiles(self, inst, mechanism, eps):
+        rule = make_rule(mechanism, eps)
+        report = dp_level(rule, inst)
+        worst, attaining, checked = full_neighborhood_audit(rule, inst)
+        assert report.max_log_ratio == worst
+        assert report.attaining == attaining
+        assert report.instances_checked == checked
+        assert report.neighbors_evaluated == orbit_count(inst)
+
+
+class TestTwinOrbits:
+    """dp_level runs the rule once per ballot type and orbit of replacements
+    under swapping twin alternatives (approved by the same voters)."""
+
+    @pytest.mark.parametrize(
+        "ballots, m, k, evaluated",
+        [
+            # every voter approves everything: one class of size m, so the
+            # orbits are the replacement sizes 1..m-1
+            ([{0, 1, 2, 3, 4}] * 3, 5, 2, 5 - 1),
+            # k = m: one committee, still one class per approver set
+            ([{0, 1}, {2}, {0, 1, 3}], 4, 4, 3 * (3 * 2 * 2 - 2)),
+            # no twins: every replacement is its own orbit
+            ([{0}, {0, 1}, {0, 1, 2}], 3, 2, 3 * (2**3 - 2)),
+        ],
+    )
+    def test_edge_profiles_match_full_scan(self, ballots, m, k, evaluated):
+        inst = Instance(ballots, m, k)
+        assert orbit_count(inst) == evaluated
+        for mechanism in sorted(MECHANISMS):
+            rule = make_rule(mechanism, 1)
+            report = dp_level(rule, inst)
+            worst, attaining, checked = full_neighborhood_audit(rule, inst)
+            assert (report.max_log_ratio, report.attaining) == (worst, attaining), mechanism
+            assert report.instances_checked == checked
+            assert report.neighbors_evaluated == evaluated
+
+    def test_witness_grid_count(self):
+        # 764 rule calls per rule on the 9 witnesses, against 1876 with one
+        # per ballot type and replacement
+        insts = [witness(wid).inst for wid in WitnessId]
+        reports = [dp_level(make_rule("uniform", 1), inst) for inst in insts]
+        assert [r.neighbors_evaluated for r in reports] == [orbit_count(i) for i in insts]
+        assert sum(r.neighbors_evaluated for r in reports) == 764
 
 
 class TestAnonymity:
@@ -218,6 +283,38 @@ class TestAnonymity:
                 other = MECHANISMS[mechanism](Instance(order, inst.m, inst.k), 1)
                 assert other.log_probs == dist.log_probs
                 assert other.scores == dist.scores
+
+
+def assert_relabelled(mechanism, inst, sigma):
+    """Relabelling the alternatives by ``sigma`` moves each committee's
+    log-probability and score to the relabelled committee, bit for bit."""
+    dist = MECHANISMS[mechanism](inst, 1)
+    image = MECHANISMS[mechanism](permute(inst, sigma), 1)
+    where = {w: i for i, w in enumerate(image.committees)}
+    moved = [where[permute_committee(w, sigma)] for w in dist.committees]
+    assert [image.log_probs[i] for i in moved] == list(dist.log_probs)
+    if dist.scores is None:
+        assert image.scores is None
+    else:
+        assert [image.scores[i] for i in moved] == list(dist.scores)
+
+
+class TestNeutrality:
+    """dp_level evaluates one replacement per orbit under swapping twin
+    alternatives, which is exact only for rules whose law relabels with the
+    alternatives bit for bit."""
+
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+    def test_relabelling_permutes_the_law_on_every_witness(self, mechanism):
+        for wid in WitnessId:
+            inst = witness(wid).inst
+            for sigma in (tuple(range(inst.m))[::-1], tuple(range(1, inst.m)) + (0,)):
+                assert_relabelled(mechanism, inst, sigma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances_with_permutation(max_m=6, max_n=6), st.sampled_from(sorted(MECHANISMS)))
+    def test_relabelling_permutes_the_law(self, inst_sigma, mechanism):
+        assert_relabelled(mechanism, *inst_sigma)
 
 
 class TestLevelInvariants:

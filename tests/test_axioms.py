@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from types import ModuleType
 
 import pytest
@@ -14,6 +15,7 @@ from dpabc import (
     condorcet_committee,
     dominance_pairs,
     dp_level,
+    enumerate_neighbors,
     Instance,
     random_instance,
     uniform_distribution,
@@ -530,23 +532,44 @@ class TestPjrWorkCaps:
 
 def audit_traffic(inst):
     """Every instance ``dp_level`` runs its rule on: ``inst``, then one
-    neighbour per (ballot type, replacement) class."""
+    neighbour per ballot type and orbit of replacements under swapping
+    alternatives that the same voters approve."""
     seen = []
     dp_level(lambda neighbour: seen.append(neighbour) or uniform_distribution(neighbour), inst)
     return seen
 
 
+def multiset(inst):
+    return frozenset(Counter(inst.ballots).items())
+
+
 class TestAuditTrafficOracle:
-    """The bitset JR/PJR/EJR sets on exactly the instances the DP audit
-    feeds the rr rules, which share the per-(m, k, ballot) tables."""
+    """The bitset JR/PJR/EJR sets on every distinct neighbour multiset of the
+    instances the DP audit feeds the rr rules, which share the per-(m, k,
+    ballot) tables; the audit itself runs the rules on fewer of them."""
+
+    # rule calls per witness: one per ballot type and replacement orbit
+    TRAFFIC = {
+        WitnessId.JR_UPPER: 30,
+        WitnessId.PJR_UPPER: 42,
+        WitnessId.EJR_UPPER: 20,
+        WitnessId.PE_CHAIN: 32,
+        WitnessId.CC_UPPER: 28,
+        WitnessId.FIG3_DIVERGENCE: 20,
+        WitnessId.CC_JR_INCOMPAT: 28,
+    }
 
     @pytest.mark.parametrize("wid", [wid for wid in WitnessId if witness(wid).inst.m <= 6])
-    def test_sets_match_brute_on_every_evaluated_neighbour(self, wid):
+    def test_sets_match_brute_on_every_neighbour_multiset(self, wid):
         inst = witness(wid).inst
+        neighbours = {multiset(nb): nb for _, nb in enumerate_neighbors(inst)}
+        assert len(neighbours) == len(set(inst.ballots)) * (2**inst.m - 2)
         traffic = audit_traffic(inst)
-        assert len(traffic) == 1 + len(set(inst.ballots)) * (2**inst.m - 2)
+        assert len(traffic) == 1 + self.TRAFFIC[wid]
+        assert traffic[0] == inst
+        assert {multiset(nb) for nb in traffic[1:]} <= neighbours.keys()
         committees = canonical_committees(inst.m, inst.k)
-        for neighbour in traffic:
+        for neighbour in (inst, *neighbours.values()):
             for ax in JR_FAMILY:
                 members = axiom_committee_set(neighbour, ax)
                 assert members == tuple(

@@ -282,10 +282,11 @@ class TestLawMemo:
     def test_equal_scores_at_another_scale_or_budget_give_another_law(self):
         scores = (1, 0, 0, 1, 0, 2)
         keys = [(2, Fraction(1)), (1, Fraction(1)), (2, Fraction(3)), (4, Fraction(3))]
-        laws = [_law(scores, scale, eps) for scale, eps in keys]
+        keys = [(scale, eps.numerator, eps.denominator) for scale, eps in keys]
+        laws = [_law(scores, *key) for key in keys]
         assert len(set(laws)) == len(keys)
-        for (scale, eps), law in zip(keys, laws):
-            assert _law(scores, scale, eps) == law == _law.__wrapped__(scores, scale, eps)
+        for key, law in zip(keys, laws):
+            assert _law(scores, *key) == law == _law.__wrapped__(scores, *key)
         inst = witness(WitnessId.JR_UPPER).inst
         one, two = (rr_axiom_distribution(inst, eps, Axiom.JR) for eps in (1, 2))
         assert one.scores == two.scores and one.log_probs != two.log_probs
