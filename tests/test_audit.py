@@ -270,8 +270,8 @@ class TestTwinOrbits:
 
 
 class TestAnonymity:
-    """dp_level evaluates one neighbor per (ballot type, replacement) class,
-    which is exact only for rules that depend on the ballot multiset alone."""
+    """dp_level evaluates the neighbors of one voter per ballot type, which is
+    exact only for rules that depend on the ballot multiset alone."""
 
     @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
     def test_voter_order_does_not_change_the_law(self, mechanism):
