@@ -70,6 +70,11 @@ DEFAULT_EPS_GRID = ("0.1", "1", "2")
 # one encoder for every record; json.dumps with options builds one per call
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
+# holds a bound row's per-eps fields (in sorted order, as they render) while
+# the row's other fields render once
+_SLOT = "\0"
+_SLOTS = dict.fromkeys(("eps", "lhs_log", "rhs_log"), _SLOT)
+
 
 def _finite(x: float):
     return x if math.isfinite(x) else "inf"
@@ -79,16 +84,43 @@ def _frac(q: Optional[Fraction]):
     return None if q is None else str(q)
 
 
+def _table_line(r: dict) -> str:
+    parts = [f"{key}={r[key]}" for key in sorted(r) if key != "record"]
+    # the space keeps a record name of 14 or more characters apart
+    return (r.get("record", "") + " ").ljust(14) + " ".join(parts)
+
+
+def _json_value(v) -> str:
+    # a finite float's repr is its JSON text
+    return repr(v) if type(v) is float else _ENCODER.encode(v)
+
+
+# format -> (one record's line, one field value's text in that line)
+_FORMATS = {"structured": (_ENCODER.encode, _json_value), "table": (_table_line, str)}
+
+
 def _render(records: list, fmt: str) -> str:
-    """Records as JSON lines with sorted keys, or as a plain table."""
-    if fmt == "structured":
-        return "".join(_ENCODER.encode(r) + "\n" for r in records)
+    """Records as JSON lines with sorted keys, or as a plain table. Each
+    check of a row family from :func:`_bound_records` is rendered once with
+    ``_SLOT`` in its per-eps fields; each budget's line fills the slots."""
+    line, value = _FORMATS[fmt]
+    slot = value(_SLOT)
     lines = []
     for r in records:
-        parts = [f"{key}={r[key]}" for key in sorted(r) if key != "record"]
-        # the space keeps a record name of 14 or more characters apart
-        lines.append((r.get("record", "") + " ").ljust(14) + " ".join(parts))
-    return "\n".join(lines) + "\n"
+        if isinstance(r, dict):
+            lines.append(line(r) + "\n")
+            continue
+        fixed, budgets = r
+        pieces = [line({**f, **_SLOTS}).split(slot) for f in fixed]
+        if any(len(p) != 4 for p in pieces):
+            raise ValueError(f"a bound field holds the slot marker {_SLOT!r}")
+        for label, logs in budgets:
+            eps = value(label)
+            lines += [
+                f"{a}{eps}{b}{value(lhs_log)}{c}{value(rhs_log)}{d}\n"
+                for (a, b, c, d), (lhs_log, rhs_log) in zip(pieces, logs)
+            ]
+    return "".join(lines)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -288,9 +320,10 @@ def _level_record(level, extra: dict) -> dict:
     }
 
 
-def _bound_records(checks: list, eps_values: Sequence, extra: dict) -> list:
-    """The records of ``checks`` at each budget in turn; the fields that do
-    not depend on eps are built once per check."""
+def _bound_records(checks: list, eps_values: Sequence, extra: dict) -> tuple:
+    """The records of ``checks`` at each budget in turn as one row family:
+    each check's fields that do not depend on eps, built once, and per
+    budget its label and each check's ``(lhs_log, rhs_log)``."""
     fixed = [
         {
             "record": "bound",
@@ -308,12 +341,11 @@ def _bound_records(checks: list, eps_values: Sequence, extra: dict) -> list:
         }
         for check in checks
     ]
-    return [
-        {**record, "eps": label, "lhs_log": _finite(lhs_log), "rhs_log": rhs_log}
-        for eps, label in zip(eps_values, map(str, eps_values))
-        for check, record in zip(checks, fixed)
-        for lhs_log, rhs_log in [check.logs(eps)]
+    budgets = [
+        (str(eps), [(_finite(lhs), rhs) for check in checks for lhs, rhs in [check.logs(eps)]])
+        for eps in eps_values
     ]
+    return fixed, budgets
 
 
 def _cmd_audit_axioms(args) -> tuple:
@@ -324,7 +356,7 @@ def _cmd_audit_axioms(args) -> tuple:
     wanted = (Axiom(args.axiom),) if args.axiom else tuple(levels)
     records = [_level_record(levels[ax], {**extra, "eps": str(eps)}) for ax in wanted]
     checks = evaluate_bounds(levels, inst, bound_premises(inst))
-    records += _bound_records(checks, [eps], extra)
+    records.append(_bound_records(checks, [eps], extra))
     violated = any(not check.satisfied for check in checks)
     return records, EXIT_BOUND_VIOLATION if violated else EXIT_OK
 
@@ -347,8 +379,10 @@ def _cmd_reproduce(args) -> tuple:
                 if grid[0] != dist.epsilon:
                     dist = MECHANISMS[mechanism](inst, grid[0])
                 checks = evaluate_bounds(measure_levels(dist), inst, premises)
-                records += _bound_records(checks, grid, extra)
-    violations = sum(not r["satisfied"] for r in records)
+                records.append(_bound_records(checks, grid, extra))
+    violations = sum(
+        len(budgets) * sum(not f["satisfied"] for f in fixed) for fixed, budgets in records
+    )
     records.append(
         {
             "record": "summary",

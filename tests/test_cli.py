@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -40,6 +41,22 @@ def run_cli(capsys, *argv):
 
 def parse_jsonl(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def json_lines(records):
+    """Records as ``json.dumps`` lines with sorted keys."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def table_lines(records):
+    """Records as ``--format table`` lines: the record name and a space
+    padded to 14 columns, then the other fields as sorted ``key=value``."""
+    return "".join(
+        (r["record"] + " ").ljust(14)
+        + " ".join(f"{key}={r[key]}" for key in sorted(r) if key != "record")
+        + "\n"
+        for r in records
+    )
 
 
 def count_calls(monkeypatch, module, name):
@@ -223,6 +240,22 @@ class TestAuditCommands:
                 digest.update(out.encode())
         assert digest.hexdigest() == (
             "002aeb88bd6cda9553b5bc38d4750c475ebf9b9342e6c532e8d6deb6c1ca3540"
+        )
+
+    def test_audit_axioms_table_golden_digest(self, capsys):
+        # the runs of test_audit_axioms_golden_digest in the table format
+        digest = hashlib.sha256()
+        for wid in WitnessId:
+            for mechanism in sorted(MECHANISMS):
+                code, out, _ = run_cli(
+                    capsys,
+                    "audit-axioms", "--mechanism", mechanism, "--eps", "0.7",
+                    "--witness", wid.value, "--format", "table",
+                )
+                digest.update(f"{wid.value} {mechanism} {code}\n".encode())
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "30358e11db8b4eb17cd55ab19fe7b681d4163b04d32fb6302f0f27aa02dda431"
         )
 
 
@@ -443,6 +476,16 @@ class TestErrors:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+ORACLE_GRIDS = [
+    ("0.1", "1", "2"),
+    ("1/3", "7/5"),
+    ("1e-9", "1e300"),
+    ("0.001", "50", "0.3"),
+    ("1", "1"),
+    ("2/7", "1e-300"),
+]
+
+
 class TestReproduce:
     def test_single_eps_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--eps", "0.5")
@@ -466,30 +509,56 @@ class TestReproduce:
         assert levels == [9 * 6]
         assert premises == [9]
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            ("0.1", "1", "2"),
-            ("1/3", "7/5"),
-            ("1e-9", "1e300"),
-            ("0.001", "50", "0.3"),
-            ("1", "1"),
-            ("2/7", "1e-300"),
-        ],
-    )
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS)
     def test_records_match_per_eps_oracle(self, capsys, grid):
         code, out, _ = run_cli(capsys, "reproduce", "--eps", *grid)
         assert code == 0
-        assert parse_jsonl(out) == brute_reproduce(grid)
+        expected = brute_reproduce(grid)
+        assert parse_jsonl(out) == expected
+        # byte for byte: spacing, key order and float text
+        assert out == json_lines(expected)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS)
+    def test_table_matches_per_eps_oracle(self, capsys, grid):
+        code, out, _ = run_cli(capsys, "reproduce", "--format", "table", "--eps", *grid)
+        assert code == 0
+        assert out == table_lines(brute_reproduce(grid))
 
     def test_law_without_scores_is_built_at_each_eps(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "AUDIT_MECHANISMS", cli.AUDIT_MECHANISMS + ("seq-av",))
         for grid in (("0.1", "1", "2"), ("1/3", "7/5", "1/3")):
             code, out, _ = run_cli(capsys, "reproduce", "--eps", *grid)
             records = parse_jsonl(out)
-            assert records == brute_reproduce(grid)
+            expected = brute_reproduce(grid)
+            assert records == expected
+            assert out == json_lines(expected)
             assert code == (1 if records[-1]["violations"] else 0)
             assert "seq-av" in {r.get("mechanism") for r in records}
+            # the vacuous rows carry the string "inf" as their lhs_log
+            assert any(r["lhs_log"] == "inf" for r in records[:-1])
+            table = run_cli(capsys, "reproduce", "--format", "table", "--eps", *grid)
+            assert table == (code, table_lines(expected), "")
+
+    @pytest.mark.parametrize("fmt", ["structured", "table"])
+    @pytest.mark.parametrize("argv", [
+        ["reproduce"],
+        ["audit-axioms", "--mechanism", "rr-jr", "--eps", "1", "--witness", "JR_UPPER"],
+    ])
+    def test_slot_marker_in_a_fixed_field_is_an_internal_error(
+        self, capsys, monkeypatch, fmt, argv
+    ):
+        evaluate, marker = cli.evaluate_bounds, cli._SLOT
+
+        def marked(*args):
+            checks = evaluate(*args)
+            return [dataclasses.replace(checks[0], note=marker), *checks[1:]]
+
+        monkeypatch.setattr(cli, "evaluate_bounds", marked)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("internal error:") and "slot marker" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_overflow_at_a_later_eps_exits_2_with_empty_stdout(self, capsys):
         code, out, err = run_cli(capsys, "reproduce", "--eps", "1", "1e308")
@@ -508,6 +577,14 @@ class TestReproduce:
         assert out.count("\n") == 1405
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e4b948a3929e9419b5f8a705acc4558f0d9f3e171b553b35489a160b0b76b672"
+        )
+
+    def test_golden_table_digest_on_the_default_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "--format", "table")
+        assert code == 0
+        assert out.count("\n") == 2107
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "439ce7ede6cdd98c6a6e78279528fdf7810d209a5fc436bd1803d65599766851"
         )
 
     def test_witness_override_flags(self, capsys):
