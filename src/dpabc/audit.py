@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 from .axioms import (
     JR_FAMILY,
     Axiom,
+    _approvers,
     _av_scores,
     axiom_committee_set,
     condorcet_committee,
@@ -38,6 +39,7 @@ from .core import (
     InvalidParametersError,
     ResourceLimitError,
     canonical_committees,
+    committee_index,
     nonempty_subsets,
 )
 from .mechanisms import CommitteeDistribution, weight_exponent
@@ -266,15 +268,13 @@ def measure_levels(dist: CommitteeDistribution) -> dict:
     (vacuous without W_c)."""
     inst = dist.instance
     weights = dist.log_probs if dist.scores is None else dist.scores
-
-    def satisfying(ax: Axiom) -> list:
-        members = set(axiom_committee_set(inst, ax))
-        return [i for i, w in enumerate(dist.committees) if w in members]
-
-    levels = {ax: _boundary_level(dist, ax, satisfying(ax), weights) for ax in JR_FAMILY}
+    index = committee_index(inst.m, inst.k)
+    # each axiom set comes in canonical order, so its indices ascend
+    members = {ax: [index[w] for w in axiom_committee_set(inst, ax)] for ax in JR_FAMILY}
+    levels = {ax: _boundary_level(dist, ax, members[ax], weights) for ax in JR_FAMILY}
     levels[Axiom.PE] = _pe_level(dist, weights)
     winner = condorcet_committee(inst)
-    condorcet = [] if winner is None else [dist.committees.index(winner)]
+    condorcet = [] if winner is None else [index[winner]]
     levels[Axiom.CC] = _boundary_level(dist, Axiom.CC, condorcet, weights)
     return levels
 
@@ -314,11 +314,9 @@ def dp_level(
             f"got m={inst.m}"
         )
     base = rule(inst)
-    types = set(inst.ballots)
     last: dict = {}
     twin = []  # each alternative's next lower-indexed twin, else itself
-    for a in range(inst.m):
-        approvers = frozenset(b for b in types if a in b)
+    for a, approvers in enumerate(_approvers(inst)):
         twin.append(last.get(approvers, a))
         last[approvers] = a
     replacements = [b for b in nonempty_subsets(inst.m) if all(twin[a] in b for a in b)]

@@ -58,6 +58,15 @@ PJR_STATE_MAX = 100_000
 PJR_VISIT_MAX = 40_000_000
 
 
+def _approvers(inst: Instance) -> list:
+    """Per alternative, the bitmask of the indices of its approving voters."""
+    approvers = [0] * inst.m
+    for i, ballot in enumerate(inst.ballots):
+        for a in ballot:
+            approvers[a] |= 1 << i
+    return approvers
+
+
 def _cohesive_groups(inst: Instance, top: int) -> list:
     """``(ell, T, V_T)`` for every alternative set ``T`` with ``|T| = ell <=
     top`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
@@ -66,10 +75,7 @@ def _cohesive_groups(inst: Instance, top: int) -> list:
     lexicographic order from a depth-first walk that extends a core only
     while it passes: ``V_T`` shrinks as ``T`` grows while the bar rises."""
     n, k = inst.n, inst.k
-    approvers = [0] * inst.m
-    for i, ballot in enumerate(inst.ballots):
-        for a in ballot:
-            approvers[a] |= 1 << i
+    approvers = _approvers(inst)
     out = []
 
     def extend(core: tuple, voters: int, start: int) -> None:
@@ -254,13 +260,8 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
 
 def _approval_counts(inst: Instance) -> list:
-    """Per alternative, the number of voters approving it, counted in one
-    pass over the ballots."""
-    counts = [0] * inst.m
-    for ballot in inst.ballots:
-        for a in ballot:
-            counts[a] += 1
-    return counts
+    """Per alternative, the number of voters approving it."""
+    return [voters.bit_count() for voters in _approvers(inst)]
 
 
 def _av_scores(inst: Instance) -> tuple:

@@ -41,7 +41,7 @@ from .core import (
     InvalidParametersError,
     ProfileParseError,
     ResourceLimitError,
-    parse_instance,
+    read_instance,
 )
 from .instances import DEFAULT_PARAMETERS, WitnessId, witness, witness_id
 from .mechanisms import AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample
@@ -131,23 +131,11 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_instance(args) -> Instance:
-    """The instance named on the command line, its committee space and voter
-    count capped before a witness of size m or n is built. The ``--n/--k/--m``
-    overrides are a usage error with ``--input``."""
-    if args.input:
-        for name in "nkm":
-            if getattr(args, name) is not None:
-                raise InvalidParametersError(f"--{name} applies to --witness only, not --input")
-        with open(args.input) as fh:
-            inst = parse_instance(fh.read())
-        n, m, k = inst.n, inst.m, inst.k
-    else:
-        wid = witness_id(args.witness)
-        overrides = (args.n, args.k, args.m)
-        n, k, m = (d if o is None else o for o, d in zip(overrides, DEFAULT_PARAMETERS[wid]))
-    # C(m, ell) >= m for 0 < ell < m, so a huge m is rejected uncomputed;
-    # shapes outside 1 <= k <= m are the witness builders' to reject
+def _admit(m: int, k: int) -> int:
+    """The most voters an instance of shape ``m, k`` may have, once its
+    committee space is within the cap. C(m, ell) >= m for 0 < ell < m, so a
+    huge m is rejected uncomputed; shapes outside 1 <= k <= m are the
+    witness builders' and the profile parser's to reject."""
     if 1 <= k <= m and (
         m > COMMITTEE_SPACE_MAX or math.comb(m, min(k, m // 2)) > COMMITTEE_SPACE_MAX
     ):
@@ -155,9 +143,26 @@ def _load_instance(args) -> Instance:
             f"committee space limited to C(m, ell) <= {COMMITTEE_SPACE_MAX} "
             f"for every ell <= k, got m={m} k={k}"
         )
-    if n > VOTER_COUNT_MAX:
+    return VOTER_COUNT_MAX
+
+
+def _load_instance(args) -> Instance:
+    """The instance named on the command line, its committee space and voter
+    count capped before a witness of size m or n, or a ballot of a profile
+    past the voter cap, is built. The ``--n/--k/--m`` overrides are a usage
+    error with ``--input``."""
+    if args.input:
+        for name in "nkm":
+            if getattr(args, name) is not None:
+                raise InvalidParametersError(f"--{name} applies to --witness only, not --input")
+        with open(args.input) as fh:
+            return read_instance(fh, _admit)
+    wid = witness_id(args.witness)
+    overrides = (args.n, args.k, args.m)
+    n, k, m = (d if o is None else o for o, d in zip(overrides, DEFAULT_PARAMETERS[wid]))
+    if n > _admit(m, k):
         raise ResourceLimitError(f"voter count limited to n <= {VOTER_COUNT_MAX}, got n={n}")
-    return inst if args.input else witness(wid, n, k, m).inst
+    return witness(wid, n, k, m).inst
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -371,15 +376,10 @@ def _cmd_reproduce(args) -> tuple:
         premises = bound_premises(inst)
         for mechanism in AUDIT_MECHANISMS:
             extra = {"witness": wid.value, "mechanism": mechanism}
-            # an exponential-family law's checks hold at every eps, so one law
-            # serves the grid; a law without scores is built at each budget
+            # every audited law has scores, so its checks hold at every eps
             dist = MECHANISMS[mechanism](inst, eps_values[0])
-            grids = [eps_values] if dist.scores is not None else [[e] for e in eps_values]
-            for grid in grids:
-                if grid[0] != dist.epsilon:
-                    dist = MECHANISMS[mechanism](inst, grid[0])
-                checks = evaluate_bounds(measure_levels(dist), inst, premises)
-                records.append(_bound_records(checks, grid, extra))
+            checks = evaluate_bounds(measure_levels(dist), inst, premises)
+            records.append(_bound_records(checks, eps_values, extra))
     violations = sum(
         len(budgets) * sum(not f["satisfied"] for f in fixed) for fixed, budgets in records
     )

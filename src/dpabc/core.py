@@ -13,9 +13,10 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class InvalidParametersError(ValueError):
@@ -133,43 +134,52 @@ def parse_instance(text: str) -> Instance:
     alternative indices separated by spaces. Blank lines and ``#`` comments
     are ignored. Empty ballots are rejected.
     """
-    header = None
+    return read_instance((text,))
+
+
+def read_instance(source: Iterable[str], admit: Callable = lambda m, k: math.inf) -> Instance:
+    """Parse profile text (see :func:`parse_instance`) given in pieces that
+    end at line breaks, such as an open file's lines, reading only as far as
+    it must. ``admit(m, k)`` runs on the header before any voter line is
+    parsed and returns the most voters the instance may have, or raises. The
+    first voter line past that many is a ``ResourceLimitError``: no ballot
+    past the cap is built, and the lines after it are not parsed."""
+    # each piece splits as str.splitlines splits the whole text
+    lines = itertools.chain.from_iterable(map(str.splitlines, source))
+    cut = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
+    rows = ((i, line) for i, line in cut if line)
+    header = next(rows, None)
+    if header is None:
+        raise ProfileParseError("missing 'm=<int> k=<int>' header", 1)
+    lineno, line = header
+    parts = line.split()
+    try:
+        fields = dict(p.split("=", 1) for p in parts)
+        if len(parts) != 2 or fields.keys() != {"m", "k"}:
+            raise ValueError
+        m, k = int(fields["m"]), int(fields["k"])
+    except ValueError:
+        message = f"expected header 'm=<int> k=<int>', got {line!r}"
+        raise ProfileParseError(message, lineno) from None
+    cap = admit(m, k)
     ballots = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            try:
-                fields = dict(p.split("=", 1) for p in parts)
-                if len(parts) != 2 or fields.keys() != {"m", "k"}:
-                    raise ValueError
-                m = int(fields["m"])
-                k = int(fields["k"])
-            except ValueError:
-                raise ProfileParseError(
-                    f"expected header 'm=<int> k=<int>', got {line!r}", lineno
-                ) from None
-            header = (m, k)
-            continue
+    for lineno, line in rows:
+        if len(ballots) == cap:
+            # one more voter line is read, unparsed, to tell n = cap + 1 apart
+            got = f"n={cap + 1}" if next(rows, None) is None else f"n >= {cap + 2}"
+            raise ResourceLimitError(f"voter count limited to n <= {cap}, got {got}")
         try:
             approved = [int(tok) for tok in line.split()]
         except ValueError:
             raise ProfileParseError(f"non-integer alternative index in {line!r}", lineno) from None
-        if not approved:
-            raise ProfileParseError("empty ballot", lineno)
-        m = header[0]
         bad = [a for a in approved if not 0 <= a < m]
         if bad:
             raise ProfileParseError(f"alternative index out of range 0..{m - 1}: {bad[0]}", lineno)
         ballots.append(frozenset(approved))
-    if header is None:
-        raise ProfileParseError("missing 'm=<int> k=<int>' header", 1)
     if not ballots:
         raise ProfileParseError("no voter lines", 1)
     try:
-        return Instance(tuple(ballots), header[0], header[1])
+        return Instance(tuple(ballots), m, k)
     except InvalidParametersError as exc:
         raise ProfileParseError(str(exc), 1) from None
 

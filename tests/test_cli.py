@@ -437,6 +437,36 @@ class TestErrors:
             assert result[1:] == ("", "error: voter count limited to n <= 3, got n=4\n")
 
     @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("m=3 k=1", "voter count limited to n <= 3, got n >= 5"),
+            ("m=15 k=6", "committee space limited to C(m, ell) <= 5000"),
+        ],
+    )
+    def test_input_caps_precede_the_ballot_build(
+        self, capsys, tmp_path, monkeypatch, header, message
+    ):
+        # the line past the cap is malformed: an over-cap file exits 3
+        def unbuilt(*args):
+            raise AssertionError("ballot built for an over-cap profile")
+
+        monkeypatch.setattr(cli, "VOTER_COUNT_MAX", 3)
+        monkeypatch.setattr(dpabc.core, "_ballot", unbuilt)
+        path = tmp_path / "voters.txt"
+        path.write_text(f"{header}\n" + "0 1\n" * 4 + "not a ballot\n" + "0 1\n" * 100)
+        code, out, err = run_cli(capsys, "axioms", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_parse_error_within_the_voter_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "VOTER_COUNT_MAX", 3)
+        path = tmp_path / "voters.txt"
+        path.write_text("m=3 k=1\n0 1\nnot a ballot\n" + "0 1\n" * 100)
+        code, out, err = run_cli(capsys, "axioms", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3: non-integer alternative index")
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             (("--k", "0"), "witnesses require k >= 1, got k=0"),
@@ -524,20 +554,22 @@ class TestReproduce:
         assert code == 0
         assert out == table_lines(brute_reproduce(grid))
 
-    def test_law_without_scores_is_built_at_each_eps(self, capsys, monkeypatch):
+    def test_every_audited_law_has_scores(self):
+        # what lets one law, built at the grid's first eps, serve every eps
+        for wid in WitnessId:
+            inst = witness(wid).inst
+            for mechanism in cli.AUDIT_MECHANISMS:
+                assert MECHANISMS[mechanism](inst, 1).scores is not None, (wid, mechanism)
+
+    def test_law_without_scores_on_a_grid_is_an_internal_error(self, capsys, monkeypatch):
+        # one law serves the grid, and a level without scores has no value
+        # at another budget: the run ends in exit 4, never in wrong rows
         monkeypatch.setattr(cli, "AUDIT_MECHANISMS", cli.AUDIT_MECHANISMS + ("seq-av",))
-        for grid in (("0.1", "1", "2"), ("1/3", "7/5", "1/3")):
-            code, out, _ = run_cli(capsys, "reproduce", "--eps", *grid)
-            records = parse_jsonl(out)
-            expected = brute_reproduce(grid)
-            assert records == expected
-            assert out == json_lines(expected)
-            assert code == (1 if records[-1]["violations"] else 0)
-            assert "seq-av" in {r.get("mechanism") for r in records}
-            # the vacuous rows carry the string "inf" as their lhs_log
-            assert any(r["lhs_log"] == "inf" for r in records[:-1])
-            table = run_cli(capsys, "reproduce", "--format", "table", "--eps", *grid)
-            assert table == (code, table_lines(expected), "")
+        code, out, err = run_cli(capsys, "reproduce")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("internal error:") and "has no value at" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("fmt", ["structured", "table"])
     @pytest.mark.parametrize("argv", [

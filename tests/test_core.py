@@ -14,7 +14,7 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc.core import canonical_committees
+from dpabc.core import ResourceLimitError, canonical_committees, read_instance
 
 from brute import permute, permute_committee, profile_distance
 from witnesses import companion
@@ -267,3 +267,45 @@ class TestTextFormat:
     @given(instances(max_m=5, max_n=5))
     def test_round_trip_property(self, inst):
         assert parse_instance(format_instance(inst)) == inst
+
+    def test_lines_split_as_splitlines_splits(self):
+        # form feed and NEL end lines, as they do for str.splitlines
+        with pytest.raises(ProfileParseError) as err:
+            parse_instance("m=3 k=1\x0c0 1\x85x\n")
+        assert err.value.line == 3
+
+    def test_open_file_reads_as_its_text(self, tmp_path):
+        # the file's CRLF ends lines as in the text; form feed ends one too
+        text = "# profile\r\nm=5 k=2\n0 3  # a voter\r\n\n1 2\x0c4\n" + "2\n" * 100
+        path = tmp_path / "profile.txt"
+        path.write_text(text, newline="")
+        with open(path) as fh:
+            inst = read_instance(fh)
+        assert inst == parse_instance(text)
+        assert inst.ballots[:4] == tuple(map(frozenset, ([0, 3], [1, 2], [4], [2])))
+
+    @pytest.mark.parametrize(
+        "voters, got",
+        [
+            ("0\n0\n0\nx\n", "n=4"),
+            ("0\n0\n0\n0\n# comment\n\n", "n=4"),
+            ("0\n0\n0\n0\nx\n", "n >= 5"),
+            ("0\n" * 9, "n >= 5"),
+        ],
+    )
+    def test_voter_cap_stops_at_the_first_voter_past_it(self, voters, got):
+        # a voter line past the cap of 3 is not parsed, so "x" is no error
+        with pytest.raises(ResourceLimitError) as err:
+            read_instance(["m=3 k=1\n" + voters], lambda m, k: 3)
+        assert str(err.value) == f"voter count limited to n <= 3, got {got}"
+
+    def test_admit_sees_the_header_before_any_voter_line(self):
+        seen = []
+
+        def admit(m, k):
+            seen.append((m, k))
+            raise ResourceLimitError("shape")
+
+        with pytest.raises(ResourceLimitError, match="shape"):
+            read_instance(["k=2 m=4\n", "x\n"], admit)
+        assert seen == [(4, 2)]
