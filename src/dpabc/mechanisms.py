@@ -63,8 +63,7 @@ RandomSeed = int
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# limits nothing here; bench/workloads.py reads it to pick the profiles whose
-# sequential draws it checks against the exact law
+# limits nothing; bench/workloads.py reads it to pick the profiles of its exact-law checks
 SEQUENTIAL_LAW_MAX_M = 8
 
 
@@ -218,18 +217,17 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
 def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """Committee-level exponential mechanism with AV score utility:
     P(W) proportional to e^(AV(W) * eps / (2k))."""
-    eps = as_epsilon(epsilon)
-    return _from_scores(inst, eps, "exp-av", _av_scores(inst), 2 * inst.k)
+    return _from_scores(inst, as_epsilon(epsilon), "exp-av", _av_scores(inst), 2 * inst.k)
 
 
 @functools.lru_cache(maxsize=64)
 def _sequential_weights(inst: Instance, epsilon) -> tuple:
-    """Weights e^(approvals * eps / (2k)), built once per (instance, budget); a
-    usage error, raised on every call, for a bad budget or an overflowing sum."""
+    """Weights e^(approvals * eps / (2k)), built once per (instance, budget); a usage
+    error, raised on every call, for a bad budget or an overflowing left-to-right sum."""
     x, scale = float(as_epsilon(epsilon)), 2 * inst.k
     try:
         weights = tuple(math.exp(c * x / scale) for c in _approval_counts(inst))
-        if math.isfinite(sum(weights)):
+        if math.isfinite(list(itertools.accumulate(weights))[-1]):  # a draw's first total
             return weights
     except OverflowError:
         pass
@@ -277,19 +275,22 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
 
 
 def sample_sequential_av(inst: Instance, epsilon, seed: RandomSeed) -> tuple:
-    """Run the k-round sampler literally (one shot, seeded): round j walks the
-    unchosen weights in index order as :func:`sample` walks a law."""
+    """Run the k-round sampler literally (one shot, seeded): round j walks the unchosen
+    weights in index order as :func:`sample` walks a law, its total their last running sum."""
     try:
         weights = list(_sequential_weights(inst, epsilon))
     except TypeError:  # the cache hashes the budget; no budget type is unhashable
         raise InvalidParametersError(f"cannot parse epsilon {epsilon!r}") from None
-    remaining, chosen = list(range(inst.m)), []
-    for j in range(inst.k):
-        u = _uniform(seed, j) * sum(weights)  # sum() is compensated on 3.12+, unlike accumulate
-        i = min(bisect.bisect_right(list(itertools.accumulate(weights)), u), len(weights) - 1)
+    remaining, chosen, state = list(range(inst.m)), [], seed & _MASK64
+    for _ in range(inst.k):
+        state = (state + _GAMMA) & _MASK64
+        running = list(itertools.accumulate(weights))
+        u = (_mix(state) >> 11) * 2.0**-53 * running[-1]
+        i = bisect.bisect_right(running, u, 0, len(running) - 1)  # else the last one
         chosen.append(remaining.pop(i))
         del weights[i]
-    return tuple(sorted(chosen))
+    chosen.sort()
+    return tuple(chosen)
 
 
 def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
@@ -350,6 +351,5 @@ def make_rule(mechanism: str, epsilon) -> Callable[[Instance], CommitteeDistribu
         raise InvalidParametersError(
             f"unknown mechanism {mechanism!r}; valid: {', '.join(sorted(MECHANISMS))}"
         )
-    eps = as_epsilon(epsilon)
-    factory = MECHANISMS[mechanism]
+    factory, eps = MECHANISMS[mechanism], as_epsilon(epsilon)
     return lambda inst: factory(inst, eps)

@@ -235,7 +235,9 @@ def brute_sequential_sample(inst, epsilon, seed):
     draw, and each round a left-to-right walk over the unchosen alternatives
     that picks the first whose running weight exceeds the uniform times
     their total (the last unchosen one when rounding leaves the total at or
-    below it)."""
+    below it). The total is added left to right from 0 too, not by ``sum()``,
+    which is compensated from CPython 3.12 on, so the oracle names one draw
+    on every interpreter."""
     x, scale = float(as_epsilon(epsilon)), 2 * inst.k
     weights = [
         math.exp(sum(a in b for b in inst.ballots) * x / scale) for a in range(inst.m)
@@ -244,7 +246,9 @@ def brute_sequential_sample(inst, epsilon, seed):
     chosen = []
     remaining = list(range(inst.m))
     for _ in range(inst.k):
-        total = sum(map(weights.__getitem__, remaining))
+        total = 0.0
+        for a in remaining:
+            total += weights[a]
         u = next(uniforms) * total
         acc = 0.0
         pick = remaining[-1]

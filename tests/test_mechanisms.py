@@ -458,6 +458,19 @@ class TestSequentialAv:
                 inst, 1, seed
             ), seed
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instances(max_m=7, max_k=7).flatmap(
+            lambda inst: st.sampled_from((1, inst.k, inst.m)).map(
+                lambda k: Instance(inst.ballots, inst.m, k)
+            )
+        ),
+        st.sampled_from(("1e-9", "1/3", "1", "7/2", "30")),
+        st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(-(2**70), 2**70)),
+    )
+    def test_sampler_matches_the_oracle_on_random_profiles(self, inst, eps, seed):
+        assert sample_sequential_av(inst, eps, seed) == brute_sequential_sample(inst, eps, seed)
+
     def test_literal_sampler_deterministic(self):
         inst = Instance([{0}, {0, 1}, {2}], 4, 2)
         assert sample_sequential_av(inst, 1, 99) == sample_sequential_av(inst, 1, 99)
