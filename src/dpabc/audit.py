@@ -291,9 +291,9 @@ def dp_level(
     multiset) and neutral (relabelling the alternatives relabels its law's
     committees, bit for bit), as every rule in ``MECHANISMS`` is.
 
-    * Anonymity: a voter whose ballot an earlier voter holds yields only
-      neighbors equal, as multisets, to ones already evaluated, so such
-      voters are skipped.
+    * Anonymity: voters casting the same ballot have neighbors equal as
+      multisets, so each distinct ballot is visited once, in order of first
+      appearance, through its first voter.
     * Neutrality: alternatives are twins when the same voters approve them.
       Swapping twins fixes every ballot of ``inst`` and maps the neighbor
       (voter, b) to (voter, swapped b), whose gaps are the same floats on
@@ -323,12 +323,9 @@ def dp_level(
     worst = 0.0
     attaining: Optional[tuple] = None
     evaluated = 0
-    seen: set = set()
     laws: set = set()
-    for voter, current in enumerate(inst.ballots):
-        if current in seen:
-            continue
-        seen.add(current)
+    for current in dict.fromkeys(inst.ballots):
+        voter = inst.ballots.index(current)
         for ballot in replacements:
             if ballot == current:
                 continue

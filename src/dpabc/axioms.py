@@ -68,8 +68,8 @@ def _approvers(inst: Instance) -> list:
 
 
 def _cohesive_groups(inst: Instance, top: int) -> list:
-    """``(ell, T, V_T)`` for every alternative set ``T`` with ``|T| = ell <=
-    top`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
+    """``(ell, T, V_T)`` for every alternative bitmask ``T`` with ``|T| = ell
+    <= top`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
     ``k*|V_T| >= ell*n``; ``V_T`` is a bitmask of voter indices, the AND of
     the approver masks of ``T``'s members. The cores of each size come in
     lexicographic order from a depth-first walk that extends a core only
@@ -78,16 +78,16 @@ def _cohesive_groups(inst: Instance, top: int) -> list:
     approvers = _approvers(inst)
     out = []
 
-    def extend(core: tuple, voters: int, start: int) -> None:
-        ell = len(core) + 1
+    def extend(core: int, voters: int, start: int) -> None:
+        ell = core.bit_count() + 1
         for a in range(start, inst.m):
             shared = voters & approvers[a]
             if k * shared.bit_count() >= ell * n:
-                out.append((ell, core + (a,), shared))
+                out.append((ell, core | 1 << a, shared))
                 if ell < top:
-                    extend(core + (a,), shared, a + 1)
+                    extend(core | 1 << a, shared, a + 1)
 
-    extend((), (1 << n) - 1, 0)
+    extend(0, (1 << n) - 1, 0)
     return out
 
 
@@ -117,12 +117,12 @@ def _ballot_table(m: int, k: int, ballot: int) -> tuple:
 
 
 def _ballot_types(inst: Instance) -> list:
-    """The distinct ballots as sorted ``(mask, voters)`` pairs, ``voters`` the
-    bitmask of the indices of the voters casting that ballot."""
-    voters: dict = {}
-    for i, ballot in enumerate(inst.ballots):
-        voters[ballot] = voters.get(ballot, 0) | 1 << i
-    return sorted((_mask(ballot), v) for ballot, v in voters.items())
+    """The distinct ballots as sorted ``(mask, count)`` pairs, ``count`` the
+    number of voters casting that ballot."""
+    counts: dict = {}
+    for ballot in inst.ballots:
+        counts[ballot] = counts.get(ballot, 0) + 1
+    return sorted((_mask(ballot), count) for ballot, count in counts.items())
 
 
 def _overlaps(inst: Instance, types: list) -> list:
@@ -149,8 +149,7 @@ def _pjr_groups(inst: Instance) -> list:
     n, k = inst.n, inst.k
     most: dict = {}
     visits = 0
-    for ballot, voters in _ballot_types(inst):
-        count = voters.bit_count()
+    for ballot, count in _ballot_types(inst):
         visits += len(most)
         for (common, union), size in list(most.items()):
             if common & ballot:
@@ -208,10 +207,10 @@ def _violations(inst: Instance, ax: Axiom) -> int:
     PJR: a committee violates iff its overlap with some group union is below
     that group's cap, so the violators are the OR of ``below[cap]`` over the
     unions. JR/EJR: a committee ``w`` violates iff, for some cohesive
-    ``(ell, V_T)``, the voters of ``V_T`` with fewer than ``ell`` members of
-    ``w`` are l-cohesive themselves, i.e. iff the ballot types in ``V_T``
-    whose ``below[ell]`` holds ``w`` have at least ``ell*n/k`` voters: one
-    bit-sliced count per group over all committees at once."""
+    ``(ell, T, V_T)``, the voters of ``V_T`` with fewer than ``ell`` members
+    of ``w`` are l-cohesive themselves, i.e. iff the ballot types holding
+    ``T`` whose ``below[ell]`` holds ``w`` have at least ``ell*n/k`` voters:
+    one bit-sliced count per group over all committees at once."""
     m, n, k = inst.m, inst.n, inst.k
     if ax is Axiom.PJR:
         return reduce(
@@ -220,19 +219,19 @@ def _violations(inst: Instance, ax: Axiom) -> int:
     if ax not in (Axiom.JR, Axiom.EJR):
         raise InvalidParametersError(f"axiom_committee_set expects JR/PJR/EJR, got {ax}")
     top = 1 if ax is Axiom.JR else k
-    types = [(_ballot_table(m, k, t)[1], voters) for t, voters in _ballot_types(inst)]
-    groups = {(ell, v) for ell, _, v in _cohesive_groups(inst, top)}
-    # a group inside another of the same ell adds no violators; by ell and
-    # size descending, a group's container comes first, and containment is
-    # transitive, so testing against the groups kept so far is enough
+    types = [(t, _ballot_table(m, k, t)[1], count) for t, count in _ballot_types(inst)]
+    groups = _cohesive_groups(inst, top)
+    # a group inside another of the same ell, or equal to it, adds no
+    # violators; by ell and size descending, a group's container comes first,
+    # and containment is transitive, so testing against the kept ones is enough
     kept: dict = {}
     found = 0
-    for ell, group in sorted(groups, key=lambda g: (g[0], -g[1].bit_count())):
+    for ell, core, group in sorted(groups, key=lambda g: (g[0], -g[2].bit_count())):
         same = kept.setdefault(ell, [])
         if any(v | group == v for v in same):
             continue
         same.append(group)
-        members = [(below[ell], voters.bit_count()) for below, voters in types if voters & group]
+        members = [(below[ell], count) for t, below, count in types if core & t == core]
         found |= _at_least(members, -(-ell * n // k))
     return found
 
@@ -322,7 +321,7 @@ def condorcet_committee(inst: Instance) -> Optional[tuple]:
     if len(majority) < k:
         return None
     types = _ballot_types(inst)
-    counts = [voters.bit_count() for _, voters in types]
+    counts = [count for _, count in types]
     overlaps = _overlaps(inst, types)
 
     def beats(i: int, j: int) -> bool:

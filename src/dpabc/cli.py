@@ -60,9 +60,9 @@ EXIT_INTERNAL = 4
 COMMITTEE_SPACE_MAX = 5000
 
 # Most voters an instance may have; every checker and rule walks the
-# ballots. On JR_UPPER at n = 10^5, `axioms` and `audit-dp --mechanism
-# exp-av` each take 1.1-1.5 s at 64 MB peak RSS; `axioms` at n = 10^6 took
-# 59 s and 482 MB.
+# ballots. On JR_UPPER at n = 10^5, `axioms` takes 0.65-0.8 s and `audit-dp
+# --mechanism exp-av` 2.1-3.6 s, at 40-41 MB peak RSS; `axioms` at n = 10^6
+# took 21 s and 249 MB.
 VOTER_COUNT_MAX = 100_000
 
 DEFAULT_EPS_GRID = ("0.1", "1", "2")
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="full bound-check grid over all witnesses")
     # repeated flags add up; None (no flag) selects DEFAULT_EPS_GRID
-    p_rep.add_argument("--eps", nargs="*", action="extend")
+    p_rep.add_argument("--eps", nargs="+", action="extend")
     _add_common_args(p_rep, mechanism=False)
     return parser
 
@@ -368,8 +368,6 @@ def _cmd_audit_axioms(args) -> tuple:
 
 def _cmd_reproduce(args) -> tuple:
     eps_values = [as_epsilon(e) for e in (DEFAULT_EPS_GRID if args.eps is None else args.eps)]
-    if not eps_values:
-        raise InvalidParametersError("reproduce needs at least one --eps value")
     records = []
     for wid in WitnessId:
         inst = witness(wid).inst

@@ -34,8 +34,8 @@ Rules:
 
 Sampling uses splitmix64, a fixed 64-bit generator (Steele et al.'s constants):
 state advances by 0x9E3779B97F4A7C15 and is finalized by two xor-shift
-multiplies; uniforms take the top 53 bits, and the stream has a closed form in
-(seed, index). Same (distribution, seed) always yields the same committee.
+multiplies; uniforms take the top 53 bits, and the samplers advance that state
+inline. Same (distribution, seed) always yields the same committee.
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ def uniform_stream(seed: RandomSeed) -> Iterator[float]:
     """Uniforms in [0, 1) from the top 53 bits of splitmix64 words."""
     for word in splitmix64(seed):
         yield (word >> 11) * 2.0**-53
-
-
-def _uniform(seed: RandomSeed, j: int) -> float:
-    """Item ``j`` (from 0) of ``uniform_stream(seed)``, in closed form."""
-    return (_mix((seed + (j + 1) * _GAMMA) & _MASK64) >> 11) * 2.0**-53
 
 
 def as_epsilon(epsilon) -> Fraction:
@@ -318,8 +313,8 @@ def sample(dist: CommitteeDistribution, seed: RandomSeed) -> tuple:
     """Inverse-CDF draw over the canonical committee order; deterministic in
     (dist, seed). The first committee whose running sum exceeds the uniform
     wins, and the last one when rounding leaves the total at or below it."""
-    i = bisect.bisect_right(dist.cumulative, _uniform(seed, 0))
-    return dist.committees[min(i, len(dist.committees) - 1)]
+    u = (_mix((seed + _GAMMA) & _MASK64) >> 11) * 2.0**-53  # next(uniform_stream(seed))
+    return dist.committees[bisect.bisect_right(dist.cumulative, u, 0, len(dist.committees) - 1)]
 
 
 def total_variation(d1: CommitteeDistribution, d2: CommitteeDistribution) -> float:

@@ -24,7 +24,14 @@ from dpabc import (
 )
 import dpabc
 from dpabc import axioms
-from dpabc.axioms import JR_FAMILY, _approval_counts, _at_least, _cohesive_groups, _pjr_groups
+from dpabc.axioms import (
+    JR_FAMILY,
+    _approval_counts,
+    _at_least,
+    _ballot_types,
+    _cohesive_groups,
+    _pjr_groups,
+)
 from dpabc.core import ResourceLimitError, canonical_committees
 from dpabc.instances import DEFAULT_PARAMETERS
 
@@ -94,7 +101,10 @@ class TestCohesiveWitnesses:
         groups = _cohesive_groups(inst, inst.k)
         for ell in range(1, inst.k + 1):
             walked = [
-                (frozenset(core), frozenset(i for i in range(inst.n) if voters >> i & 1))
+                (
+                    frozenset(a for a in range(inst.m) if core >> a & 1),
+                    frozenset(i for i in range(inst.n) if voters >> i & 1),
+                )
                 for size, core, voters in groups
                 if size == ell
             ]
@@ -407,6 +417,15 @@ def bloc_profile(m, n, k, seed):
         extra = {a for a in range(2, m) if rng.random() < p}
         ballots.append(({0, 1} if i % 3 else set()) | extra or {m - 1})
     return Instance(ballots, m, k)
+
+
+class TestBallotTypes:
+    @settings(max_examples=100)
+    @given(instances(max_m=5, max_n=12))
+    def test_types_are_the_ballot_counts_by_mask(self, inst):
+        counts = Counter(inst.ballots)
+        expected = sorted((sum(1 << a for a in b), c) for b, c in counts.items())
+        assert _ballot_types(inst) == expected
 
 
 class TestManyBallotTypes:

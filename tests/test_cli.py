@@ -598,6 +598,13 @@ class TestReproduce:
         assert out == ""
         assert "epsilon too large" in err
 
+    def test_eps_flag_without_a_value_exits_2_with_empty_stdout(self, capsys):
+        for argv in (["--eps"], ["--eps", "0.1", "--eps"]):
+            code, out, err = run_cli(capsys, "reproduce", *argv)
+            assert code == 2
+            assert out == ""
+            assert "expected at least one argument" in err
+
     def test_repeated_eps_flags_add_up(self, capsys):
         repeated = run_cli(capsys, "reproduce", "--eps", "0.1", "--eps", "2")
         assert repeated == run_cli(capsys, "reproduce", "--eps", "0.1", "2")

@@ -34,7 +34,6 @@ from dpabc.core import canonical_committees, committee_index
 from dpabc.mechanisms import (
     AUDIT_MECHANISMS,
     _law,
-    _uniform,
     as_epsilon,
     splitmix64,
     uniform_stream,
@@ -188,13 +187,6 @@ class TestSplitmix:
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
         ]
-
-    def test_closed_form_uniform_is_the_stream_item(self):
-        for seed in (*range(2000), *EDGE_SEEDS):
-            stream = uniform_stream(seed)
-            assert [_uniform(seed, j) for j in range(32)] == [
-                next(stream) for _ in range(32)
-            ], seed
 
     def test_uniforms_in_unit_interval(self):
         stream = uniform_stream(7)
