@@ -53,7 +53,7 @@ def main():
         "--witness", action="append", type=witness_arg, help="witness id (repeatable)"
     )
     # repeated flags add up; None (no flag) selects the default grid
-    parser.add_argument("--eps", nargs="*", type=eps_arg, action="extend")
+    parser.add_argument("--eps", nargs="+", type=eps_arg, action="extend")
     args = parser.parse_args()
     eps_grid = ["0.1", "0.5", "1", "2"] if args.eps is None else args.eps
 

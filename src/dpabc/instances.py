@@ -240,36 +240,28 @@ def witness(
 
 @dataclass(frozen=True)
 class BallotModel:
-    """Random ballot model for fuzzing.
-
-    ``impartial``: each alternative approved independently with
-    ``approval_probability`` (empty draws are resampled).
-    ``disjoint-groups``: voters are split into ``groups`` near-equal blocks
-    and each block shares one impartially drawn ballot.
-    """
+    """Impartial-culture ballot model for fuzzing: each alternative is approved
+    independently with ``approval_probability`` (empty draws are resampled);
+    ``kind`` must be ``"impartial"``."""
 
     kind: str
     approval_probability: float = 0.5
-    groups: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("impartial", "disjoint-groups"):
+        if self.kind != "impartial":
             raise InvalidParametersError(f"unknown ballot model kind {self.kind!r}")
         if not 0 < self.approval_probability <= 1:
             raise InvalidParametersError(
                 f"approval probability must lie in (0, 1], got {self.approval_probability}"
             )
-        if self.groups < 1:
-            raise InvalidParametersError(f"need at least one group, got {self.groups}")
 
 
 def random_instance(
     m: int, n: int, k: int, model: BallotModel, seed: RandomSeed
 ) -> Instance:
     """Deterministic random instance: same (model, seed) gives the same
-    profile; every ballot is non-empty."""
-    if not 1 <= k <= m:
-        raise InvalidParametersError(f"need 1 <= k <= m, got k={k}, m={m}")
+    profile; every ballot is non-empty. ``Instance`` checks ``m`` and ``k``
+    before it takes the first ballot from the lazy draw."""
     uniforms = uniform_stream(seed)
 
     def draw_ballot() -> frozenset:
@@ -280,11 +272,4 @@ def random_instance(
             if ballot:
                 return ballot
 
-    if model.kind == "impartial":
-        ballots = [draw_ballot() for _ in range(n)]
-    else:
-        groups = min(model.groups, n)
-        shared = [draw_ballot() for _ in range(groups)]
-        # near-equal contiguous blocks
-        ballots = [shared[min(j * groups // n, groups - 1)] for j in range(n)]
-    return Instance(ballots, m, k)
+    return Instance((draw_ballot() for _ in range(n)), m, k)

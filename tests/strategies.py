@@ -1,8 +1,9 @@
-"""Shared hypothesis strategies for profile/instance generation."""
+"""Shared hypothesis strategies and seeded builders for profile/instance
+generation."""
 
 from hypothesis import strategies as st
 
-from dpabc import Instance
+from dpabc import BallotModel, Instance, random_instance
 
 
 @st.composite
@@ -25,3 +26,13 @@ def instances_with_permutation(draw, **kwargs):
     inst = draw(instances(**kwargs))
     sigma = draw(st.permutations(list(range(inst.m))))
     return inst, tuple(sigma)
+
+
+def grouped_instance(m, n, k, p, groups, seed):
+    """A seeded profile whose ballot types carry several voters: the voters
+    are split into ``min(groups, n)`` near-equal contiguous blocks, and block
+    ``g`` shares the ``g``-th impartial ballot drawn with approval
+    probability ``p`` from ``seed``."""
+    groups = min(groups, n)
+    shared = random_instance(m, groups, k, BallotModel("impartial", p), seed).ballots
+    return Instance([shared[j * groups // n] for j in range(n)], m, k)

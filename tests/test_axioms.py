@@ -44,7 +44,7 @@ from brute import (
     permute,
     permute_committee,
 )
-from strategies import instances, instances_with_permutation
+from strategies import grouped_instance, instances, instances_with_permutation
 from witnesses import companion, tagged
 
 
@@ -267,9 +267,8 @@ class TestCondorcet:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force_on_repeated_ballots(self, seed):
         # a few shared ballots per profile, so ballot types carry several voters
-        model = BallotModel("disjoint-groups", 0.5, groups=1 + seed % 3)
         m = 3 + seed % 4
-        inst = random_instance(m, 4 + seed % 6, 1 + seed % (m - 1), model, seed)
+        inst = grouped_instance(m, 4 + seed % 6, 1 + seed % (m - 1), 0.5, 1 + seed % 3, seed)
         assert len(set(inst.ballots)) < inst.n
         assert condorcet_committee(inst) == brute_condorcet(inst)
 

@@ -792,6 +792,10 @@ class TestTradeoffGridScript:
         assert repeated.stdout == together.stdout
         assert " 0.1 " in repeated.stdout and "    2 " in repeated.stdout
 
+    @pytest.mark.parametrize("argv", [["--eps"], ["--eps", "0.1", "--eps"]])
+    def test_eps_flag_without_a_value_exits_2(self, argv):
+        assert_usage_error(self.run_script(*argv), "expected at least one argument")
+
     def test_unknown_witness_is_a_usage_error(self):
         result = self.run_script("--witness", "no-such-witness")
         assert_usage_error(result, "unknown witness id 'no-such-witness'")

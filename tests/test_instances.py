@@ -29,6 +29,7 @@ from brute import (
     pareto_dominates,
     profile_distance,
 )
+from strategies import grouped_instance
 from witnesses import companion, pe_chain, tagged
 
 IN, OUT = True, False
@@ -271,12 +272,6 @@ class TestRandomInstance:
         model = BallotModel("impartial", 0.4)
         assert random_instance(5, 4, 2, model, 7) == random_instance(5, 4, 2, model, 7)
 
-    def test_groups_share_ballots(self):
-        model = BallotModel("disjoint-groups", 0.5, groups=2)
-        inst = random_instance(5, 6, 2, model, 11)
-        assert len(set(inst.ballots)) <= 2
-        assert inst.ballots[0] == inst.ballots[1] == inst.ballots[2]
-
     def test_approval_frequency_matches_conditional_marginal(self):
         # resampling empty ballots conditions on non-emptiness, so the
         # per-alternative marginal is p / (1 - (1-p)^m) = 16/31 for p=1/2, m=5
@@ -295,12 +290,37 @@ class TestRandomInstance:
         inst = random_instance(4, 3, 2, BallotModel("impartial", p), seed)
         assert all(b for b in inst.ballots)
 
-    def test_model_validation(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BallotModel("martian"),
+            lambda: BallotModel("impartial", 0.0),
+            # the shape is Instance's check; it runs before the first draw,
+            # so m = 0, where every draw is empty, fails rather than spins
+            lambda: random_instance(2, 3, 1, BallotModel("impartial"), 0),
+            lambda: random_instance(0, 3, 1, BallotModel("impartial"), 0),
+            lambda: random_instance(4, 3, 0, BallotModel("impartial"), 0),
+            lambda: random_instance(3, 2, 4, BallotModel("impartial"), 0),
+        ],
+        ids=["unknown-kind", "p=0", "m=2", "m=0", "k=0", "k>m"],
+    )
+    def test_model_validation(self, make):
         with pytest.raises(InvalidParametersError):
-            BallotModel("martian")
-        with pytest.raises(InvalidParametersError):
-            BallotModel("impartial", 0.0)
-        with pytest.raises(InvalidParametersError):
-            BallotModel("disjoint-groups", 0.5, groups=0)
-        with pytest.raises(InvalidParametersError):
-            random_instance(3, 2, 4, BallotModel("impartial"), 0)
+            make()
+
+    def test_grouped_profiles_golden_digest(self):
+        # the profiles of the Condorcet repeated-ballot test, then the grouped
+        # seq-av law profiles, so that both oracles keep running on them
+        shapes = [
+            (3 + seed % 4, 4 + seed % 6, 1 + seed % (2 + seed % 4), 0.5, 1 + seed % 3, seed)
+            for seed in range(40)
+        ] + [
+            (5 + seed % 4, 4 + seed % 5, 2 + seed % (3 + seed % 4), 0.5, 2, seed)
+            for seed in (0, 2, 4, 6)
+        ]
+        digest = hashlib.sha256()
+        for shape in shapes:
+            digest.update(format_instance(grouped_instance(*shape)).encode())
+        assert digest.hexdigest() == (
+            "cc80ab64330eb57db6fc76474a9fb459a1e913f25f457cd5e20b3a99a4d4fa68"
+        )

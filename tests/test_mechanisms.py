@@ -48,7 +48,7 @@ from brute import (
     permute_committee,
     ratio_coeff,
 )
-from strategies import instances, instances_with_permutation
+from strategies import grouped_instance, instances, instances_with_permutation
 
 ALL_MECHANISMS = sorted(MECHANISMS)
 
@@ -353,15 +353,12 @@ class TestSequentialAv:
     LAW_PROFILES = [(wid.value, witness(wid).inst) for wid in WitnessId] + [
         (
             f"random-{seed}",
-            random_instance(
-                5 + seed % 4,
-                4 + seed % 5,
-                2 + seed % (3 + seed % 4),
-                BallotModel("impartial", 0.4) if seed % 2 else BallotModel("disjoint-groups"),
-                seed,
-            ),
+            random_instance(*shape, BallotModel("impartial", 0.4), seed)
+            if seed % 2
+            else grouped_instance(*shape, 0.5, 2, seed),
         )
         for seed in range(8)
+        for shape in [(5 + seed % 4, 4 + seed % 5, 2 + seed % (3 + seed % 4))]
     ]
 
     @pytest.mark.parametrize("eps", ["0.1", "1", "3", "30", "100", "300"])
