@@ -44,7 +44,9 @@ from .core import (
     read_instance,
 )
 from .instances import DEFAULT_PARAMETERS, WitnessId, witness, witness_id
-from .mechanisms import AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample
+from .mechanisms import (
+    AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample, sample_sequential_av
+)
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -209,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax = sub.add_parser("audit-axioms", help="axiom levels and bound checks")
     _add_common_args(p_ax)
     _add_instance_args(p_ax)
-    p_ax.add_argument("--axiom", choices=("jr", "pjr", "ejr"), help="restrict level records")
 
     p_rep = sub.add_parser("reproduce", help="full bound-check grid over all witnesses")
     # repeated flags add up; None (no flag) selects DEFAULT_EPS_GRID
@@ -242,13 +243,17 @@ def _cmd_dist(args) -> tuple:
 
 
 def _cmd_sample(args) -> tuple:
-    dist = _distribution(args)
+    inst, eps = _load_instance(args), as_epsilon(args.eps)
+    if args.mechanism == "seq-av":  # the rule's own k-round draw; it builds no law
+        committee = sample_sequential_av(inst, eps, args.seed)
+    else:
+        committee = sample(MECHANISMS[args.mechanism](inst, eps), args.seed)
     record = {
         "record": "sample",
-        "mechanism": dist.mechanism,
-        "eps": str(dist.epsilon),
+        "mechanism": args.mechanism,
+        "eps": str(eps),
         "seed": args.seed,
-        "committee": list(sample(dist, args.seed)),
+        "committee": list(committee),
     }
     return [record], EXIT_OK
 
@@ -358,8 +363,7 @@ def _cmd_audit_axioms(args) -> tuple:
     inst, eps = dist.instance, dist.epsilon
     levels = measure_levels(dist)
     extra = {"mechanism": args.mechanism}
-    wanted = (Axiom(args.axiom),) if args.axiom else tuple(levels)
-    records = [_level_record(levels[ax], {**extra, "eps": str(eps)}) for ax in wanted]
+    records = [_level_record(level, {**extra, "eps": str(eps)}) for level in levels.values()]
     checks = evaluate_bounds(levels, inst, bound_premises(inst))
     records.append(_bound_records(checks, [eps], extra))
     violated = any(not check.satisfied for check in checks)

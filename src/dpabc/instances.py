@@ -51,20 +51,6 @@ class WitnessInstance:
     inst: Instance
 
 
-# canonical (smallest valid) parameters per witness id
-DEFAULT_PARAMETERS: dict = {
-    WitnessId.JR_UPPER: (4, 2, 4),
-    WitnessId.PJR_UPPER: (4, 2, 4),
-    WitnessId.EJR_UPPER: (4, 2, 4),
-    WitnessId.PE_CHAIN: (2, 2, 5),
-    WitnessId.CC_UPPER: (3, 2, 4),
-    WitnessId.JR_PJR_3WAY: (5, 5, 8),
-    WitnessId.PJR_EJR_3WAY: (6, 3, 8),
-    WitnessId.FIG3_DIVERGENCE: (4, 2, 4),
-    WitnessId.CC_JR_INCOMPAT: (3, 3, 6),
-}
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidParametersError(message)
@@ -208,17 +194,20 @@ def _cc_jr_incompat(n: int, k: int, m: int) -> Instance:
     return Instance([range(k)] * (t + 1) + [range(k, 2 * k)] * t, m, k)
 
 
-_BUILDERS = {
-    WitnessId.JR_UPPER: _jr_upper,
-    WitnessId.PJR_UPPER: _pjr_upper,
-    WitnessId.EJR_UPPER: _ejr_upper,
-    WitnessId.PE_CHAIN: _pe_dominance,
-    WitnessId.CC_UPPER: _cc_upper,
-    WitnessId.JR_PJR_3WAY: _jr_pjr_3way,
-    WitnessId.PJR_EJR_3WAY: _pjr_ejr_3way,
-    WitnessId.FIG3_DIVERGENCE: _fig3_divergence,
-    WitnessId.CC_JR_INCOMPAT: _cc_jr_incompat,
+# witness id -> (builder, canonical (smallest valid) parameters (n, k, m))
+_WITNESSES = {
+    WitnessId.JR_UPPER: (_jr_upper, (4, 2, 4)),
+    WitnessId.PJR_UPPER: (_pjr_upper, (4, 2, 4)),
+    WitnessId.EJR_UPPER: (_ejr_upper, (4, 2, 4)),
+    WitnessId.PE_CHAIN: (_pe_dominance, (2, 2, 5)),
+    WitnessId.CC_UPPER: (_cc_upper, (3, 2, 4)),
+    WitnessId.JR_PJR_3WAY: (_jr_pjr_3way, (5, 5, 8)),
+    WitnessId.PJR_EJR_3WAY: (_pjr_ejr_3way, (6, 3, 8)),
+    WitnessId.FIG3_DIVERGENCE: (_fig3_divergence, (4, 2, 4)),
+    WitnessId.CC_JR_INCOMPAT: (_cc_jr_incompat, (3, 3, 6)),
 }
+
+DEFAULT_PARAMETERS: dict = {wid: shape for wid, (_, shape) in _WITNESSES.items()}
 
 
 def witness(
@@ -230,10 +219,10 @@ def witness(
     """Construct a witness by id; omitted parameters take the documented
     defaults. Parameter combinations violating a construction's side
     conditions are rejected with the condition named."""
-    default_n, default_k, default_m = DEFAULT_PARAMETERS[wid]
+    build, (default_n, default_k, default_m) = _WITNESSES[wid]
     k = k if k is not None else default_k
     _require(k >= 1, f"witnesses require k >= 1, got k={k}")
-    return WitnessInstance(_BUILDERS[wid](
+    return WitnessInstance(build(
         n if n is not None else default_n, k, m if m is not None else default_m
     ))
 

@@ -23,11 +23,12 @@ Rules:
   ``q = 1/2`` for committees satisfying the axiom, ``q = 0`` otherwise.
 * ``exp_av_distribution`` -- committee-level exponential mechanism with the
   approval (AV) score as utility: ``q = AV(W) / (2k)``.
-* ``sequential_av_distribution`` -- the exact law of the k-round
-  without-replacement sampler that picks alternatives one at a time with
-  per-alternative weights ``e^(approvals * eps / (2k))``. This law is close
-  to, but not identical with, ``exp_av_distribution``; both are provided and
-  ``total_variation`` quantifies the gap.
+* ``seq-av`` -- the k-round without-replacement sampler that picks
+  alternatives one at a time with per-alternative weights
+  ``e^(approvals * eps / (2k))``. ``sample_sequential_av`` runs it, and
+  ``dpabc sample`` draws with it; ``sequential_av_distribution`` is its exact
+  law, which ``dist`` and the audits read. That law is close to, but not
+  identical with, ``exp_av_distribution``; ``total_variation`` gives the gap.
 * ``rr_condorcet_distribution`` -- randomized response on the Condorcet
   committee: ``q = 1`` for it, ``q = 0`` elsewhere; uniform when none exists.
 * ``uniform_distribution`` -- instance-independent baseline.

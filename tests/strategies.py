@@ -1,9 +1,13 @@
 """Shared hypothesis strategies and seeded builders for profile/instance
-generation."""
+generation, and the seeds past the ends of the samplers' range."""
 
 from hypothesis import strategies as st
 
 from dpabc import BallotModel, Instance, random_instance
+
+# seeds at and past the ends of the 64-bit range, which the samplers reduce
+# mod 2^64
+EDGE_SEEDS = (-1, -(2**63), 2**64 - 1, 2**64 + 7, 2**70)
 
 
 @st.composite

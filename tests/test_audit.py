@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from dpabc import (
     BoundId,
     axiom_committee_set,
     condorcet_committee,
+    dominance_pairs,
     InvalidParametersError,
     ResourceLimitError,
     check_bound,
@@ -27,10 +30,10 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc.audit import _longest_chain, bound_premises
-from dpabc.axioms import JR_FAMILY
-from dpabc.core import canonical_committees
-from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS
+from dpabc.audit import TOLERANCE, _longest_chain, bound_premises
+from dpabc.axioms import JR_FAMILY, _av_scores
+from dpabc.core import canonical_committees, nonempty_subsets
+from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS, _from_scores, as_epsilon
 
 from brute import (
     brute_longest_chain,
@@ -142,6 +145,10 @@ class TestDpLevel:
         inst = Instance([{0}], 9, 2)
         with pytest.raises(ResourceLimitError, match="m <= 8"):
             dp_level(make_rule("uniform", 1), inst)
+
+    def test_unknown_mechanism_lists_valid_names(self):
+        with pytest.raises(InvalidParametersError, match="'no-such-rule'; valid: exp-av, "):
+            make_rule("no-such-rule", 1)
 
     def test_direction_symmetric_on_designed_pair(self):
         # auditing from either profile of the flip pair finds the same worst
@@ -353,6 +360,101 @@ class TestLevelInvariants:
         checks = evaluate_bounds(levels, inst, bound_premises(inst))
         assert all(c.vacuous for c in checks)
         assert all(c.satisfied for c in checks)
+
+
+# every (m, n) of the swap-pair sweep; k runs over 1..m-1
+SWAP_SHAPES = ((3, 2), (3, 3), (4, 2), (4, 3))
+
+
+def neighbour_multisets(m, n):
+    """Every unordered pair of n-ballot multisets over m alternatives that
+    differ in one ballot, each multiset a sorted tuple of indices into
+    ``nonempty_subsets(m)``."""
+    types = range(2**m - 1)
+    for profile in itertools.combinations_with_replacement(types, n):
+        for out in set(profile):
+            rest = list(profile)
+            rest.remove(out)
+            for ballot in types:
+                other = tuple(sorted(rest + [ballot]))
+                if other > profile:
+                    yield profile, other
+
+
+@functools.lru_cache(maxsize=None)
+def axiom_roles(m, k, profile):
+    """The profile's instance and, per axiom, what holds its roles: each
+    JR-family committee set, the dominance pairs (by committee index) and
+    the Condorcet committee."""
+    ballots = tuple(nonempty_subsets(m))
+    inst = Instance([ballots[i] for i in profile], m, k)
+    roles = {ax: set(axiom_committee_set(inst, ax)) for ax in JR_FAMILY}
+    roles[Axiom.PE] = {(i, j) for i, row in enumerate(dominance_pairs(inst)) for j in row}
+    roles[Axiom.CC] = condorcet_committee(inst)
+    return inst, roles
+
+
+def swapped(ax, mine, theirs):
+    """Whether two neighbours swap the roles of ``ax``: each side's set holds
+    a committee the other's lacks, a dominance pair reverses, or both
+    Condorcet committees exist and differ."""
+    if ax in JR_FAMILY:
+        return bool(mine - theirs and theirs - mine)
+    if ax is Axiom.PE:
+        return any((j, i) in theirs for i, j in mine)
+    return None not in (mine, theirs) and mine != theirs
+
+
+def swap_pair_sweep(rules):
+    """Over every neighbour pair of SWAP_SHAPES at eps 1: the number of pairs
+    swapping each axiom, and per (rule, axiom) the number whose levels
+    multiply past e^(2 eps), compared exactly in ``coeff`` for a score rule
+    and within TOLERANCE for seq-av."""
+    swaps, violations, measured = Counter(), Counter(), {}
+
+    def levels(rule, inst):
+        if (rule, inst) not in measured:
+            measured[rule, inst] = measure_levels(MECHANISMS[rule](inst, 1))
+        return measured[rule, inst]
+
+    for m, n in SWAP_SHAPES:
+        for k in range(1, m):
+            for pair in neighbour_multisets(m, n):
+                (p, mine), (q, theirs) = (axiom_roles(m, k, profile) for profile in pair)
+                axes = [ax for ax in Axiom if swapped(ax, mine[ax], theirs[ax])]
+                swaps.update(axes)
+                for rule, ax in itertools.product(rules, axes):
+                    x, y = levels(rule, p)[ax], levels(rule, q)[ax]
+                    if x.coeff is not None:
+                        within = x.coeff + y.coeff <= 2
+                    else:
+                        within = x.log_value + y.log_value <= 2 + TOLERANCE
+                    violations[rule, ax] += not within
+    return swaps, +violations
+
+
+class TestSwapPairs:
+    """Neighbours P, P' swap an axiom's roles when some W is on the
+    satisfying (dominating, Condorcet) side for P and some W' for P', and
+    not the other way round. Then level(P) * level(P') <= (P(W) / P'(W)) *
+    (P'(W') / P(W')), which an eps-DP rule keeps within e^(2 eps). This is
+    a necessary condition only: the halved-scale exp-av passes it."""
+
+    def test_every_rule_keeps_swapping_levels_within_twice_eps(self):
+        swaps, violations = swap_pair_sweep(sorted(MECHANISMS))
+        assert swaps == {Axiom.JR: 1650, Axiom.PJR: 1956, Axiom.EJR: 2040, Axiom.PE: 9564,
+                         Axiom.CC: 33}
+        assert violations == {}
+
+    def test_flags_exp_av_at_scale_one(self, monkeypatch):
+        # with q = AV(W) the rule is only 2k*eps-DP
+        monkeypatch.setitem(
+            MECHANISMS,
+            "exp-av",
+            lambda inst, eps: _from_scores(inst, as_epsilon(eps), "exp-av", _av_scores(inst), 1),
+        )
+        _, violations = swap_pair_sweep(["exp-av"])
+        assert violations == {("exp-av", Axiom.PE): 108}
 
 
 class TestBoundGrid:

@@ -21,6 +21,8 @@ from dpabc import (
     format_instance,
     Instance,
     random_instance,
+    sample,
+    sample_sequential_av,
     witness,
     WitnessId,
 )
@@ -28,6 +30,7 @@ from dpabc import cli
 from dpabc.cli import main
 
 from brute import brute_reproduce
+from strategies import EDGE_SEEDS
 
 
 INSTANCE_COMMANDS = ["dist", "sample", "axioms", "audit-dp", "audit-axioms"]
@@ -151,6 +154,17 @@ class TestOutputPath:
             assert all(f" {key}=" in line for key in record if key != "record")
 
 
+def draws(*argv, seeds):
+    """The committee ``sample`` draws at each seed, from one parse of
+    ``argv``: building the parser per seed would cost more than the draw."""
+    args = cli.build_parser().parse_args(["sample", *argv])
+    for seed in seeds:
+        args.seed = seed
+        records, code = cli._cmd_sample(args)
+        assert code == 0
+        yield seed, tuple(records[0]["committee"])
+
+
 class TestSample:
     def test_same_seed_same_committee(self, capsys):
         argv = (
@@ -163,6 +177,50 @@ class TestSample:
         record = parse_jsonl(first)[0]
         assert record["record"] == "sample"
         assert len(record["committee"]) == 2
+
+    @pytest.mark.parametrize("eps", ["0.1", "1"])
+    @pytest.mark.parametrize("wid", list(WitnessId))
+    def test_seq_av_runs_the_k_round_sampler(self, wid, eps):
+        inst = witness(wid).inst
+        argv = ("--mechanism", "seq-av", "--eps", eps, "--witness", wid.value)
+        for seed, committee in draws(*argv, seeds=(*range(200), *EDGE_SEEDS)):
+            assert committee == sample_sequential_av(inst, eps, seed), seed
+
+    def test_seq_av_builds_no_law(self, capsys, monkeypatch):
+        # at eps 1400 the law underflows (dist exits 2); the weights do not
+        def unbuilt(*args):
+            raise AssertionError("seq-av law built for a draw")
+
+        monkeypatch.setitem(MECHANISMS, "seq-av", unbuilt)
+        for eps in ("1", "1400"):
+            code, out, err = run_cli(
+                capsys, "sample", "--mechanism", "seq-av", "--eps", eps,
+                "--witness", "PE_CHAIN", "--seed", "5",
+            )
+            assert (code, err) == (0, "")
+            committee = sample_sequential_av(witness(WitnessId.PE_CHAIN).inst, eps, 5)
+            assert parse_jsonl(out) == [
+                {"committee": list(committee), "eps": eps, "mechanism": "seq-av",
+                 "record": "sample", "seed": 5}
+            ]
+
+    def test_other_rules_draw_by_inverse_cdf_golden_digest(self):
+        # every witness x every rule but seq-av at eps 1 and 1/3, seeds 0..49
+        # and the edge seeds: each draw bisects the rule's exact law
+        digest = hashlib.sha256()
+        for eps in ("1", "1/3"):
+            for wid in WitnessId:
+                inst = witness(wid).inst
+                for mechanism in sorted(set(MECHANISMS) - {"seq-av"}):
+                    law = MECHANISMS[mechanism](inst, eps)
+                    argv = ("--mechanism", mechanism, "--eps", eps, "--witness", wid.value)
+                    for seed, committee in draws(*argv, seeds=(*range(50), *EDGE_SEEDS)):
+                        assert committee == sample(law, seed)
+                        line = f"{wid.value} {mechanism} {eps} {seed} {list(committee)}\n"
+                        digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "6860656fa0ee79ea978be6d9e29aa824beae1361d6370351690232c29ec46348"
+        )
 
 
 class TestAxiomsCommand:
@@ -299,12 +357,13 @@ class TestAuditCommands:
 class TestErrors:
     def test_parse_error_reports_line_and_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("m=3 k=1\n0\nbogus\n")
-        code, _, err = run_cli(
-            capsys, "dist", "--mechanism", "uniform", "--eps", "1", "--input", str(path)
-        )
-        assert code == 2
-        assert "line 3" in err
+        for text, line in (("m=3 k=1\n0\nbogus\n", 3), ("# no header\n\n", 1)):
+            path.write_text(text)
+            code, out, err = run_cli(
+                capsys, "dist", "--mechanism", "uniform", "--eps", "1", "--input", str(path)
+            )
+            assert (code, out) == (2, "")
+            assert f"line {line}" in err
 
     def test_unknown_witness_lists_valid_ids(self, capsys):
         code, _, err = run_cli(
@@ -324,6 +383,12 @@ class TestErrors:
     def test_usage_error_exits_2(self, capsys):
         assert main(["dist", "--mechanism", "nope"]) == 2
         capsys.readouterr()
+        # audit-axioms has no --axiom filter; axioms keeps its own
+        code, out, _ = run_cli(
+            capsys, "audit-axioms", "--mechanism", "rr-jr", "--eps", "1",
+            "--witness", "JR_UPPER", "--axiom", "jr",
+        )
+        assert (code, out) == (2, "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -618,6 +683,15 @@ class TestReproduce:
             "e4b948a3929e9419b5f8a705acc4558f0d9f3e171b553b35489a160b0b76b672"
         )
 
+    def test_golden_digest_on_the_default_grid(self, capsys):
+        # the digest the benchmark checks its reproduce runs against
+        reference = Path(__file__).parents[1] / "bench" / "reference.json"
+        expected = json.loads(reference.read_text())["reproduce"]["full"]["stdout_sha256"]
+        code, out, _ = run_cli(capsys, "reproduce")
+        assert code == 0
+        assert out.count("\n") == 2107
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
     def test_golden_table_digest_on_the_default_grid(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--format", "table")
         assert code == 0
@@ -778,6 +852,13 @@ class TestTradeoffGridScript:
     def run_script(self, *argv):
         return run_script("tradeoff_grid.py", *argv)
 
+    def test_default_grid_golden_digest(self):
+        result = self.run_script()
+        assert result.returncode == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "604b85041362f7a4f78fd1b8a29d50e7c7f857a726073c9bdb1ddd659689dea8"
+        )
+
     def test_witness_ids_resolve_as_in_the_cli(self):
         spelled = self.run_script("--witness", "pe-chain", "--eps", "1")
         canonical = self.run_script("--witness", "PE_CHAIN", "--eps", "1")
@@ -837,3 +918,6 @@ class TestSequentialDivergenceScript:
         assert sorted(rows) == sorted(wid.value for wid in WitnessId)
         assert rows["JR_PJR_3WAY"][3:] == ["0.4596", "0.3200"]
         assert rows["PJR_EJR_3WAY"][3:] == ["0.7550", "0.6480"]
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "fbb9b8fa011c2a33f1ac11bfd1488b1256eae18e5826ef5532878cb846ed2cc7"
+        )

@@ -262,6 +262,11 @@ class TestTextFormat:
     def test_missing_voters(self):
         with pytest.raises(ProfileParseError):
             parse_instance("m=3 k=1\n")
+        # nor a header: nothing but blank lines and comments
+        for text in ("", "\n# m=3 k=1\n\n"):
+            with pytest.raises(ProfileParseError, match="missing 'm=<int> k=<int>' header") as err:
+                parse_instance(text)
+            assert err.value.line == 1
 
     @settings(max_examples=30)
     @given(instances(max_m=5, max_n=5))

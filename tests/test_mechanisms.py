@@ -48,13 +48,9 @@ from brute import (
     permute_committee,
     ratio_coeff,
 )
-from strategies import grouped_instance, instances, instances_with_permutation
+from strategies import EDGE_SEEDS, grouped_instance, instances, instances_with_permutation
 
 ALL_MECHANISMS = sorted(MECHANISMS)
-
-# seeds at and past the ends of the 64-bit range, which the sampler reduces
-# mod 2^64
-EDGE_SEEDS = (-1, -(2**63), 2**64 - 1, 2**64 + 7, 2**70)
 
 # the sampling benchmark's three profile shapes, (m, k, generation seed), and
 # the 2000 seeds it draws with
@@ -81,6 +77,11 @@ class TestEpsilonParsing:
     def test_rejects_nonpositive_or_garbage(self, bad):
         with pytest.raises(InvalidParametersError):
             as_epsilon(bad)
+
+    @pytest.mark.parametrize("big", [10**400, Fraction(10**400)])
+    def test_exact_budget_beyond_float_range_is_rejected(self, big):
+        with pytest.raises(InvalidParametersError, match="exceeds the float range"):
+            as_epsilon(big)
 
     def test_weight_exponent_beyond_float_range_is_usage_error(self):
         with pytest.raises(InvalidParametersError, match=r"exponent 2\*eps overflows"):
@@ -348,6 +349,9 @@ class TestSequentialAv:
             sequential_av_distribution(w.inst, 1), exp_av_distribution(w.inst, 1)
         )
         assert tv == pytest.approx(0.0131145404, abs=1e-9)
+        wider = exp_av_distribution(Instance(w.inst.ballots, w.inst.m, 3), 1)
+        with pytest.raises(InvalidParametersError, match="different committee spaces"):
+            total_variation(exp_av_distribution(w.inst, 1), wider)
 
     # every witness, and seeded profiles with m = 5..8 and k = 2..m-1
     LAW_PROFILES = [(wid.value, witness(wid).inst) for wid in WitnessId] + [
