@@ -276,16 +276,24 @@ def dominance_pairs(inst: Instance) -> tuple:
     indices: entry ``i`` is the ascending tuple of the indices ``j`` such that
     committee ``i`` Pareto dominates committee ``j``. Read in order, the
     ``(i, j)`` pairs come in ``itertools.permutations`` order. Every entry
-    takes its indices from one shared list, so a pair costs one slot."""
-    overlaps = _overlaps(inst, _ballot_types(inst))
-    indices = list(range(len(overlaps)))
+    takes its indices from one shared list, so a pair costs one slot.
+
+    Row ``i`` compares overlaps only with the committees of strictly lower
+    AV score, the count-weighted sum of an overlap row. The filter is exact:
+    every ballot type has a voter, so dominance strictly raises the AV
+    score, and a strictly lower score already means a different row."""
+    types = _ballot_types(inst)
+    counts = [count for _, count in types]
+    overlaps = _overlaps(inst, types)
+    rows = [(row, sum(map(operator.mul, row, counts))) for row in overlaps]
+    indices = list(range(len(rows)))
     return tuple(
         tuple(
             itertools.compress(
-                indices, (oj != oi and all(map(operator.ge, oi, oj)) for oj in overlaps)
+                indices, (sj < si and all(map(operator.ge, oi, oj)) for oj, sj in rows)
             )
         )
-        for oi in overlaps
+        for oi, si in rows
     )
 
 

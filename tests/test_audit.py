@@ -446,6 +446,37 @@ class TestSwapPairs:
                          Axiom.CC: 33}
         assert violations == {}
 
+    def test_pe_swaps_tie_on_every_shared_ballot(self):
+        # with P = R + {c} and P' = R + {b}, W1 dominates W2 on P and W2
+        # dominates W1 on P' exactly when they tie on every ballot of R, W1
+        # meets c in more members and W2 meets b in more; so there are none
+        # when c or b is in R, and committees group by their overlaps with R
+        with_swaps = 0
+        for m, n in SWAP_SHAPES:
+            ballots = tuple(nonempty_subsets(m))
+            for k in range(1, m):
+                committees = [set(w) for w in canonical_committees(m, k)]
+                for pair in neighbour_multisets(m, n):
+                    (_, mine), (_, theirs) = (axiom_roles(m, k, profile) for profile in pair)
+                    table = {(i, j) for i, j in mine[Axiom.PE] if (j, i) in theirs[Axiom.PE]}
+                    (c,), (b,) = (Counter(x) - Counter(y) for x, y in (pair, pair[::-1]))
+                    shared = set(Counter(pair[0]) - Counter([c]))
+                    groups = {}
+                    for i, w in enumerate(committees):
+                        key = tuple(len(w & ballots[r]) for r in sorted(shared))
+                        groups.setdefault(key, []).append(i)
+                    meets = [(len(w & ballots[c]), len(w & ballots[b])) for w in committees]
+                    predicted = {
+                        (i, j)
+                        for group in groups.values()
+                        for i, j in itertools.permutations(group, 2)
+                        if meets[i][0] > meets[j][0] and meets[j][1] > meets[i][1]
+                    }
+                    assert table == predicted, (m, n, k, pair)
+                    assert not (predicted and {b, c} & shared), (m, n, k, pair)
+                    with_swaps += bool(predicted)
+        assert with_swaps == 9564
+
     def test_flags_exp_av_at_scale_one(self, monkeypatch):
         # with q = AV(W) the rule is only 2k*eps-DP
         monkeypatch.setitem(

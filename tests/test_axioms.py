@@ -4,7 +4,7 @@ from collections import Counter
 from types import ModuleType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpabc import (
@@ -189,6 +189,14 @@ class TestParetoDominance:
 
     @settings(max_examples=30, deadline=None)
     @given(instances(max_m=5, max_n=5))
+    # the axioms_scaling bench profiles, m = 7..12, where the score filter
+    # skips the most pairs (11,652 dominance pairs at m = 12)
+    @example(random_instance(7, 13, 3, BallotModel("impartial", 0.3), 2))
+    @example(random_instance(8, 12, 4, BallotModel("impartial", 0.3), 3))
+    @example(random_instance(9, 11, 4, BallotModel("impartial", 0.3), 9))
+    @example(random_instance(10, 10, 4, BallotModel("impartial", 0.3), 1))
+    @example(random_instance(11, 9, 4, BallotModel("impartial", 0.3), 1))
+    @example(random_instance(12, 8, 4, BallotModel("impartial", 0.3), 1))
     def test_dominance_pairs_match_predicate(self, inst):
         # the PE level keeps the first minimal pair, so the order matters too
         expected = [
