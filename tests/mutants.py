@@ -107,26 +107,22 @@ MUTANTS = (
 )
 
 
-def _copy_checkout(dest: Path) -> None:
-    shutil.copytree(
-        ROOT, dest, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
-    )
-
-
-def _check_texts() -> list:
-    """Every mutant's old text that does not occur exactly once."""
-    return [
-        f"{mutant.file}: {mutant.old!r} occurs {(ROOT / mutant.file).read_text().count(mutant.old)} times"
-        for mutant in MUTANTS
-        if (ROOT / mutant.file).read_text().count(mutant.old) != 1
-    ]
+def misplaced() -> list:
+    """A line for every mutant whose old text does not occur exactly once."""
+    bad = []
+    for mutant in MUTANTS:
+        count = (ROOT / mutant.file).read_text().count(mutant.old)
+        if count != 1:
+            bad.append(f"{mutant.file}: {mutant.old!r} occurs {count} times")
+    return bad
 
 
 def run(mutant: Mutant) -> int:
     """pytest's exit code on the mutant's test files, in a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="dpabc-mutant-") as tmp:
         copy = Path(tmp) / "checkout"
-        _copy_checkout(copy)
+        ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+        shutil.copytree(ROOT, copy, ignore=ignore)
         path = copy / mutant.file
         path.write_text(path.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
@@ -135,7 +131,7 @@ def run(mutant: Mutant) -> int:
 
 
 def main() -> int:
-    bad = _check_texts()
+    bad = misplaced()
     if bad:
         print("mutant texts must occur exactly once:", *bad, sep="\n  ")
         return 1
