@@ -11,14 +11,16 @@ vacuous (+inf) and excluded from bound checks with an explicit flag.
 ``dp_level`` measures the worst log-probability ratio over the full exhaustive
 neighborhood of one instance (every single-voter ballot replacement, both
 directions); the neighborhood has n*(2^m - 2) members, so the audit is capped
-at m <= 8 by policy. The rule runs once per ballot type and per orbit of
-replacement ballots under swapping twin alternatives (ones the same voters
-approve), which is exact for anonymous and neutral rules.
+at m <= 8 by policy. The rule runs once per orbit of neighbors under swapping
+twin alternatives (ones the same voters approve) and joined twin classes,
+which is exact for anonymous and neutral rules.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -294,13 +296,16 @@ def dp_level(
     * Anonymity: voters casting the same ballot have neighbors equal as
       multisets, so each distinct ballot is visited once, in order of first
       appearance, through its first voter.
-    * Neutrality: alternatives are twins when the same voters approve them.
-      Swapping twins fixes every ballot of ``inst`` and maps the neighbor
-      (voter, b) to (voter, swapped b), whose gaps are the same floats on
-      swapped committees. Of each orbit of replacements under such swaps
-      only the first in scan order is evaluated: the one holding the
-      lowest-indexed members of each twin class. With t ballot types and
-      twin classes C, the rule runs t * (prod(|C| + 1) - 2) times.
+    * Neutrality: alternatives are twins when the same voters approve them,
+      so a ballot of ``inst`` holds a twin class whole or not at all. Two
+      equal-size classes are joined when swapping them member for member, in
+      index order, fixes the ballot multiset. Twin and joined-class swaps map
+      a neighbor to one whose gaps are the same floats on permuted
+      committees and permute each component of joined classes in every way,
+      so (type, replacement) pairs share an orbit exactly when they share a
+      key: per component, the sorted (replacement count, type count) pairs.
+      The first pair per key in scan order is evaluated: without joined
+      classes, t * (prod(|C| + 1) - 2) for t ballot types, twin classes C.
 
     A neighbor whose law (its ``log_probs``) an earlier neighbor had is not
     compared again. A skipped neighbor only repeats a gap vector already
@@ -314,21 +319,38 @@ def dp_level(
             f"got m={inst.m}"
         )
     base = rule(inst)
-    last: dict = {}
-    twin = []  # each alternative's next lower-indexed twin, else itself
+    members: dict = {}
     for a, approvers in enumerate(_approvers(inst)):
-        twin.append(last.get(approvers, a))
-        last[approvers] = a
-    replacements = [b for b in nonempty_subsets(inst.m) if all(twin[a] in b for a in b)]
+        members[approvers] = members.get(approvers, 0) | 1 << a
+    classes = list(members.values())
+    vectors: dict = {}  # each ballot's count of members per twin class
+    replacements: dict = {}  # count vector -> its first ballot in bitmask order
+    for mask, ballot in enumerate(nonempty_subsets(inst.m), start=1):
+        vectors[ballot] = counts = tuple((mask & c).bit_count() for c in classes)
+        replacements.setdefault(counts, ballot)
+    profile = Counter(vectors[b] for b in inst.ballots)
+    component = list(range(len(classes)))  # each class's component, named by a member class
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        order = [*range(i), j, *range(i + 1, j), i, *range(j + 1, len(classes))]
+        swapped = Counter({tuple(v[x] for x in order): c for v, c in profile.items()})
+        if classes[i].bit_count() == classes[j].bit_count() and swapped == profile:
+            component = [component[i] if c == component[j] else c for c in component]
+    joined = len(set(component)) < len(classes)
+    keys: set = set()
     worst = 0.0
     attaining: Optional[tuple] = None
     evaluated = 0
     laws: set = set()
     for current in dict.fromkeys(inst.ballots):
         voter = inst.ballots.index(current)
-        for ballot in replacements:
+        for counts, ballot in replacements.items():
             if ballot == current:
                 continue
+            if joined:
+                key = tuple(sorted(zip(component, counts, vectors[current])))
+                if key in keys:
+                    continue
+                keys.add(key)
             neighbor = inst.replace_ballot(voter, ballot)
             evaluated += 1
             other = rule(neighbor)

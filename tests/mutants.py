@@ -104,6 +104,20 @@ MUTANTS = (
         ("tests/test_audit.py",),
         "dp_level always replaces voter 0's ballot",
     ),
+    Mutant(
+        AUDIT,
+        "classes[j].bit_count() and swapped == profile:",
+        "classes[j].bit_count():",
+        ("tests/test_audit.py",),
+        "dp_level joins every two twin classes of equal size, fixing the ballots or not",
+    ),
+    Mutant(
+        AUDIT,
+        "key = tuple(sorted(zip(component, counts, vectors[current])))",
+        "key = tuple(sorted(zip(component, counts)))",
+        ("tests/test_audit.py",),
+        "dp_level's orbit key drops which twin classes the replaced ballot holds",
+    ),
 )
 
 

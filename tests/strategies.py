@@ -32,6 +32,23 @@ def instances_with_permutation(draw, **kwargs):
     return inst, tuple(sigma)
 
 
+@st.composite
+def symmetric_instances(draw, **kwargs):
+    """An instance whose ballot multiset is closed under a relabelling sigma
+    of the alternatives, half the time a transposition: the drawn ballots
+    followed by their images under each further power of sigma."""
+    inst, sigma = draw(instances_with_permutation(**kwargs))
+    if draw(st.booleans()):
+        a, b = sigma[:2]
+        sigma = [b if c == a else a if c == b else c for c in range(inst.m)]
+    powers = [inst.ballots]
+    while True:
+        image = tuple(frozenset(sigma[a] for a in ballot) for ballot in powers[-1])
+        if image == inst.ballots:
+            return Instance([b for ballots in powers for b in ballots], inst.m, inst.k)
+        powers.append(image)
+
+
 def grouped_instance(m, n, k, p, groups, seed):
     """A seeded profile whose ballot types carry several voters: the voters
     are split into ``min(groups, n)`` near-equal contiguous blocks, and block

@@ -44,7 +44,7 @@ from brute import (
     profile_distance,
     ratio_coeff,
 )
-from strategies import instances, instances_with_permutation
+from strategies import instances, instances_with_permutation, symmetric_instances
 from witnesses import companion
 
 
@@ -178,15 +178,53 @@ def full_neighborhood_audit(rule, inst):
     return worst, attaining, checked
 
 
-def orbit_count(inst):
-    """Neighbors the rule runs on: per ballot type, one replacement per orbit
-    under swapping alternatives that the same voters approve, less the empty
-    ballot and the ballot itself."""
+def swap_group(inst):
+    """The alternative permutations, as tuples, generated by transposing
+    twins (alternatives the same voters approve) and by every member-for-
+    member swap, in index order, of two equal-size twin classes that leaves
+    the ballot multiset as it is."""
     classes = {}
     for a in range(inst.m):
         approvers = frozenset(v for v, ballot in enumerate(inst.ballots) if a in ballot)
-        classes[approvers] = classes.get(approvers, 0) + 1
-    return len(set(inst.ballots)) * (math.prod(size + 1 for size in classes.values()) - 2)
+        classes.setdefault(approvers, []).append(a)
+    identity = tuple(range(inst.m))
+
+    def swapping(pairs):
+        sigma = list(identity)
+        for a, b in pairs:
+            sigma[a], sigma[b] = b, a
+        return tuple(sigma)
+
+    generators = [
+        swapping([pair]) for c in classes.values() for pair in itertools.combinations(c, 2)
+    ]
+    for c, d in itertools.combinations(classes.values(), 2):
+        sigma = swapping(zip(c, d))
+        if len(c) == len(d) and Counter(permute(inst, sigma).ballots) == Counter(inst.ballots):
+            generators.append(sigma)
+    group, frontier = {identity}, [identity]
+    while frontier:
+        products = {tuple(g[a] for a in h) for h in frontier for g in generators}
+        frontier = list(products - group)
+        group |= products
+    return group
+
+
+def orbit_count(inst):
+    """Neighbors the rule runs on: the orbits of (ballot type, replacement)
+    pairs under ``swap_group(inst)``, less the empty ballot and each pair
+    that gives a voter their own ballot."""
+    group = swap_group(inst)
+    seen = set()
+    orbits = 0
+    for t in set(inst.ballots):
+        for b in nonempty_subsets(inst.m):
+            if b != t and (t, b) not in seen:
+                orbits += 1
+                seen.update(
+                    (frozenset(g[a] for a in t), frozenset(g[a] for a in b)) for g in group
+                )
+    return orbits
 
 
 _SMALL_WITNESSES = [wid for wid in WitnessId if witness(wid).inst.m <= 6]
@@ -239,10 +277,24 @@ class TestDpLevelMatchesFullNeighborhood:
         assert report.instances_checked == checked
         assert report.neighbors_evaluated == orbit_count(inst)
 
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_instances(max_m=5, max_n=3))
+    def test_same_report_as_full_scan_on_symmetric_profiles(self, inst):
+        # random profiles seldom have two classes whose swap fixes them
+        evaluated = orbit_count(inst)
+        for mechanism in sorted(MECHANISMS):
+            rule = make_rule(mechanism, 1)
+            report = dp_level(rule, inst)
+            worst, attaining, checked = full_neighborhood_audit(rule, inst)
+            assert (report.max_log_ratio, report.attaining) == (worst, attaining), mechanism
+            assert report.instances_checked == checked
+            assert report.neighbors_evaluated == evaluated
+
 
 class TestTwinOrbits:
-    """dp_level runs the rule once per ballot type and orbit of replacements
-    under swapping twin alternatives (approved by the same voters)."""
+    """dp_level runs the rule once per orbit of (ballot type, replacement)
+    pairs under swapping twin alternatives (approved by the same voters) and
+    swapping equal-size twin classes where that fixes the ballot multiset."""
 
     @pytest.mark.parametrize(
         "ballots, m, k, evaluated",
@@ -254,6 +306,16 @@ class TestTwinOrbits:
             ([{0, 1}, {2}, {0, 1, 3}], 4, 4, 3 * (3 * 2 * 2 - 2)),
             # no twins: every replacement is its own orbit
             ([{0}, {0, 1}, {0, 1, 2}], 3, 2, 3 * (2**3 - 2)),
+            # two joined classes of size 2: both types lie in one orbit, and
+            # a replacement counts its members per class, 3 * 3 - 2 orbits
+            ([{0, 1}, {2, 3}], 4, 2, 3 * 3 - 2),
+            # every ballot over 5 alternatives: all 5 singleton classes are
+            # joined, and an orbit is (|t|, |b|, |t & b|) for t != b
+            ([set(c) for r in range(1, 6) for c in itertools.combinations(range(5), r)], 5, 2, 40),
+            # the rotation (0 1 2)(3 4 5) fixes the ballot multiset, but no
+            # swap of two classes does: the audit uses only a subgroup of
+            # the symmetries and evaluates all 3 * (2^6 - 2) neighbours
+            ([{0, 1, 3}, {1, 2, 4}, {2, 0, 5}], 6, 2, 3 * (2**6 - 2)),
         ],
     )
     def test_edge_profiles_match_full_scan(self, ballots, m, k, evaluated):
@@ -268,12 +330,13 @@ class TestTwinOrbits:
             assert report.neighbors_evaluated == evaluated
 
     def test_witness_grid_count(self):
-        # 764 rule calls per rule on the 9 witnesses, against 1876 with one
-        # per ballot type and replacement
+        # 532 rule calls per rule on the 9 witnesses, against 764 with one per
+        # ballot type and twin orbit of replacements, and 1876 with one per
+        # ballot type and replacement
         insts = [witness(wid).inst for wid in WitnessId]
         reports = [dp_level(make_rule("uniform", 1), inst) for inst in insts]
         assert [r.neighbors_evaluated for r in reports] == [orbit_count(i) for i in insts]
-        assert sum(r.neighbors_evaluated for r in reports) == 764
+        assert sum(r.neighbors_evaluated for r in reports) == 532
 
 
 class TestAnonymity:
@@ -307,9 +370,9 @@ def assert_relabelled(mechanism, inst, sigma):
 
 
 class TestNeutrality:
-    """dp_level evaluates one replacement per orbit under swapping twin
-    alternatives, which is exact only for rules whose law relabels with the
-    alternatives bit for bit."""
+    """dp_level evaluates one neighbour per orbit under swapping twin
+    alternatives and twin classes, which is exact only for rules whose law
+    relabels with the alternatives bit for bit."""
 
     @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
     def test_relabelling_permutes_the_law_on_every_witness(self, mechanism):

@@ -558,8 +558,8 @@ class TestPjrWorkCaps:
 
 def audit_traffic(inst):
     """Every instance ``dp_level`` runs its rule on: ``inst``, then one
-    neighbour per ballot type and orbit of replacements under swapping
-    alternatives that the same voters approve."""
+    neighbour per orbit of (ballot type, replacement) pairs under swapping
+    twin alternatives and twin classes."""
     seen = []
     dp_level(lambda neighbour: seen.append(neighbour) or uniform_distribution(neighbour), inst)
     return seen
@@ -574,14 +574,14 @@ class TestAuditTrafficOracle:
     instances the DP audit feeds the rr rules, which share the per-(m, k,
     ballot) tables; the audit itself runs the rules on fewer of them."""
 
-    # rule calls per witness: one per ballot type and replacement orbit
+    # rule calls per witness: one per orbit of (ballot type, replacement)
     TRAFFIC = {
         WitnessId.JR_UPPER: 30,
         WitnessId.PJR_UPPER: 42,
-        WitnessId.EJR_UPPER: 20,
+        WitnessId.EJR_UPPER: 10,
         WitnessId.PE_CHAIN: 32,
         WitnessId.CC_UPPER: 28,
-        WitnessId.FIG3_DIVERGENCE: 20,
+        WitnessId.FIG3_DIVERGENCE: 10,
         WitnessId.CC_JR_INCOMPAT: 28,
     }
 

@@ -320,7 +320,8 @@ class TestAuditCommands:
     def test_audit_dp_golden_digest(self, capsys):
         # every witness x every audited mechanism at eps 1; the attaining
         # voter pins the witnesses' voter order, neighbors_evaluated the
-        # one rule call per ballot type and twin-swap orbit of replacements
+        # one rule call per orbit of (ballot type, replacement) pairs under
+        # twin and twin-class swaps
         digest = hashlib.sha256()
         for wid in WitnessId:
             for mechanism in AUDIT_MECHANISMS:
@@ -332,7 +333,7 @@ class TestAuditCommands:
                 digest.update(f"{wid.value} {mechanism} {code}\n".encode())
                 digest.update(out.encode())
         assert digest.hexdigest() == (
-            "64fe26e4ca6cd7eb692289bcde233a95f8473a3b68de9463c64e7b4724b85063"
+            "3c271b9a568bf2254e8d4307bbb89871e0fb4aeef53357e8e71f44a50d43e40c"
         )
 
     def test_dist_golden_digest(self, capsys):
