@@ -17,9 +17,11 @@ an instance with ``n`` voters, ``m`` alternatives, committee size ``k``:
 * A *Condorcet committee* beats every other committee in a strict pairwise
   majority of overlap comparisons.
 
-Everything here is a pure function over immutable inputs; results for whole
-instances are memoized, and the tables that depend only on ``(m, k)`` or on
-one ballot are shared by every instance.
+Everything here is a pure function over immutable inputs. Three results for
+whole instances are memoized: ``axiom_committee_set``, ``dominance_pairs``
+and ``condorcet_committee``; the randomized-response rules read
+``_axiom_scores``, which is not. The tables that depend only on ``(m, k)`` or
+on one ballot are shared by every instance.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def _violations(inst: Instance, ax: Axiom) -> int:
             operator.or_, (_ballot_table(m, k, u)[1][cap] for u, cap in _pjr_groups(inst)), 0
         )
     if ax not in (Axiom.JR, Axiom.EJR):
-        raise InvalidParametersError(f"axiom_committee_set expects JR/PJR/EJR, got {ax}")
+        raise InvalidParametersError(f"committee sets are for JR/PJR/EJR only, got {ax}")
     top = 1 if ax is Axiom.JR else k
     types = [(t, _ballot_table(m, k, t)[1], count) for t, count in _ballot_types(inst)]
     groups = _cohesive_groups(inst, top)
@@ -259,8 +261,13 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
 
 def _approval_counts(inst: Instance) -> list:
-    """Per alternative, the number of voters approving it."""
-    return [voters.bit_count() for voters in _approvers(inst)]
+    """Per alternative, the number of voters approving it, counted ballot by
+    ballot: ``_approvers``' voter bitmasks take time quadratic in n to build."""
+    counts = [0] * inst.m
+    for ballot in inst.ballots:
+        for a in ballot:
+            counts[a] += 1
+    return counts
 
 
 def _av_scores(inst: Instance) -> tuple:
@@ -279,13 +286,10 @@ def dominance_pairs(inst: Instance) -> tuple:
     takes its indices from one shared list, so a pair costs one slot.
 
     Row ``i`` compares overlaps only with the committees of strictly lower
-    AV score, the count-weighted sum of an overlap row. The filter is exact:
-    every ballot type has a voter, so dominance strictly raises the AV
-    score, and a strictly lower score already means a different row."""
-    types = _ballot_types(inst)
-    counts = [count for _, count in types]
-    overlaps = _overlaps(inst, types)
-    rows = [(row, sum(map(operator.mul, row, counts))) for row in overlaps]
+    ``_av_scores``, each the count-weighted sum of an overlap row. The filter
+    is exact: every ballot type has a voter, so dominance strictly raises the
+    AV score, and a strictly lower score already means a different row."""
+    rows = list(zip(_overlaps(inst, _ballot_types(inst)), _av_scores(inst)))
     indices = list(range(len(rows)))
     return tuple(
         tuple(

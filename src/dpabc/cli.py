@@ -55,10 +55,11 @@ EXIT_POLICY_CAP = 3
 EXIT_INTERNAL = 4
 
 # Largest committee space an instance may have: every checker enumerates the
-# C(m, k) committees (the dominance scan visits all pairs of them; the
-# Condorcet scan is one linear elimination pass and one verifying pass),
-# the EJR checker scans the C(m, ell) cores for every ell <= k, and the seq-av
-# law's round j visits the C(m, j) chosen sets for every j <= k.
+# C(m, k) committees (the dominance scan compares each with the committees of
+# strictly lower AV score; the Condorcet scan is one linear elimination pass
+# and one verifying pass), the EJR checker scans the C(m, ell) cores for every
+# ell <= k, and the seq-av law's round j visits the C(m, j) chosen sets for
+# every j <= k.
 COMMITTEE_SPACE_MAX = 5000
 
 # Most voters an instance may have; every checker and rule walks the
@@ -229,7 +230,7 @@ def _cmd_dist(args) -> tuple:
     records = [
         {
             "record": "dist",
-            "mechanism": dist.mechanism,
+            "mechanism": args.mechanism,
             "eps": str(dist.epsilon),
             "committee": list(committee),
             "log_weight": None

@@ -6,10 +6,11 @@ committee is ``e^(q * eps)`` with ``q = score / scale``: the rule's integer
 score of the committee over one denominator per rule, so within-instance
 probability ratios are exact log-weight differences; only the normalizer is
 floating point, and it is an ``fsum``, correctly rounded whatever the order
-of its terms. Such a law is a function of ``(scores, scale, eps)`` alone, so
-its log-probabilities are built once per distinct score vector (a small
-memo) and shared by every instance that yields that vector: on the DP audit
-grid most neighbours of a randomized-response rule repeat a vector.
+of its terms. The rules only compute scores; ``_from_scores`` builds each law
+and parses its budget once. A law is a function of ``(scores, scale, eps)``
+alone, so its log-probabilities are built once per distinct score vector (a
+small memo) and shared by every instance that yields that vector: on the DP
+audit grid most neighbours of a randomized-response rule repeat a vector.
 
 Every rule is anonymous: its law depends only on the multiset of ballots, not
 on which voter cast which. Every rule is also neutral: relabelling the
@@ -49,14 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .axioms import (
-    JR_FAMILY,
-    Axiom,
-    _approval_counts,
-    _av_scores,
-    _axiom_scores,
-    condorcet_committee,
-)
+from .axioms import Axiom, _approval_counts, _av_scores, _axiom_scores, condorcet_committee
 from .core import Instance, InvalidParametersError, canonical_committees, committee_index
 
 RandomSeed = int
@@ -148,7 +142,6 @@ class CommitteeDistribution:
 
     instance: Instance
     epsilon: Fraction
-    mechanism: str
     committees: tuple
     scores: Optional[tuple]
     scale: int
@@ -183,14 +176,12 @@ def _law(scores: tuple, scale: int, eps_numerator: int, eps_denominator: int) ->
     return tuple(map(log_prob.__getitem__, scores))
 
 
-def _from_scores(
-    inst: Instance, epsilon: Fraction, mechanism: str, scores: tuple, scale: int
-) -> CommitteeDistribution:
-    """Committee ``i`` gets ``q = scores[i] / scale``."""
+def _from_scores(inst: Instance, epsilon, scores: tuple, scale: int) -> CommitteeDistribution:
+    """Committee ``i`` gets ``q = scores[i] / scale``; the budget is parsed here."""
+    epsilon = as_epsilon(epsilon)
     return CommitteeDistribution(
         instance=inst,
         epsilon=epsilon,
-        mechanism=mechanism,
         committees=canonical_committees(inst.m, inst.k),
         scores=scores,
         scale=scale,
@@ -204,16 +195,13 @@ def rr_axiom_distribution(inst: Instance, epsilon, ax: Axiom) -> CommitteeDistri
     With t satisfying committees out of C(m,k), each satisfying committee wins
     with probability e^(eps/2) / (t*e^(eps/2) + C(m,k) - t).
     """
-    eps = as_epsilon(epsilon)
-    if ax not in JR_FAMILY:
-        raise InvalidParametersError(f"randomized response expects JR/PJR/EJR, got {ax}")
-    return _from_scores(inst, eps, f"rr-{ax.value}", _axiom_scores(inst, ax), 2)
+    return _from_scores(inst, epsilon, _axiom_scores(inst, ax), 2)
 
 
 def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     """Committee-level exponential mechanism with AV score utility:
     P(W) proportional to e^(AV(W) * eps / (2k))."""
-    return _from_scores(inst, as_epsilon(epsilon), "exp-av", _av_scores(inst), 2 * inst.k)
+    return _from_scores(inst, epsilon, _av_scores(inst), 2 * inst.k)
 
 
 @functools.lru_cache(maxsize=64)
@@ -262,7 +250,6 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
     return CommitteeDistribution(
         instance=inst,
         epsilon=eps,
-        mechanism="seq-av",
         committees=canonical_committees(inst.m, inst.k),
         scores=None,
         scale=1,
@@ -295,19 +282,17 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     When it exists: P(W_c) = e^eps / (e^eps + C(m,k) - 1) and every other
     committee gets 1 / (e^eps + C(m,k) - 1); otherwise uniform.
     """
-    eps = as_epsilon(epsilon)
     scores = [0] * len(canonical_committees(inst.m, inst.k))
     winner = condorcet_committee(inst)
     if winner is not None:
         scores[committee_index(inst.m, inst.k)[winner]] = 1
-    return _from_scores(inst, eps, "rr-condorcet", tuple(scores), 1)
+    return _from_scores(inst, epsilon, tuple(scores), 1)
 
 
 def uniform_distribution(inst: Instance, epsilon=1) -> CommitteeDistribution:
     """Instance-independent uniform baseline over all committees."""
-    eps = as_epsilon(epsilon)
     scores = (0,) * len(canonical_committees(inst.m, inst.k))
-    return _from_scores(inst, eps, "uniform", scores, 1)
+    return _from_scores(inst, epsilon, scores, 1)
 
 
 def sample(dist: CommitteeDistribution, seed: RandomSeed) -> tuple:

@@ -77,6 +77,21 @@ MUTANTS = (
         "dominance pairs one AV point apart are dropped",
     ),
     Mutant(
+        AXIOMS,
+        "    if ax not in (Axiom.JR, Axiom.EJR):\n        raise InvalidParametersError("
+        'f"committee sets are for JR/PJR/EJR only, got {ax}")\n',
+        "",
+        ("tests/test_axioms.py", "tests/test_mechanisms.py"),
+        "the JR/PJR/EJR checker reads any other axiom as EJR",
+    ),
+    Mutant(
+        MECHANISMS,
+        "    epsilon = as_epsilon(epsilon)\n    return CommitteeDistribution(",
+        "    return CommitteeDistribution(",
+        ("tests/test_mechanisms.py",),
+        "a scored law keeps its budget unparsed",
+    ),
+    Mutant(
         MECHANISMS,
         "bisect.bisect_right(dist.cumulative, u, 0, len(dist.committees) - 1)",
         "bisect.bisect_right(dist.cumulative, u, 0, len(dist.committees) - 2)",
@@ -85,8 +100,8 @@ MUTANTS = (
     ),
     Mutant(
         MECHANISMS,
-        '"exp-av", _av_scores(inst), 2 * inst.k)',
-        '"exp-av", _av_scores(inst), inst.k)',
+        "_from_scores(inst, epsilon, _av_scores(inst), 2 * inst.k)",
+        "_from_scores(inst, epsilon, _av_scores(inst), inst.k)",
         ("tests/test_audit.py", "tests/test_mechanisms.py", "tests/test_acceptance.py"),
         "exp-av at scale k, only 2*eps-DP",
     ),

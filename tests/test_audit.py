@@ -33,7 +33,7 @@ from dpabc import (
 from dpabc.audit import TOLERANCE, _longest_chain, bound_premises
 from dpabc.axioms import JR_FAMILY, _av_scores
 from dpabc.core import canonical_committees, nonempty_subsets
-from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS, _from_scores, as_epsilon
+from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS, _from_scores
 
 from brute import (
     brute_longest_chain,
@@ -545,7 +545,7 @@ class TestSwapPairs:
         monkeypatch.setitem(
             MECHANISMS,
             "exp-av",
-            lambda inst, eps: _from_scores(inst, as_epsilon(eps), "exp-av", _av_scores(inst), 1),
+            lambda inst, eps: _from_scores(inst, eps, _av_scores(inst), 1),
         )
         _, violations = swap_pair_sweep(["exp-av"])
         assert violations == {("exp-av", Axiom.PE): 108}

@@ -136,7 +136,7 @@ class TestSatisfiesAxiom:
 
     def test_rejects_efficiency_axioms(self):
         inst = Instance([{0}], 3, 1)
-        with pytest.raises(InvalidParametersError, match="axiom_committee_set"):
+        with pytest.raises(InvalidParametersError, match="for JR/PJR/EJR only"):
             axiom_committee_set(inst, Axiom.PE)
 
 

@@ -114,6 +114,15 @@ class TestEpsilonParsing:
         with pytest.raises(InvalidParametersError, match="underflows"):
             sequential_av_distribution(inst, "1400")
 
+    @pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
+    def test_equal_budgets_of_any_type_give_one_law(self, mechanism):
+        inst = witness(WitnessId.PE_CHAIN).inst
+        laws = [MECHANISMS[mechanism](inst, eps) for eps in ("0.7", "7/10", 0.7, Fraction(7, 10))]
+        assert all(type(law.epsilon) is Fraction for law in laws)
+        assert {(law.epsilon, law.log_probs) for law in laws} == {
+            (Fraction(7, 10), laws[0].log_probs)
+        }
+
     def test_equal_budgets_of_any_type_draw_alike(self):
         inst = witness(WitnessId.PE_CHAIN).inst
         for seed in range(200):
@@ -576,7 +585,6 @@ def hand_built_law(committees, probs):
     return CommitteeDistribution(
         instance=Instance([{0}], 4, 2),
         epsilon=Fraction(1),
-        mechanism="hand-built",
         committees=committees,
         scores=None,
         scale=1,
