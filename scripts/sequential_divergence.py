@@ -24,16 +24,10 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc.mechanisms import as_epsilon
 
-
-def eps_arg(text):
-    """A budget as the CLI reads it, kept as typed; a bad one is a usage error."""
-    try:
-        as_epsilon(text)
-    except InvalidParametersError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+# Python puts a script's own directory first on sys.path, so the sibling
+# script's budget reader imports from any working directory
+from tradeoff_grid import eps_arg
 
 
 def row(wid, eps):

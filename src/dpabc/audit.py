@@ -12,8 +12,9 @@ vacuous (+inf) and excluded from bound checks with an explicit flag.
 neighborhood of one instance (every single-voter ballot replacement, both
 directions); the neighborhood has n*(2^m - 2) members, so the audit is capped
 at m <= 8 by policy. The rule runs once per orbit of neighbors under swapping
-twin alternatives (ones the same voters approve) and joined twin classes,
-which is exact for anonymous and neutral rules.
+twin alternatives (ones held by the same ballot types, so approved by the same
+voters) and joined twin classes, which is exact for anonymous and neutral
+rules.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Callable, Optional, Sequence
 from .axioms import (
     JR_FAMILY,
     Axiom,
-    _approvers,
     _av_scores,
+    _ballot_types,
     axiom_committee_set,
     condorcet_committee,
     dominance_pairs,
@@ -296,14 +297,17 @@ def dp_level(
     * Anonymity: voters casting the same ballot have neighbors equal as
       multisets, so each distinct ballot is visited once, in order of first
       appearance, through its first voter.
-    * Neutrality: alternatives are twins when the same voters approve them,
-      so a ballot of ``inst`` holds a twin class whole or not at all. Two
-      equal-size classes are joined when swapping them member for member, in
-      index order, fixes the ballot multiset. Twin and joined-class swaps map
-      a neighbor to one whose gaps are the same floats on permuted
-      committees and permute each component of joined classes in every way,
-      so (type, replacement) pairs share an orbit exactly when they share a
-      key: per component, the sorted (replacement count, type count) pairs.
+    * Neutrality: alternatives are twins when the same ballot types of
+      ``_ballot_types`` hold them; every type has a voter, so twins are
+      approved by the same voters, and a ballot of ``inst`` holds a twin
+      class whole or not at all. Twin classes come in order of their least
+      member. Two equal-size classes are joined when swapping them member
+      for member, in index order, fixes the ballot multiset. Twin and
+      joined-class swaps map a neighbor to one whose gaps are the same
+      floats on permuted committees and permute each component of joined
+      classes in every way, so (type, replacement) pairs share an orbit
+      exactly when they share a key: per component, the sorted (replacement
+      count, type count) pairs.
       The first pair per key in scan order is evaluated: without joined
       classes, t * (prod(|C| + 1) - 2) for t ballot types, twin classes C.
 
@@ -319,9 +323,11 @@ def dp_level(
             f"got m={inst.m}"
         )
     base = rule(inst)
-    members: dict = {}
-    for a, approvers in enumerate(_approvers(inst)):
-        members[approvers] = members.get(approvers, 0) | 1 << a
+    types = _ballot_types(inst)
+    members: dict = {}  # the ballot types holding an alternative -> its twin class
+    for a in range(inst.m):
+        held = tuple(t for t, _ in types if t >> a & 1)
+        members[held] = members.get(held, 0) | 1 << a
     classes = list(members.values())
     vectors: dict = {}  # each ballot's count of members per twin class
     replacements: dict = {}  # count vector -> its first ballot in bitmask order

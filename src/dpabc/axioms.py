@@ -60,15 +60,6 @@ PJR_STATE_MAX = 100_000
 PJR_VISIT_MAX = 40_000_000
 
 
-def _approvers(inst: Instance) -> list:
-    """Per alternative, the bitmask of the indices of its approving voters."""
-    approvers = [0] * inst.m
-    for i, ballot in enumerate(inst.ballots):
-        for a in ballot:
-            approvers[a] |= 1 << i
-    return approvers
-
-
 def _cohesive_groups(inst: Instance, top: int) -> list:
     """``(ell, T, V_T)`` for every alternative bitmask ``T`` with ``|T| = ell
     <= top`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
@@ -77,7 +68,10 @@ def _cohesive_groups(inst: Instance, top: int) -> list:
     lexicographic order from a depth-first walk that extends a core only
     while it passes: ``V_T`` shrinks as ``T`` grows while the bar rises."""
     n, k = inst.n, inst.k
-    approvers = _approvers(inst)
+    approvers = [0] * inst.m  # per alternative, the bitmask of its approving voters
+    for i, ballot in enumerate(inst.ballots):
+        for a in ballot:
+            approvers[a] |= 1 << i
     out = []
 
     def extend(core: int, voters: int, start: int) -> None:
@@ -262,7 +256,8 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
 def _approval_counts(inst: Instance) -> list:
     """Per alternative, the number of voters approving it, counted ballot by
-    ballot: ``_approvers``' voter bitmasks take time quadratic in n to build."""
+    ballot in time linear in the profile's size; the voter bitmasks of
+    ``_cohesive_groups`` take time quadratic in n to build."""
     counts = [0] * inst.m
     for ballot in inst.ballots:
         for a in ballot:

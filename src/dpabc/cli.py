@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Exact laws, draws, privacy audits and axiom-bound checks of DP committee rules.
 
 Subcommands::
 
@@ -168,55 +168,42 @@ def _load_instance(args) -> Instance:
     return witness(wid, n, k, m).inst
 
 
-def _add_instance_args(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="profile text file")
-    source.add_argument("--witness", help="witness id (see `reproduce` for the list)")
-    parser.add_argument("--n", type=int, help="witness voter count override")
-    parser.add_argument("--k", type=int, help="witness committee size override")
-    parser.add_argument("--m", type=int, help="witness alternative count override")
-
-
-def _add_common_args(parser: argparse.ArgumentParser, mechanism: bool = True) -> None:
-    if mechanism:
-        parser.add_argument(
-            "--mechanism", required=True, choices=sorted(MECHANISMS), help="rule to run"
-        )
-        parser.add_argument("--eps", required=True, help="privacy budget (decimal string)")
-    parser.add_argument("--format", choices=("table", "structured"), default="structured")
-    parser.add_argument("--out", help="output path (default stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the three shared option sets, declared once and named by each subcommand
+    rule = argparse.ArgumentParser(add_help=False)
+    rule.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS), help="rule to run")
+    rule.add_argument("--eps", required=True, help="privacy budget, a decimal or a ratio (7/10)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--format", choices=("table", "structured"), default="structured",
+        help="JSON lines (default) or key=value lines",
+    )
+    output.add_argument("--out", help="output path (default stdout)")
+    instance = argparse.ArgumentParser(add_help=False)
+    source = instance.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="profile text file")
+    source.add_argument("--witness", help="witness id: " + ", ".join(w.value for w in WitnessId))
+    instance.add_argument("--n", type=int, help="witness voter count override")
+    instance.add_argument("--k", type=int, help="witness committee size override")
+    instance.add_argument("--m", type=int, help="witness alternative count override")
+
     parser = argparse.ArgumentParser(prog="dpabc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dist = sub.add_parser("dist", help="exact distribution of a mechanism")
-    _add_common_args(p_dist)
-    _add_instance_args(p_dist)
-
-    p_sample = sub.add_parser("sample", help="draw one committee")
-    _add_common_args(p_sample)
-    _add_instance_args(p_sample)
+    ruled = [rule, output, instance]
+    sub.add_parser("dist", parents=ruled, help="exact distribution of a mechanism")
+    p_sample = sub.add_parser("sample", parents=ruled, help="draw one committee")
     p_sample.add_argument("--seed", type=int, default=0, help="64-bit sampler seed")
-
-    p_axioms = sub.add_parser("axioms", help="axiom facts for an instance")
-    _add_common_args(p_axioms, mechanism=False)
-    _add_instance_args(p_axioms)
+    p_axioms = sub.add_parser(
+        "axioms", parents=[output, instance], help="axiom facts for an instance"
+    )
     p_axioms.add_argument("--axiom", choices=("jr", "pjr", "ejr"), help="restrict to one axiom")
-
-    p_dp = sub.add_parser("audit-dp", help="exhaustive neighborhood DP audit")
-    _add_common_args(p_dp)
-    _add_instance_args(p_dp)
-
-    p_ax = sub.add_parser("audit-axioms", help="axiom levels and bound checks")
-    _add_common_args(p_ax)
-    _add_instance_args(p_ax)
-
-    p_rep = sub.add_parser("reproduce", help="full bound-check grid over all witnesses")
+    sub.add_parser("audit-dp", parents=ruled, help="exhaustive neighborhood DP audit")
+    sub.add_parser("audit-axioms", parents=ruled, help="axiom levels and bound checks")
+    p_rep = sub.add_parser(
+        "reproduce", parents=[output], help="full bound-check grid over all witnesses"
+    )
     # repeated flags add up; None (no flag) selects DEFAULT_EPS_GRID
     p_rep.add_argument("--eps", nargs="+", action="extend")
-    _add_common_args(p_rep, mechanism=False)
     return parser
 
 

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 AXIOMS = "src/dpabc/axioms.py"
 AUDIT = "src/dpabc/audit.py"
 MECHANISMS = "src/dpabc/mechanisms.py"
+CLI = "src/dpabc/cli.py"
 
 MUTANTS = (
     Mutant(
@@ -132,6 +133,27 @@ MUTANTS = (
         "key = tuple(sorted(zip(component, counts)))",
         ("tests/test_audit.py",),
         "dp_level's orbit key drops which twin classes the replaced ballot holds",
+    ),
+    Mutant(
+        AUDIT,
+        "held = tuple(t for t, _ in types if t >> a & 1)",
+        "held = tuple(t for t, _ in types[:1] if t >> a & 1)",
+        ("tests/test_audit.py",),
+        "dp_level's twin-class key reads only the first ballot type",
+    ),
+    Mutant(
+        CLI,
+        "source = instance.add_mutually_exclusive_group(required=True)",
+        "source = instance.add_mutually_exclusive_group(required=False)",
+        ("tests/test_cli.py",),
+        "an instance command runs without --input or --witness",
+    ),
+    Mutant(
+        CLI,
+        'rule.add_argument("--eps", required=True,',
+        'rule.add_argument("--eps", required=False,',
+        ("tests/test_cli.py",),
+        "a rule command runs without --eps",
     ),
 )
 

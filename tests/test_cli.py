@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -355,6 +356,14 @@ class TestAuditCommands:
         )
 
 
+class TestHelp:
+    @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+    def test_help_names_every_witness(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert all(wid.value in out for wid in WitnessId)
+
+
 class TestErrors:
     def test_parse_error_reports_line_and_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -390,6 +399,24 @@ class TestErrors:
             "--witness", "JR_UPPER", "--axiom", "jr",
         )
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                [command, *(arg for pair in kept for arg in pair)]
+                for command in ("dist", "sample", "audit-dp", "audit-axioms")
+                for kept in itertools.combinations(
+                    (("--mechanism", "exp-av"), ("--eps", "1"), ("--witness", "JR_UPPER")), 2
+                )
+            ),
+            ["axioms"],
+        ],
+    )
+    def test_missing_required_input_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "required" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -834,11 +861,11 @@ class TestModuleEntryPoint:
         assert "PJR" in result.stderr
 
 
-def run_script(name, *argv):
+def run_script(name, *argv, cwd=None):
     script = Path(__file__).parents[1] / "scripts" / name
     env = {**os.environ, "PYTHONPATH": str(Path(dpabc.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env, cwd=cwd
     )
 
 
@@ -911,6 +938,12 @@ class TestSequentialDivergenceScript:
     )
     def test_bad_budget_is_a_usage_error(self, eps, message):
         assert_usage_error(self.run_script("--eps", eps), message)
+
+    def test_budget_reader_imports_from_another_directory(self, tmp_path):
+        # the script reads --eps through tradeoff_grid's eps_arg, found on
+        # sys.path by the script's own directory, not the working directory
+        result = run_script("sequential_divergence.py", "--eps", "abc", cwd=tmp_path)
+        assert_usage_error(result, "cannot parse epsilon 'abc'")
 
     def test_every_witness_is_audited(self):
         result = self.run_script("--eps", "1")
