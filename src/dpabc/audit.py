@@ -10,11 +10,12 @@ vacuous (+inf) and excluded from bound checks with an explicit flag.
 
 ``dp_level`` measures the worst log-probability ratio over the full exhaustive
 neighborhood of one instance (every single-voter ballot replacement, both
-directions); the neighborhood has n*(2^m - 2) members, so the audit is capped
-at m <= 8 by policy. The rule runs once per orbit of neighbors under swapping
-twin alternatives (ones held by the same ballot types, so approved by the same
+directions). The rule runs once per orbit of neighbors under swapping twin
+alternatives (ones held by the same ballot types, so approved by the same
 voters) and joined twin classes, which is exact for anonymous and neutral
-rules.
+rules. The replacements come from count vectors over the twin classes, not a
+walk over all 2^m ballots; the policy cap m <= 8 bounds the t*2^m rule calls
+of t ballot types without twins.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .axioms import (
     JR_FAMILY,
     Axiom,
     _av_scores,
-    _ballot_types,
+    _mask,
     axiom_committee_set,
     condorcet_committee,
     dominance_pairs,
@@ -43,7 +44,6 @@ from .core import (
     ResourceLimitError,
     canonical_committees,
     committee_index,
-    nonempty_subsets,
 )
 from .mechanisms import CommitteeDistribution, weight_exponent
 
@@ -297,19 +297,21 @@ def dp_level(
     * Anonymity: voters casting the same ballot have neighbors equal as
       multisets, so each distinct ballot is visited once, in order of first
       appearance, through its first voter.
-    * Neutrality: alternatives are twins when the same ballot types of
-      ``_ballot_types`` hold them; every type has a voter, so twins are
-      approved by the same voters, and a ballot of ``inst`` holds a twin
-      class whole or not at all. Twin classes come in order of their least
-      member. Two equal-size classes are joined when swapping them member
-      for member, in index order, fixes the ballot multiset. Twin and
-      joined-class swaps map a neighbor to one whose gaps are the same
-      floats on permuted committees and permute each component of joined
-      classes in every way, so (type, replacement) pairs share an orbit
-      exactly when they share a key: per component, the sorted (replacement
-      count, type count) pairs.
-      The first pair per key in scan order is evaluated: without joined
-      classes, t * (prod(|C| + 1) - 2) for t ballot types, twin classes C.
+    * Neutrality: alternatives are twins when the same ballot types
+      (distinct ballots) hold them, so the same voters approve them, and a
+      ballot of ``inst`` holds a twin class whole or not at all. Twin
+      classes come in order of their least member. Two equal-size classes
+      are joined when swapping them member for member, in index order,
+      fixes the ballot multiset. Twin and joined-class swaps map a neighbor
+      to one whose gaps are the same floats on permuted committees and
+      permute each component of joined classes in every way, so (type,
+      replacement) pairs share an orbit exactly when they share a key: per
+      component, the sorted (replacement count, type count) pairs. The
+      first pair per key in scan order is evaluated: without joined classes,
+      t * (prod(|C| + 1) - 2) for t ballot types, twin classes C.
+    * Replacements: per count vector of members per twin class, its first
+      ballot in bitmask order, which takes each class's lowest members; in
+      the order a walk over all 2^m - 1 ballots meets them.
 
     A neighbor whose law (its ``log_probs``) an earlier neighbor had is not
     compared again. A skipped neighbor only repeats a gap vector already
@@ -323,23 +325,27 @@ def dp_level(
             f"got m={inst.m}"
         )
     base = rule(inst)
-    types = _ballot_types(inst)
-    members: dict = {}  # the ballot types holding an alternative -> its twin class
-    for a in range(inst.m):
-        held = tuple(t for t, _ in types if t >> a & 1)
-        members[held] = members.get(held, 0) | 1 << a
+    distinct = list(dict.fromkeys(inst.ballots))  # the ballot types, in voter order
+    holders = [0] * inst.m  # the ballot types holding each alternative, one bit per type
+    for i, ballot in enumerate(distinct):
+        for a in ballot:
+            holders[a] |= 1 << i
+    members: dict = {}  # an alternative's holders -> its twin class, ascending
+    for a, held in enumerate(holders):
+        members.setdefault(held, []).append(a)
     classes = list(members.values())
-    vectors: dict = {}  # each ballot's count of members per twin class
-    replacements: dict = {}  # count vector -> its first ballot in bitmask order
-    for mask, ballot in enumerate(nonempty_subsets(inst.m), start=1):
-        vectors[ballot] = counts = tuple((mask & c).bit_count() for c in classes)
-        replacements.setdefault(counts, ballot)
+    # a count vector's first ballot in bitmask order takes the lowest members of
+    # each class: one replacement per vector, in bitmask order, less the empty ballot
+    picks = itertools.product(*([c[:j] for j in range(len(c) + 1)] for c in classes))
+    firsts = [(tuple(map(len, p)), frozenset(itertools.chain(*p))) for p in picks]
+    replacements = sorted(firsts, key=lambda first: _mask(first[1]))[1:]
+    vectors = {b: tuple(len(b.intersection(c)) for c in classes) for b in distinct}
     profile = Counter(vectors[b] for b in inst.ballots)
     component = list(range(len(classes)))  # each class's component, named by a member class
     for i, j in itertools.combinations(range(len(classes)), 2):
         order = [*range(i), j, *range(i + 1, j), i, *range(j + 1, len(classes))]
         swapped = Counter({tuple(v[x] for x in order): c for v, c in profile.items()})
-        if classes[i].bit_count() == classes[j].bit_count() and swapped == profile:
+        if len(classes[i]) == len(classes[j]) and swapped == profile:
             component = [component[i] if c == component[j] else c for c in component]
     joined = len(set(component)) < len(classes)
     keys: set = set()
@@ -347,9 +353,9 @@ def dp_level(
     attaining: Optional[tuple] = None
     evaluated = 0
     laws: set = set()
-    for current in dict.fromkeys(inst.ballots):
+    for current in distinct:
         voter = inst.ballots.index(current)
-        for counts, ballot in replacements.items():
+        for counts, ballot in replacements:
             if ballot == current:
                 continue
             if joined:

@@ -107,10 +107,11 @@ def as_epsilon(epsilon) -> Fraction:
             raise InvalidParametersError(f"epsilon {epsilon!r} is 0, nan or beyond float range")
     else:
         raise InvalidParametersError(f"cannot parse epsilon {epsilon!r}")
-    if eps <= 0:
+    # a Fraction's denominator is positive; float(eps) is this int true division
+    if eps.numerator <= 0:
         raise InvalidParametersError(f"epsilon must be positive, got {eps}")
     try:
-        float(eps)
+        eps.numerator / eps.denominator
     except OverflowError:
         raise InvalidParametersError(f"epsilon {epsilon!r} exceeds the float range") from None
     return eps
@@ -164,11 +165,17 @@ def _law(scores: tuple, scale: int, eps_numerator: int, eps_denominator: int) ->
     scale``, built once per distinct ``(scores, scale, eps)``: each distinct
     score's float exponent is built once. The budget is keyed by its
     numerator and denominator: a ``Fraction`` is hashed afresh on every
-    lookup. Z is an ``fsum``, so permuted scores give the permuted law bit
-    for bit. A budget that overflows raises on every call, since the cache
-    stores no exception."""
-    epsilon = Fraction(eps_numerator, eps_denominator)
-    exponent = {p: weight_exponent(p, scale, epsilon) for p in set(scores)}
+    lookup. Each exponent is the int true division ``weight_exponent``
+    makes, with no ``Fraction`` built. Z is an ``fsum``, so permuted scores
+    give the permuted law bit for bit. A budget that overflows raises
+    ``weight_exponent``'s usage error on every call, since the cache stores
+    no exception."""
+    distinct, denominator = set(scores), scale * eps_denominator
+    try:
+        exponent = {p: p * eps_numerator / denominator for p in distinct}
+    except OverflowError:
+        epsilon = Fraction(eps_numerator, eps_denominator)
+        exponent = {p: weight_exponent(p, scale, epsilon) for p in distinct}  # raises
     hi = max(exponent.values())
     shifted = {p: math.exp(x - hi) for p, x in exponent.items()}
     log_z = hi + math.log(math.fsum(map(shifted.__getitem__, scores)))

@@ -5,7 +5,8 @@ enumerating every voter subset (and every cohesiveness parameter), with no
 shortcuts shared with the package implementation. They are the ground truth
 the fast checkers are validated against. After them come the reference
 predicates (AV score, Pareto dominance, profile distance, alternative
-permutations), the maximal cohesive groups, the JR mass bound, a law's
+permutations), the DP audit's scan of twin-orbit neighbours walked over
+all 2^m ballots, the maximal cohesive groups, the JR mass bound, a law's
 exact probability-ratio coefficient, the sequential AV law summed over
 every pick order, the sequential AV sampler walked pick by pick and the
 ``dpabc reproduce`` records with every law built afresh at each budget,
@@ -14,6 +15,7 @@ which tests compare the package's outputs with.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,6 +145,77 @@ def permute(inst, sigma):
 def permute_committee(committee, sigma):
     """Image of a committee under an alternative permutation, re-sorted."""
     return tuple(sorted(sigma[a] for a in committee))
+
+
+def twin_classes(inst):
+    """The alternatives grouped by the set of voters approving them, each
+    class ascending, the classes in order of their least member."""
+    classes = {}
+    for a in range(inst.m):
+        approvers = frozenset(v for v, ballot in enumerate(inst.ballots) if a in ballot)
+        classes.setdefault(approvers, []).append(a)
+    return list(classes.values())
+
+
+def swap_generators(inst):
+    """Every transposition of two twins (alternatives the same voters
+    approve), then every member-for-member swap, in index order, of two
+    equal-size twin classes that leaves the ballot multiset as it is; each
+    as a permutation tuple."""
+    identity = tuple(range(inst.m))
+
+    def swapping(pairs):
+        sigma = list(identity)
+        for a, b in pairs:
+            sigma[a], sigma[b] = b, a
+        return tuple(sigma)
+
+    classes = twin_classes(inst)
+    generators = [swapping([pair]) for c in classes for pair in itertools.combinations(c, 2)]
+    for c, d in itertools.combinations(classes, 2):
+        sigma = swapping(zip(c, d))
+        if len(c) == len(d) and Counter(permute(inst, sigma).ballots) == Counter(inst.ballots):
+            generators.append(sigma)
+    return generators
+
+
+def first_ballots(inst):
+    """The 2^m - 1 non-empty ballots walked in bitmask order, keeping the
+    first of each count vector (its number of members in each twin class)."""
+    classes = [frozenset(c) for c in twin_classes(inst)]
+    firsts = {}
+    for mask in range(1, 1 << inst.m):
+        ballot = frozenset(a for a in range(inst.m) if mask >> a & 1)
+        firsts.setdefault(tuple(len(ballot & c) for c in classes), ballot)
+    return list(firsts.values())
+
+
+def brute_scan(inst):
+    """The (voter, replacement ballot) pairs an exhaustive DP audit that
+    runs its rule once per orbit evaluates, in order. Each distinct ballot t
+    is taken in order of first appearance, through its first voter, and
+    paired with each of ``first_ballots`` but itself. A pair is skipped when
+    its (t, replacement) lies in the orbit, under ``swap_generators``, of a
+    pair taken before."""
+    generators = swap_generators(inst)
+    replacements = first_ballots(inst)
+    seen = set()
+    scan = []
+    for t in dict.fromkeys(inst.ballots):
+        for b in replacements:
+            if b == t or (t, b) in seen:
+                continue
+            scan.append((inst.ballots.index(t), b))
+            seen.add((t, b))
+            frontier = [(t, b)]
+            while frontier:
+                x, y = frontier.pop()
+                for g in generators:
+                    image = (frozenset(g[a] for a in x), frozenset(g[a] for a in y))
+                    if image not in seen:
+                        seen.add(image)
+                        frontier.append(image)
+    return scan
 
 
 @dataclass(frozen=True)

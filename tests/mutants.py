@@ -94,6 +94,13 @@ MUTANTS = (
     ),
     Mutant(
         MECHANISMS,
+        "if eps.numerator <= 0:",
+        "if eps.numerator < 0:",
+        ("tests/test_mechanisms.py",),
+        "as_epsilon accepts a zero budget",
+    ),
+    Mutant(
+        MECHANISMS,
         "bisect.bisect_right(dist.cumulative, u, 0, len(dist.committees) - 1)",
         "bisect.bisect_right(dist.cumulative, u, 0, len(dist.committees) - 2)",
         ("tests/test_mechanisms.py",),
@@ -108,8 +115,8 @@ MUTANTS = (
     ),
     Mutant(
         AUDIT,
-        "for current in dict.fromkeys(inst.ballots):",
-        "for current in sorted(dict.fromkeys(inst.ballots), key=sorted):",
+        "for current in distinct:",
+        "for current in sorted(distinct, key=sorted):",
         ("tests/test_audit.py",),
         "dp_level visits the distinct ballots in sorted order, not voter order",
     ),
@@ -122,8 +129,8 @@ MUTANTS = (
     ),
     Mutant(
         AUDIT,
-        "classes[j].bit_count() and swapped == profile:",
-        "classes[j].bit_count():",
+        "len(classes[j]) and swapped == profile:",
+        "len(classes[j]):",
         ("tests/test_audit.py",),
         "dp_level joins every two twin classes of equal size, fixing the ballots or not",
     ),
@@ -136,10 +143,17 @@ MUTANTS = (
     ),
     Mutant(
         AUDIT,
-        "held = tuple(t for t, _ in types if t >> a & 1)",
-        "held = tuple(t for t, _ in types[:1] if t >> a & 1)",
+        "for i, ballot in enumerate(distinct):",
+        "for i, ballot in enumerate(distinct[:1]):",
         ("tests/test_audit.py",),
         "dp_level's twin-class key reads only the first ballot type",
+    ),
+    Mutant(
+        AUDIT,
+        "[c[:j] for j in range(len(c) + 1)]",
+        "[c[len(c) - j :] for j in range(len(c) + 1)]",
+        ("tests/test_audit.py",),
+        "dp_level's replacements take each twin class's highest members, not its lowest",
     ),
     Mutant(
         CLI,

@@ -37,12 +37,14 @@ from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS, _from_scores
 
 from brute import (
     brute_longest_chain,
+    brute_scan,
     jr_probability_bound,
     pareto_dominates,
     permute,
     permute_committee,
     profile_distance,
     ratio_coeff,
+    swap_generators,
 )
 from strategies import instances, instances_with_permutation, symmetric_instances
 from witnesses import companion
@@ -179,29 +181,10 @@ def full_neighborhood_audit(rule, inst):
 
 
 def swap_group(inst):
-    """The alternative permutations, as tuples, generated by transposing
-    twins (alternatives the same voters approve) and by every member-for-
-    member swap, in index order, of two equal-size twin classes that leaves
-    the ballot multiset as it is."""
-    classes = {}
-    for a in range(inst.m):
-        approvers = frozenset(v for v, ballot in enumerate(inst.ballots) if a in ballot)
-        classes.setdefault(approvers, []).append(a)
+    """The alternative permutations, as tuples, generated by
+    ``swap_generators(inst)``."""
+    generators = swap_generators(inst)
     identity = tuple(range(inst.m))
-
-    def swapping(pairs):
-        sigma = list(identity)
-        for a, b in pairs:
-            sigma[a], sigma[b] = b, a
-        return tuple(sigma)
-
-    generators = [
-        swapping([pair]) for c in classes.values() for pair in itertools.combinations(c, 2)
-    ]
-    for c, d in itertools.combinations(classes.values(), 2):
-        sigma = swapping(zip(c, d))
-        if len(c) == len(d) and Counter(permute(inst, sigma).ballots) == Counter(inst.ballots):
-            generators.append(sigma)
     group, frontier = {identity}, [identity]
     while frontier:
         products = {tuple(g[a] for a in h) for h in frontier for g in generators}
@@ -291,33 +274,36 @@ class TestDpLevelMatchesFullNeighborhood:
             assert report.neighbors_evaluated == evaluated
 
 
+# (ballots, m, k, neighbours evaluated) for the twin-orbit edge cases
+_EDGE_PROFILES = [
+    # every voter approves everything: one class of size m, so the
+    # orbits are the replacement sizes 1..m-1
+    ([{0, 1, 2, 3, 4}] * 3, 5, 2, 5 - 1),
+    # k = m: one committee, still one class per approver set
+    ([{0, 1}, {2}, {0, 1, 3}], 4, 4, 3 * (3 * 2 * 2 - 2)),
+    # no twins: every replacement is its own orbit
+    ([{0}, {0, 1}, {0, 1, 2}], 3, 2, 3 * (2**3 - 2)),
+    # two joined classes of size 2: both types lie in one orbit, and
+    # a replacement counts its members per class, 3 * 3 - 2 orbits
+    ([{0, 1}, {2, 3}], 4, 2, 3 * 3 - 2),
+    # every ballot over 5 alternatives: all 5 singleton classes are
+    # joined, and an orbit is (|t|, |b|, |t & b|) for t != b
+    ([set(c) for r in range(1, 6) for c in itertools.combinations(range(5), r)], 5, 2, 40),
+    # the rotation (0 1 2)(3 4 5) fixes the ballot multiset, but no
+    # swap of two classes does: the audit uses only a subgroup of
+    # the symmetries and evaluates all 3 * (2^6 - 2) neighbours
+    ([{0, 1, 3}, {1, 2, 4}, {2, 0, 5}], 6, 2, 3 * (2**6 - 2)),
+    # unapproved alternatives: no ballot holds the class {3, 4, 5}
+    ([{0, 1}, {0, 1}, {2}], 6, 2, 2 * (3 * 2 * 4 - 2)),
+]
+
+
 class TestTwinOrbits:
     """dp_level runs the rule once per orbit of (ballot type, replacement)
     pairs under swapping twin alternatives (approved by the same voters) and
     swapping equal-size twin classes where that fixes the ballot multiset."""
 
-    @pytest.mark.parametrize(
-        "ballots, m, k, evaluated",
-        [
-            # every voter approves everything: one class of size m, so the
-            # orbits are the replacement sizes 1..m-1
-            ([{0, 1, 2, 3, 4}] * 3, 5, 2, 5 - 1),
-            # k = m: one committee, still one class per approver set
-            ([{0, 1}, {2}, {0, 1, 3}], 4, 4, 3 * (3 * 2 * 2 - 2)),
-            # no twins: every replacement is its own orbit
-            ([{0}, {0, 1}, {0, 1, 2}], 3, 2, 3 * (2**3 - 2)),
-            # two joined classes of size 2: both types lie in one orbit, and
-            # a replacement counts its members per class, 3 * 3 - 2 orbits
-            ([{0, 1}, {2, 3}], 4, 2, 3 * 3 - 2),
-            # every ballot over 5 alternatives: all 5 singleton classes are
-            # joined, and an orbit is (|t|, |b|, |t & b|) for t != b
-            ([set(c) for r in range(1, 6) for c in itertools.combinations(range(5), r)], 5, 2, 40),
-            # the rotation (0 1 2)(3 4 5) fixes the ballot multiset, but no
-            # swap of two classes does: the audit uses only a subgroup of
-            # the symmetries and evaluates all 3 * (2^6 - 2) neighbours
-            ([{0, 1, 3}, {1, 2, 4}, {2, 0, 5}], 6, 2, 3 * (2**6 - 2)),
-        ],
-    )
+    @pytest.mark.parametrize("ballots, m, k, evaluated", _EDGE_PROFILES)
     def test_edge_profiles_match_full_scan(self, ballots, m, k, evaluated):
         inst = Instance(ballots, m, k)
         assert orbit_count(inst) == evaluated
@@ -337,6 +323,44 @@ class TestTwinOrbits:
         reports = [dp_level(make_rule("uniform", 1), inst) for inst in insts]
         assert [r.neighbors_evaluated for r in reports] == [orbit_count(i) for i in insts]
         assert sum(r.neighbors_evaluated for r in reports) == 532
+
+
+def recorded_scan(inst):
+    """The (voter, replacement ballot) pairs ``dp_level`` runs its rule on,
+    in order, read off a rule that records every instance it is given."""
+    given_instances = []
+
+    def rule(x):
+        given_instances.append(x)
+        return uniform_distribution(x)
+
+    dp_level(rule, inst)
+    scan = []
+    for x in given_instances[1:]:
+        (voter,) = (v for v in range(inst.n) if x.ballots[v] != inst.ballots[v])
+        scan.append((voter, x.ballots[voter]))
+    return scan
+
+
+class TestScanOrder:
+    """dp_level builds each count vector's replacement from the lowest
+    members of every twin class; the neighbours it evaluates, in order, are
+    those of ``brute_scan``, which walks all 2^m ballots."""
+
+    @pytest.mark.parametrize("ballots, m, k, evaluated", _EDGE_PROFILES)
+    def test_edge_profiles(self, ballots, m, k, evaluated):
+        inst = Instance(ballots, m, k)
+        assert recorded_scan(inst) == brute_scan(inst)
+
+    def test_witnesses(self):
+        for wid in WitnessId:
+            inst = witness(wid).inst
+            assert recorded_scan(inst) == brute_scan(inst), wid
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(instances(max_m=8, max_n=6), symmetric_instances(max_m=8, max_n=3)))
+    def test_random_profiles(self, inst):
+        assert recorded_scan(inst) == brute_scan(inst)
 
 
 class TestAnonymity:

@@ -71,7 +71,7 @@ class TestEpsilonParsing:
         "bad",
         [
             0, -1, "0", "-0.5", "abc", None, float("nan"), float("inf"),
-            "1e400", "1e-400", "1e-5000", "1/" + "9" * 5000,
+            "1e400", "1e-400", "1e-5000", "1/" + "9" * 5000, Fraction(0), Fraction(-1, 3),
         ],
     )
     def test_rejects_nonpositive_or_garbage(self, bad):
