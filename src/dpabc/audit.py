@@ -14,8 +14,8 @@ directions). The rule runs once per orbit of neighbors under swapping twin
 alternatives (ones held by the same ballot types, so approved by the same
 voters) and joined twin classes, which is exact for anonymous and neutral
 rules. The replacements come from count vectors over the twin classes, not a
-walk over all 2^m ballots; the policy cap m <= 8 bounds the t*2^m rule calls
-of t ballot types without twins.
+walk over all 2^m ballots; a policy cap checked before the first rule call
+bounds the predicted work: rule calls times the C(m, k) committees of each.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .core import (
 from .mechanisms import CommitteeDistribution, weight_exponent
 
 TOLERANCE = 1e-9
-NEIGHBOR_AUDIT_MAX_M = 8
+NEIGHBOR_AUDIT_MAX_WORK = (2**8 - 1) * (2**8 - 2) * math.comb(8, 4)  # the most at m <= 8
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,9 @@ def dp_level(
       permute each component of joined classes in every way, so (type,
       replacement) pairs share an orbit exactly when they share a key: per
       component, the sorted (replacement count, type count) pairs. The
-      first pair per key in scan order is evaluated: without joined classes,
-      t * (prod(|C| + 1) - 2) for t ballot types, twin classes C.
+      first pair per key in scan order is evaluated: t * (prod(|C| + 1) - 2)
+      for t ballot types, twin classes C, or fewer with joined classes; that
+      times C(m, k) past NEIGHBOR_AUDIT_MAX_WORK raises ResourceLimitError.
     * Replacements: per count vector of members per twin class, its first
       ballot in bitmask order, which takes each class's lowest members; in
       the order a walk over all 2^m - 1 ballots meets them.
@@ -319,12 +320,6 @@ def dp_level(
     (voter, replacement ballot, committee), so the report equals that of a
     scan over every neighbor.
     """
-    if inst.m > NEIGHBOR_AUDIT_MAX_M:
-        raise ResourceLimitError(
-            f"exhaustive neighborhood audit limited to m <= {NEIGHBOR_AUDIT_MAX_M}, "
-            f"got m={inst.m}"
-        )
-    base = rule(inst)
     distinct = list(dict.fromkeys(inst.ballots))  # the ballot types, in voter order
     holders = [0] * inst.m  # the ballot types holding each alternative, one bit per type
     for i, ballot in enumerate(distinct):
@@ -334,6 +329,13 @@ def dp_level(
     for a, held in enumerate(holders):
         members.setdefault(held, []).append(a)
     classes = list(members.values())
+    work = math.prod(len(c) + 1 for c in classes) - 2
+    work *= len(distinct) * math.comb(inst.m, inst.k)
+    if work > NEIGHBOR_AUDIT_MAX_WORK:
+        raise ResourceLimitError(
+            f"DP audit limited to {NEIGHBOR_AUDIT_MAX_WORK} committee evaluations, got {work}"
+        )
+    base = rule(inst)
     # a count vector's first ballot in bitmask order takes the lowest members of
     # each class: one replacement per vector, in bitmask order, less the empty ballot
     picks = itertools.product(*([c[:j] for j in range(len(c) + 1)] for c in classes))

@@ -156,6 +156,25 @@ MUTANTS = (
         "dp_level's replacements take each twin class's highest members, not its lowest",
     ),
     Mutant(
+        AUDIT,
+        "if work > NEIGHBOR_AUDIT_MAX_WORK:",
+        "if work >= NEIGHBOR_AUDIT_MAX_WORK:",
+        ("tests/test_audit.py",),
+        "dp_level refuses an audit whose predicted work is exactly the cap",
+    ),
+    Mutant(
+        AUDIT,
+        "    if work > NEIGHBOR_AUDIT_MAX_WORK:\n        raise ResourceLimitError(\n"
+        '            f"DP audit limited to {NEIGHBOR_AUDIT_MAX_WORK} committee evaluations, '
+        'got {work}"\n        )\n    base = rule(inst)\n',
+        "    base = rule(inst)\n    if work > NEIGHBOR_AUDIT_MAX_WORK:\n"
+        "        raise ResourceLimitError(\n"
+        '            f"DP audit limited to {NEIGHBOR_AUDIT_MAX_WORK} committee evaluations, '
+        'got {work}"\n        )\n',
+        ("tests/test_audit.py",),
+        "dp_level runs the rule on the audited profile before checking the work cap",
+    ),
+    Mutant(
         CLI,
         "source = instance.add_mutually_exclusive_group(required=True)",
         "source = instance.add_mutually_exclusive_group(required=False)",

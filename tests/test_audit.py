@@ -30,7 +30,7 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc.audit import TOLERANCE, _longest_chain, bound_premises
+from dpabc.audit import NEIGHBOR_AUDIT_MAX_WORK, TOLERANCE, _longest_chain, bound_premises
 from dpabc.axioms import JR_FAMILY, _av_scores
 from dpabc.core import canonical_committees, nonempty_subsets
 from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS, _from_scores
@@ -45,6 +45,7 @@ from brute import (
     profile_distance,
     ratio_coeff,
     swap_generators,
+    twin_classes,
 )
 from strategies import instances, instances_with_permutation, symmetric_instances
 from witnesses import companion
@@ -144,9 +145,28 @@ class TestDpLevel:
         assert report.max_log_ratio <= 1 + 1e-9
 
     def test_policy_cap_names_limit(self):
-        inst = Instance([{0}], 9, 2)
-        with pytest.raises(ResourceLimitError, match="m <= 8"):
-            dp_level(make_rule("uniform", 1), inst)
+        # 511 ballot types * (2^9 - 2) rule calls * C(9, 4) committees is
+        # 32,836,860 committee evaluations, refused before any rule call
+        inst = all_ballots(9, 4)
+
+        def rule(x):
+            raise AssertionError("the rule ran past the work cap")
+
+        with pytest.raises(ResourceLimitError, match="4533900 committee evaluations, got 32836860"):
+            dp_level(rule, inst)
+
+    def test_policy_cap_admits_its_own_value(self):
+        # every ballot over 8 alternatives at k = 4 predicts exactly the cap,
+        # the most work any profile with m <= 8 can predict
+        inst = all_ballots(8, 4)
+        assert predicted_rule_calls(inst) * math.comb(8, 4) == NEIGHBOR_AUDIT_MAX_WORK == 4533900
+        assert dp_level(make_rule("uniform", 1), inst).neighbors_evaluated == 140
+
+    def test_policy_cap_admits_a_small_scan_past_m_8(self):
+        # one voter at m = 9: twin classes {0} and {1..8}, 2 * 9 - 2 rule calls
+        report = dp_level(make_rule("uniform", 1), Instance([{0}], 9, 2))
+        assert report.neighbors_evaluated == 16
+        assert report.instances_checked == 2**9 - 2
 
     def test_unknown_mechanism_lists_valid_names(self):
         with pytest.raises(InvalidParametersError, match="'no-such-rule'; valid: exp-av, "):
@@ -160,6 +180,19 @@ class TestDpLevel:
         assert dp_level(rule, inst).max_log_ratio == pytest.approx(
             dp_level(rule, companion(WitnessId.CC_UPPER, inst)).max_log_ratio, abs=1e-12
         )
+
+
+def all_ballots(m, k):
+    """The profile of every non-empty ballot over m alternatives, one voter
+    each, in bitmask order."""
+    return Instance(list(nonempty_subsets(m)), m, k)
+
+
+def predicted_rule_calls(inst):
+    """The rule calls a scan over one replacement per twin-class count
+    vector makes before joined classes merge any: t * (prod(|C| + 1) - 2)
+    for t ballot types and twin classes C."""
+    return len(set(inst.ballots)) * (math.prod(len(c) + 1 for c in twin_classes(inst)) - 2)
 
 
 def full_neighborhood_audit(rule, inst):
@@ -324,6 +357,18 @@ class TestTwinOrbits:
         assert [r.neighbors_evaluated for r in reports] == [orbit_count(i) for i in insts]
         assert sum(r.neighbors_evaluated for r in reports) == 532
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(instances(max_m=8, max_n=6), symmetric_instances(max_m=8, max_n=3)))
+    def test_predicted_rule_calls_bound_the_scan(self, inst):
+        # the work cap's count of rule calls is an upper bound, exact unless
+        # some swap of two twin classes fixes the ballot multiset
+        predicted = predicted_rule_calls(inst)
+        evaluated = dp_level(make_rule("uniform", 1), inst).neighbors_evaluated
+        assert evaluated <= predicted
+        transpositions = sum(math.comb(len(c), 2) for c in twin_classes(inst))
+        if len(swap_generators(inst)) == transpositions:
+            assert evaluated == predicted
+
 
 def recorded_scan(inst):
     """The (voter, replacement ballot) pairs ``dp_level`` runs its rule on,
@@ -356,6 +401,27 @@ class TestScanOrder:
         for wid in WitnessId:
             inst = witness(wid).inst
             assert recorded_scan(inst) == brute_scan(inst), wid
+
+    @pytest.mark.parametrize(
+        "wid, pairs",
+        [
+            (WitnessId.JR_UPPER, 102),
+            (WitnessId.PJR_UPPER, 186),
+            (WitnessId.EJR_UPPER, 34),
+            (WitnessId.PE_CHAIN, 92),
+            (WitnessId.CC_UPPER, 124),
+            (WitnessId.JR_PJR_3WAY, 426),
+            (WitnessId.PJR_EJR_3WAY, 118),
+            (WitnessId.FIG3_DIVERGENCE, 82),
+            (WitnessId.CC_JR_INCOMPAT, 156),
+        ],
+    )
+    def test_witnesses_past_m_8(self, wid, pairs):
+        # brute_scan walks all 2^m ballots: 0.1 s at m = 10, seconds at m = 14
+        inst = witness(wid, m=10).inst
+        scan = recorded_scan(inst)
+        assert scan == brute_scan(inst)
+        assert len(scan) == pairs
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(instances(max_m=8, max_n=6), symmetric_instances(max_m=8, max_n=3)))

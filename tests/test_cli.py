@@ -258,16 +258,47 @@ class TestAuditCommands:
         assert record["neighbors_checked"] == 56
         assert record["within_budget"] is True
 
-    def test_audit_dp_policy_cap_exit_code(self, capsys, tmp_path):
-        inst = Instance([{0}], 9, 2)
-        path = tmp_path / "big.txt"
-        path.write_text(format_instance(inst))
-        code, _, err = run_cli(
+    def test_audit_dp_policy_cap_exit_code(self, capsys, tmp_path, monkeypatch):
+        # every ballot over 9 alternatives at k = 4: 32,836,860 predicted
+        # committee evaluations, refused before the rule first runs
+        ballots = [[a for a in range(9) if mask >> a & 1] for mask in range(1, 1 << 9)]
+        path = tmp_path / "all-9.txt"
+        path.write_text(format_instance(Instance(ballots, 9, 4)))
+
+        def never(inst, epsilon):
+            raise AssertionError("the rule ran past the work cap")
+
+        monkeypatch.setitem(MECHANISMS, "uniform", never)
+        code, out, err = run_cli(
             capsys,
             "audit-dp", "--mechanism", "uniform", "--eps", "1", "--input", str(path),
         )
-        assert code == 3
-        assert "m <= 8" in err
+        assert (code, out) == (3, "")
+        assert "limited to 4533900 committee evaluations, got 32836860" in err
+
+    def test_audit_dp_past_m_8_golden_digest(self, capsys):
+        # JR_UPPER at m = 20: 222 of its 4,194,296 neighbours are evaluated;
+        # rr-ejr's gap, 0.935 * eps, is 0.891 * eps at m = 12
+        digest = hashlib.sha256()
+        records = {}
+        for mechanism in AUDIT_MECHANISMS:
+            code, out, _ = run_cli(
+                capsys,
+                "audit-dp", "--mechanism", mechanism, "--eps", "1",
+                "--witness", "JR_UPPER", "--m", "20",
+            )
+            digest.update(f"JR_UPPER m=20 {mechanism} {code}\n".encode())
+            digest.update(out.encode())
+            (records[mechanism],) = parse_jsonl(out)
+        rr, av = records["rr-ejr"], records["exp-av"]
+        assert (rr["neighbors_evaluated"], rr["neighbors_checked"]) == (222, 4194296)
+        assert rr["max_log_ratio"] == 0.9350722380012773
+        assert rr["attaining"] == {"committee": [0, 1], "replacement_ballot": [2], "voter": 0}
+        assert (av["neighbors_evaluated"], av["neighbors_checked"]) == (222, 4194296)
+        assert av["max_log_ratio"] == 0.8621652261035431
+        assert digest.hexdigest() == (
+            "7b8583fdc0c356dbeec40434912607441b37da97926dc3a8e0fa01a11bd61503"
+        )
 
     def test_audit_axioms_emits_levels_and_bounds(self, capsys):
         code, out, _ = run_cli(
