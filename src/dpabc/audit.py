@@ -15,7 +15,7 @@ alternatives (ones held by the same ballot types, so approved by the same
 voters) and joined twin classes, which is exact for anonymous and neutral
 rules. The replacements come from count vectors over the twin classes, not a
 walk over all 2^m ballots; a policy cap checked before the first rule call
-bounds the predicted work: rule calls times the C(m, k) committees of each.
+bounds the predicted work, rule calls times the sets each call builds.
 """
 
 from __future__ import annotations
@@ -308,8 +308,8 @@ def dp_level(
       replacement) pairs share an orbit exactly when they share a key: per
       component, the sorted (replacement count, type count) pairs. The
       first pair per key in scan order is evaluated: t * (prod(|C| + 1) - 2)
-      for t ballot types, twin classes C, or fewer with joined classes; that
-      times C(m, k) past NEIGHBOR_AUDIT_MAX_WORK raises ResourceLimitError.
+      for t ballot types, twin classes C, or fewer with joined classes; times
+      max(C(m, min(k, m // 2)), C(8, 4)) past NEIGHBOR_AUDIT_MAX_WORK is refused.
     * Replacements: per count vector of members per twin class, its first
       ballot in bitmask order, which takes each class's lowest members; in
       the order a walk over all 2^m - 1 ballots meets them.
@@ -330,7 +330,7 @@ def dp_level(
         members.setdefault(held, []).append(a)
     classes = list(members.values())
     work = math.prod(len(c) + 1 for c in classes) - 2
-    work *= len(distinct) * math.comb(inst.m, inst.k)
+    work *= len(distinct) * max(math.comb(inst.m, min(inst.k, inst.m // 2)), math.comb(8, 4))
     if work > NEIGHBOR_AUDIT_MAX_WORK:
         raise ResourceLimitError(
             f"DP audit limited to {NEIGHBOR_AUDIT_MAX_WORK} committee evaluations, got {work}"

@@ -175,6 +175,20 @@ MUTANTS = (
         "dp_level runs the rule on the audited profile before checking the work cap",
     ),
     Mutant(
+        AUDIT,
+        "math.comb(inst.m, min(inst.k, inst.m // 2))",
+        "math.comb(inst.m, inst.k)",
+        ("tests/test_audit.py",),
+        "dp_level charges a rule call its C(m, k) committees, one at k = m",
+    ),
+    Mutant(
+        AUDIT,
+        "max(math.comb(inst.m, min(inst.k, inst.m // 2)), math.comb(8, 4))",
+        "math.comb(inst.m, min(inst.k, inst.m // 2))",
+        ("tests/test_audit.py",),
+        "dp_level charges a rule call less than C(8, 4), so small k admits more calls",
+    ),
+    Mutant(
         CLI,
         "source = instance.add_mutually_exclusive_group(required=True)",
         "source = instance.add_mutually_exclusive_group(required=False)",

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -153,6 +154,30 @@ class TestDpLevel:
             raise AssertionError("the rule ran past the work cap")
 
         with pytest.raises(ResourceLimitError, match="4533900 committee evaluations, got 32836860"):
+            dp_level(rule, inst)
+
+    @pytest.mark.parametrize(
+        "m, k, t, calls, per_call",
+        [
+            # 18,424 rule calls at m = k = 14: one committee per law, but
+            # each call's EJR cores reach C(14, 7) = 3432 sets of one size
+            (14, 14, 4, 18424, math.comb(14, 7)),
+            # 452,746 rule calls at m = 10, k = 1: ten committees per law,
+            # but a call is charged at least C(8, 4), so no admitted audit
+            # makes more rule calls than 255 * 254, the most at m <= 8
+            (10, 1, 443, 452746, math.comb(8, 4)),
+        ],
+    )
+    def test_policy_cap_charges_each_call_its_largest_set_family(self, m, k, t, calls, per_call):
+        masks = random.Random(0).sample(range(1, 1 << m), t)
+        inst = Instance([{a for a in range(m) if mask >> a & 1} for mask in masks], m, k)
+        assert predicted_rule_calls(inst) == calls
+        assert calls * per_call > NEIGHBOR_AUDIT_MAX_WORK
+
+        def rule(x):
+            raise AssertionError("the rule ran past the work cap")
+
+        with pytest.raises(ResourceLimitError, match=f"got {calls * per_call}$"):
             dp_level(rule, inst)
 
     def test_policy_cap_admits_its_own_value(self):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -275,6 +276,26 @@ class TestAuditCommands:
         )
         assert (code, out) == (3, "")
         assert "limited to 4533900 committee evaluations, got 32836860" in err
+
+    def test_audit_dp_policy_cap_at_k_equal_m(self, capsys, tmp_path, monkeypatch):
+        # 255 twin-free ballot types at m = k = 14 pass the committee-space
+        # cap, C(14, 7) <= 5000; each rule call is charged C(14, 7), its EJR
+        # cores of size 7, not its C(14, 14) = 1 committee, so it exits 3 unrun
+        masks = random.Random(0).sample(range(1, 1 << 14), 255)
+        ballots = [[a for a in range(14) if mask >> a & 1] for mask in masks]
+        path = tmp_path / "twin-free-14.txt"
+        path.write_text(format_instance(Instance(ballots, 14, 14)))
+
+        def never(inst, epsilon):
+            raise AssertionError("the rule ran past the work cap")
+
+        monkeypatch.setitem(MECHANISMS, "rr-ejr", never)
+        code, out, err = run_cli(
+            capsys,
+            "audit-dp", "--mechanism", "rr-ejr", "--eps", "1", "--input", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert "limited to 4533900 committee evaluations, got 14336871120" in err
 
     def test_audit_dp_past_m_8_golden_digest(self, capsys):
         # JR_UPPER at m = 20: 222 of its 4,194,296 neighbours are evaluated;
