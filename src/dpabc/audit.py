@@ -252,15 +252,20 @@ def _boundary_level(
 def _pe_level(dist: CommitteeDistribution, weights: Sequence) -> AxiomLevel:
     """Level of Pareto efficiency: min P(dominator) / P(dominated) over all
     dominance pairs, the first such pair in permutations order on ties;
-    vacuous when no committee dominates another."""
-    table = dominance_pairs(dist.instance)
-    low = min(
-        ((weights[i] - weights[j], i, j) for i, row in enumerate(table) for j in row),
-        default=None,
-    )
+    vacuous when no committee dominates another. Rounding is monotone, so a
+    row's least difference is to its largest weight, first attained by the
+    row's first index with exactly that difference."""
+    low = None
+    for i, row in enumerate(dominance_pairs(dist.instance)):
+        if row:
+            diff = weights[i] - max(map(weights.__getitem__, row))
+            if low is None or diff < low[0]:
+                low = (diff, i, row)
     if low is None:
         return AxiomLevel(Axiom.PE, math.inf, None, None, dist.epsilon)
-    return _pair_level(dist, Axiom.PE, low[1], low[2], weights)
+    diff, i, row = low
+    j = next(j for j in row if weights[i] - weights[j] == diff)
+    return _pair_level(dist, Axiom.PE, i, j, weights)
 
 
 def measure_levels(dist: CommitteeDistribution) -> dict:
@@ -392,8 +397,8 @@ def check_bound(bound_id: BoundId, levels: dict, inst: Instance, premises: dict)
     check holds at every eps, else only at the levels' own. PE_CC_3WAY is
     checked in the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
     """
-    axioms = _BOUNDS[bound_id][0]
-    rhs_coeff = Fraction(_BOUNDS[bound_id][1](inst.n, inst.k))
+    axioms, rhs = _BOUNDS[bound_id]
+    rhs_coeff = Fraction(rhs(inst.n, inst.k))
     reason = premises[bound_id]
     terms = []
     if reason is None:
@@ -416,9 +421,11 @@ def check_bound(bound_id: BoundId, levels: dict, inst: Instance, premises: dict)
     note = "checked in the satisfiable direction" if bound_id is BoundId.PE_CC_3WAY else ""
     terms = tuple(terms)
     if all(level.coeff is not None for level, _ in terms):
-        lhs_coeff = sum((weight * level.coeff for level, weight in terms), Fraction(0))
-        satisfied = lhs_coeff <= rhs_coeff
-        return BoundCheck(bound_id, satisfied, False, note, lhs_coeff, rhs_coeff, terms)
+        # the weighted coefficients as integers over one denominator
+        den = math.lcm(*(level.coeff.denominator for level, _ in terms))
+        num = sum(w * lv.coeff.numerator * (den // lv.coeff.denominator) for lv, w in terms)
+        satisfied = num * rhs_coeff.denominator <= rhs_coeff.numerator * den
+        return BoundCheck(bound_id, satisfied, False, note, Fraction(num, den), rhs_coeff, terms)
     check = BoundCheck(bound_id, False, False, note, None, rhs_coeff, terms)
     lhs_log, rhs_log = check.logs(terms[0][0].epsilon)
     return replace(check, satisfied=lhs_log <= rhs_log + TOLERANCE)

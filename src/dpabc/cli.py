@@ -45,7 +45,8 @@ from .core import (
 )
 from .instances import DEFAULT_PARAMETERS, WitnessId, witness, witness_id
 from .mechanisms import (
-    AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample, sample_sequential_av
+    AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample, sample_sequential_av,
+    weight_exponent,
 )
 
 EXIT_OK = 0
@@ -73,10 +74,10 @@ DEFAULT_EPS_GRID = ("0.1", "1", "2")
 # one encoder for every record; json.dumps with options builds one per call
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
-# holds a bound row's per-eps fields (in sorted order, as they render) while
-# the row's other fields render once
+# holds a bound row's per-eps fields and its rule (in sorted order, as they
+# render) while the row's other fields render once
 _SLOT = "\0"
-_SLOTS = dict.fromkeys(("eps", "lhs_log", "rhs_log"), _SLOT)
+_SLOTS = dict.fromkeys(("eps", "lhs_log", "mechanism", "rhs_log"), _SLOT)
 
 
 def _finite(x: float):
@@ -103,26 +104,31 @@ _FORMATS = {"structured": (_ENCODER.encode, _json_value), "table": (_table_line,
 
 
 def _render(records: list, fmt: str) -> str:
-    """Records as JSON lines with sorted keys, or as a plain table. Each
-    check of a row family from :func:`_bound_records` is rendered once with
-    ``_SLOT`` in its per-eps fields; each budget's line fills the slots."""
+    """Records as JSON lines with sorted keys, or as a plain table. A row
+    family of :func:`_bound_records` comes as ``(mechanism, family)``; each
+    distinct family's checks render once with ``_SLOT`` in their slots, each
+    budget fills the per-eps ones, and each rule sharing it fills its name."""
     line, value = _FORMATS[fmt]
     slot = value(_SLOT)
     lines = []
+    built: dict = {}  # id of a row family -> its lines, split at the mechanism slot
     for r in records:
         if isinstance(r, dict):
             lines.append(line(r) + "\n")
             continue
-        fixed, budgets = r
-        pieces = [line({**f, **_SLOTS}).split(slot) for f in fixed]
-        if any(len(p) != 4 for p in pieces):
-            raise ValueError(f"a bound field holds the slot marker {_SLOT!r}")
-        for label, logs in budgets:
-            eps = value(label)
-            lines += [
-                f"{a}{eps}{b}{value(lhs_log)}{c}{value(rhs_log)}{d}\n"
-                for (a, b, c, d), (lhs_log, rhs_log) in zip(pieces, logs)
+        mechanism, (fixed, budgets) = r
+        if id(fixed) not in built:
+            pieces = [line({**f, **_SLOTS}).split(slot) for f in fixed]
+            if any(len(p) != 5 for p in pieces):
+                raise ValueError(f"a bound field holds the slot marker {_SLOT!r}")
+            built[id(fixed)] = [
+                (f"{a}{eps}{b}{value(lhs_log)}{c}", f"{d}{value(rhs_log)}{e}\n")
+                for label, logs in budgets
+                for eps in [value(label)]
+                for (a, b, c, d, e), (lhs_log, rhs_log) in zip(pieces, logs)
             ]
+        name = value(mechanism)
+        lines += [head + name + tail for head, tail in built[id(fixed)]]
     return "".join(lines)
 
 
@@ -318,10 +324,12 @@ def _level_record(level, extra: dict) -> dict:
     }
 
 
-def _bound_records(checks: list, eps_values: Sequence, extra: dict) -> tuple:
+def _bound_records(checks: list, eps_values: Sequence, extra: dict, rhs_logs: list) -> tuple:
     """The records of ``checks`` at each budget in turn as one row family:
     each check's fields that do not depend on eps, built once, and per
-    budget its label and each check's ``(lhs_log, rhs_log)``."""
+    budget its label and each check's ``(lhs_log, rhs_log)``, each level's
+    log taken once. ``rhs_logs`` holds per budget the bounds' right-hand side
+    logs, filled by the first law of an instance and read by the rest."""
     fixed = [
         {
             "record": "bound",
@@ -339,10 +347,19 @@ def _bound_records(checks: list, eps_values: Sequence, extra: dict) -> tuple:
         }
         for check in checks
     ]
-    budgets = [
-        (str(eps), [(_finite(lhs), rhs) for check in checks for lhs, rhs in [check.logs(eps)]])
-        for eps in eps_values
-    ]
+    levels = {id(level): level for check in checks for level, _ in check.terms}
+    budgets = []
+    for eps, rhs_log in zip(eps_values, rhs_logs):
+        if not rhs_log:  # every law's checks come in one bound order
+            rhs = [check.rhs_coeff for check in checks]
+            rhs_log += [weight_exponent(q.numerator, q.denominator, eps) for q in rhs]
+        logs = {key: level.log_at(eps) for key, level in levels.items()}
+        # each lhs sums its terms in order, as BoundCheck.logs does
+        lhs_logs = [
+            math.inf if c.vacuous else sum(w * logs[id(level)] for level, w in c.terms)
+            for c in checks
+        ]
+        budgets.append((str(eps), list(zip(map(_finite, lhs_logs), rhs_log))))
     return fixed, budgets
 
 
@@ -350,10 +367,10 @@ def _cmd_audit_axioms(args) -> tuple:
     dist = _distribution(args)
     inst, eps = dist.instance, dist.epsilon
     levels = measure_levels(dist)
-    extra = {"mechanism": args.mechanism}
-    records = [_level_record(level, {**extra, "eps": str(eps)}) for level in levels.values()]
+    extra = {"mechanism": args.mechanism, "eps": str(eps)}
+    records = [_level_record(level, extra) for level in levels.values()]
     checks = evaluate_bounds(levels, inst, bound_premises(inst))
-    records.append(_bound_records(checks, [eps], extra))
+    records.append((args.mechanism, _bound_records(checks, [eps], {}, [[]])))
     violated = any(not check.satisfied for check in checks)
     return records, EXIT_BOUND_VIOLATION if violated else EXIT_OK
 
@@ -363,15 +380,21 @@ def _cmd_reproduce(args) -> tuple:
     records = []
     for wid in WitnessId:
         inst = witness(wid).inst
-        premises = bound_premises(inst)
+        premises, extra = bound_premises(inst), {"witness": wid.value}
+        rhs_logs = [[] for _ in eps_values]
+        # laws with equal (scores, scale) have equal levels and checks; a law
+        # without scores is keyed by its log-probabilities
+        families: dict = {}
         for mechanism in AUDIT_MECHANISMS:
-            extra = {"witness": wid.value, "mechanism": mechanism}
             # every audited law has scores, so its checks hold at every eps
             dist = MECHANISMS[mechanism](inst, eps_values[0])
-            checks = evaluate_bounds(measure_levels(dist), inst, premises)
-            records.append(_bound_records(checks, eps_values, extra))
+            key = dist.log_probs if dist.scores is None else (dist.scores, dist.scale)
+            if key not in families:
+                checks = evaluate_bounds(measure_levels(dist), inst, premises)
+                families[key] = _bound_records(checks, eps_values, extra, rhs_logs)
+            records.append((mechanism, families[key]))
     violations = sum(
-        len(budgets) * sum(not f["satisfied"] for f in fixed) for fixed, budgets in records
+        len(budgets) * sum(not f["satisfied"] for f in fixed) for _, (fixed, budgets) in records
     )
     records.append(
         {

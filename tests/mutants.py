@@ -189,6 +189,34 @@ MUTANTS = (
         "dp_level charges a rule call less than C(8, 4), so small k admits more calls",
     ),
     Mutant(
+        AUDIT,
+        "j = next(j for j in row if weights[i] - weights[j] == diff)",
+        "j = max(row, key=weights.__getitem__)",
+        ("tests/test_audit.py",),
+        "the PE level takes its row's largest-weight index, not the first with an equal difference",
+    ),
+    Mutant(
+        CLI,
+        "key = dist.log_probs if dist.scores is None else (dist.scores, dist.scale)",
+        "key = dist.log_probs if dist.scores is None else dist.scores",
+        ("tests/test_cli.py",),
+        "reproduce shares rows between laws with equal scores at different scales",
+    ),
+    Mutant(
+        CLI,
+        "for eps, rhs_log in zip(eps_values, rhs_logs):",
+        "for eps, rhs_log in zip(eps_values, rhs_logs[:1] * len(eps_values)):",
+        ("tests/test_cli.py",),
+        "the right-hand sides' log memo serves every budget the first budget's logs",
+    ),
+    Mutant(
+        CLI,
+        "            ]\n        name = value(mechanism)\n",
+        "            ]\n            name = value(mechanism)\n",
+        ("tests/test_cli.py",),
+        "a shared row family's rows name the rule that built it, not each rule sharing it",
+    ),
+    Mutant(
         CLI,
         "source = instance.add_mutually_exclusive_group(required=True)",
         "source = instance.add_mutually_exclusive_group(required=False)",

@@ -18,6 +18,7 @@ from dpabc import (
     InvalidParametersError,
     ResourceLimitError,
     check_bound,
+    CommitteeDistribution,
     dp_level,
     enumerate_neighbors,
     evaluate_bounds,
@@ -107,6 +108,19 @@ class TestPeLevel:
         inst = Instance([{0, 1, 2}] * 2, 3, 2)  # all committees tie
         level = measure_levels(uniform_distribution(inst))[Axiom.PE]
         assert level.vacuous
+
+    def test_float_tie_keeps_the_lower_index(self):
+        # (0,) dominates (1,) and (2,); their log-probabilities differ, but
+        # -1 less either rounds to -1.0, so the first pair in the row attains
+        inst = Instance([{0}], 3, 1)
+        assert dominance_pairs(inst) == ((1, 2), (), ())
+        log_probs = (-1.0, -2e-17, -1e-17)
+        committees = canonical_committees(3, 1)
+        dist = CommitteeDistribution(inst, Fraction(1), committees, None, 1, log_probs)
+        assert log_probs[0] - log_probs[1] == log_probs[0] - log_probs[2] == -1.0
+        level = measure_levels(dist)[Axiom.PE]
+        assert level.log_value == -1.0
+        assert level.attaining_pair == ((0,), (1,))
 
 
 class TestCcLevel:

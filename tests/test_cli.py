@@ -29,7 +29,9 @@ from dpabc import (
     WitnessId,
 )
 from dpabc import cli
+from dpabc.axioms import _av_scores
 from dpabc.cli import main
+from dpabc.mechanisms import _from_scores
 
 from brute import brute_reproduce
 from strategies import EDGE_SEEDS
@@ -680,9 +682,35 @@ class TestReproduce:
         premises = count_calls(monkeypatch, cli, "bound_premises")
         code, _, _ = run_cli(capsys, "reproduce")
         assert code == 0
-        # witnesses x audited rules: each law serves the whole eps grid
-        assert levels == [9 * 6]
+        # one scan per distinct (witness, scores, scale): the rules of a
+        # witness whose laws agree share it, and each law serves the eps grid
+        laws = {
+            (wid, law.scores, law.scale)
+            for wid in WitnessId
+            for mechanism in cli.AUDIT_MECHANISMS
+            for law in [MECHANISMS[mechanism](witness(wid).inst, 1)]
+        }
+        assert levels == [len(laws)] == [36]
         assert premises == [9]
+
+    @pytest.mark.parametrize("fmt", ["structured", "table"])
+    def test_equal_scores_at_another_scale_share_no_rows(self, capsys, monkeypatch, fmt):
+        # exp-av's scores at scale k: the same score vector, another law
+        def exp_av_at_k(inst, eps):
+            return _from_scores(inst, eps, _av_scores(inst), inst.k)
+
+        monkeypatch.setitem(MECHANISMS, "exp-av-k", exp_av_at_k)
+        monkeypatch.setattr(cli, "AUDIT_MECHANISMS", cli.AUDIT_MECHANISMS + ("exp-av-k",))
+        grid = ("0.1", "1")
+        expected = brute_reproduce(grid)
+        coeffs = {
+            mechanism: [r["lhs_coeff"] for r in expected[:-1] if r["mechanism"] == mechanism]
+            for mechanism in ("exp-av", "exp-av-k")
+        }
+        assert coeffs["exp-av"] != coeffs["exp-av-k"]
+        code, out, _ = run_cli(capsys, "reproduce", "--format", fmt, "--eps", *grid)
+        assert code == (1 if expected[-1]["violations"] else 0)
+        assert out == (json_lines if fmt == "structured" else table_lines)(expected)
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS)
     def test_records_match_per_eps_oracle(self, capsys, grid):
