@@ -30,7 +30,6 @@ from .core import (
     ProfileParseError,
     ResourceLimitError,
     enumerate_neighbors,
-    format_instance,
     parse_instance,
 )
 from .instances import (

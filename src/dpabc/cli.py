@@ -35,7 +35,7 @@ from .audit import (
     evaluate_bounds,
     measure_levels,
 )
-from .axioms import JR_FAMILY, Axiom, axiom_committee_set, condorcet_committee, pareto_frontier
+from .axioms import JR_FAMILY, axiom_committee_set, condorcet_committee, pareto_frontier
 from .core import (
     Instance,
     InvalidParametersError,
@@ -46,7 +46,6 @@ from .core import (
 from .instances import DEFAULT_PARAMETERS, WitnessId, witness, witness_id
 from .mechanisms import (
     AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample, sample_sequential_av,
-    weight_exponent,
 )
 
 EXIT_OK = 0
@@ -199,10 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("dist", parents=ruled, help="exact distribution of a mechanism")
     p_sample = sub.add_parser("sample", parents=ruled, help="draw one committee")
     p_sample.add_argument("--seed", type=int, default=0, help="64-bit sampler seed")
-    p_axioms = sub.add_parser(
-        "axioms", parents=[output, instance], help="axiom facts for an instance"
-    )
-    p_axioms.add_argument("--axiom", choices=("jr", "pjr", "ejr"), help="restrict to one axiom")
+    sub.add_parser("axioms", parents=[output, instance], help="axiom facts for an instance")
     sub.add_parser("audit-dp", parents=ruled, help="exhaustive neighborhood DP audit")
     sub.add_parser("audit-axioms", parents=ruled, help="axiom levels and bound checks")
     p_rep = sub.add_parser(
@@ -254,9 +250,8 @@ def _cmd_sample(args) -> tuple:
 
 def _cmd_axioms(args) -> tuple:
     inst = _load_instance(args)
-    wanted = JR_FAMILY if not args.axiom else (Axiom(args.axiom),)
     records = []
-    for ax in wanted:
+    for ax in JR_FAMILY:
         committees = axiom_committee_set(inst, ax)
         records.append(
             {
@@ -266,22 +261,21 @@ def _cmd_axioms(args) -> tuple:
                 "committees": [list(w) for w in committees],
             }
         )
-    if not args.axiom:
-        frontier = pareto_frontier(inst)
-        records.append(
-            {
-                "record": "pareto_frontier",
-                "count": len(frontier),
-                "committees": [list(w) for w in frontier],
-            }
-        )
-        winner = condorcet_committee(inst)
-        records.append(
-            {
-                "record": "condorcet",
-                "committee": list(winner) if winner is not None else None,
-            }
-        )
+    frontier = pareto_frontier(inst)
+    records.append(
+        {
+            "record": "pareto_frontier",
+            "count": len(frontier),
+            "committees": [list(w) for w in frontier],
+        }
+    )
+    winner = condorcet_committee(inst)
+    records.append(
+        {
+            "record": "condorcet",
+            "committee": list(winner) if winner is not None else None,
+        }
+    )
     return records, EXIT_OK
 
 
@@ -324,12 +318,10 @@ def _level_record(level, extra: dict) -> dict:
     }
 
 
-def _bound_records(checks: list, eps_values: Sequence, extra: dict, rhs_logs: list) -> tuple:
+def _bound_records(checks: list, eps_values: Sequence, extra: dict) -> tuple:
     """The records of ``checks`` at each budget in turn as one row family:
     each check's fields that do not depend on eps, built once, and per
-    budget its label and each check's ``(lhs_log, rhs_log)``, each level's
-    log taken once. ``rhs_logs`` holds per budget the bounds' right-hand side
-    logs, filled by the first law of an instance and read by the rest."""
+    budget its label and each check's ``(lhs_log, rhs_log)``."""
     fixed = [
         {
             "record": "bound",
@@ -347,19 +339,10 @@ def _bound_records(checks: list, eps_values: Sequence, extra: dict, rhs_logs: li
         }
         for check in checks
     ]
-    levels = {id(level): level for check in checks for level, _ in check.terms}
     budgets = []
-    for eps, rhs_log in zip(eps_values, rhs_logs):
-        if not rhs_log:  # every law's checks come in one bound order
-            rhs = [check.rhs_coeff for check in checks]
-            rhs_log += [weight_exponent(q.numerator, q.denominator, eps) for q in rhs]
-        logs = {key: level.log_at(eps) for key, level in levels.items()}
-        # each lhs sums its terms in order, as BoundCheck.logs does
-        lhs_logs = [
-            math.inf if c.vacuous else sum(w * logs[id(level)] for level, w in c.terms)
-            for c in checks
-        ]
-        budgets.append((str(eps), list(zip(map(_finite, lhs_logs), rhs_log))))
+    for eps in eps_values:
+        logs = [check.logs(eps) for check in checks]
+        budgets.append((str(eps), [(_finite(lhs), rhs) for lhs, rhs in logs]))
     return fixed, budgets
 
 
@@ -370,7 +353,7 @@ def _cmd_audit_axioms(args) -> tuple:
     extra = {"mechanism": args.mechanism, "eps": str(eps)}
     records = [_level_record(level, extra) for level in levels.values()]
     checks = evaluate_bounds(levels, inst, bound_premises(inst))
-    records.append((args.mechanism, _bound_records(checks, [eps], {}, [[]])))
+    records.append((args.mechanism, _bound_records(checks, [eps], {})))
     violated = any(not check.satisfied for check in checks)
     return records, EXIT_BOUND_VIOLATION if violated else EXIT_OK
 
@@ -381,7 +364,6 @@ def _cmd_reproduce(args) -> tuple:
     for wid in WitnessId:
         inst = witness(wid).inst
         premises, extra = bound_premises(inst), {"witness": wid.value}
-        rhs_logs = [[] for _ in eps_values]
         # laws with equal (scores, scale) have equal levels and checks; a law
         # without scores is keyed by its log-probabilities
         families: dict = {}
@@ -391,7 +373,7 @@ def _cmd_reproduce(args) -> tuple:
             key = dist.log_probs if dist.scores is None else (dist.scores, dist.scale)
             if key not in families:
                 checks = evaluate_bounds(measure_levels(dist), inst, premises)
-                families[key] = _bound_records(checks, eps_values, extra, rhs_logs)
+                families[key] = _bound_records(checks, eps_values, extra)
             records.append((mechanism, families[key]))
     violations = sum(
         len(budgets) * sum(not f["satisfied"] for f in fixed) for _, (fixed, budgets) in records

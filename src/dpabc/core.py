@@ -183,10 +183,3 @@ def read_instance(source: Iterable[str], admit: Callable = lambda m, k: math.inf
     except InvalidParametersError as exc:
         raise ProfileParseError(str(exc), 1) from None
 
-
-def format_instance(inst: Instance) -> str:
-    """Inverse of :func:`parse_instance` (canonical text serialization)."""
-    lines = [f"m={inst.m} k={inst.k}"]
-    for ballot in inst.ballots:
-        lines.append(" ".join(str(a) for a in sorted(ballot)))
-    return "\n".join(lines) + "\n"

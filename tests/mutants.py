@@ -196,18 +196,18 @@ MUTANTS = (
         "the PE level takes its row's largest-weight index, not the first with an equal difference",
     ),
     Mutant(
+        AUDIT,
+        "sum(weight * level.log_at(epsilon) for level, weight in self.terms)",
+        "sum(weight * level.log_value for level, weight in self.terms)",
+        ("tests/test_cli.py",),
+        "every budget's bound row reads each level's log at the law's own budget",
+    ),
+    Mutant(
         CLI,
         "key = dist.log_probs if dist.scores is None else (dist.scores, dist.scale)",
         "key = dist.log_probs if dist.scores is None else dist.scores",
         ("tests/test_cli.py",),
         "reproduce shares rows between laws with equal scores at different scales",
-    ),
-    Mutant(
-        CLI,
-        "for eps, rhs_log in zip(eps_values, rhs_logs):",
-        "for eps, rhs_log in zip(eps_values, rhs_logs[:1] * len(eps_values)):",
-        ("tests/test_cli.py",),
-        "the right-hand sides' log memo serves every budget the first budget's logs",
     ),
     Mutant(
         CLI,

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and seeded builders for profile/instance
-generation, and the seeds past the ends of the samplers' range."""
+generation, the canonical profile text of an instance, and the seeds past
+the ends of the samplers' range."""
 
 from hypothesis import strategies as st
 
@@ -8,6 +9,14 @@ from dpabc import BallotModel, Instance, random_instance
 # seeds at and past the ends of the 64-bit range, which the samplers reduce
 # mod 2^64
 EDGE_SEEDS = (-1, -(2**63), 2**64 - 1, 2**64 + 7, 2**70)
+
+
+def format_instance(inst: Instance) -> str:
+    """Inverse of :func:`parse_instance` (canonical text serialization)."""
+    lines = [f"m={inst.m} k={inst.k}"]
+    for ballot in inst.ballots:
+        lines.append(" ".join(str(a) for a in sorted(ballot)))
+    return "\n".join(lines) + "\n"
 
 
 @st.composite

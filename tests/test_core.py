@@ -9,7 +9,6 @@ from dpabc import (
     InvalidParametersError,
     ProfileParseError,
     enumerate_neighbors,
-    format_instance,
     parse_instance,
     witness,
     WitnessId,
@@ -18,7 +17,7 @@ from dpabc.core import ResourceLimitError, canonical_committees, read_instance
 
 from brute import permute, permute_committee, profile_distance
 from witnesses import companion
-from strategies import instances, instances_with_permutation
+from strategies import format_instance, instances, instances_with_permutation
 
 
 class TestEnumerateCommittees:

@@ -13,7 +13,6 @@ from dpabc import (
     axiom_committee_set,
     condorcet_committee,
     enumerate_neighbors,
-    format_instance,
     parse_instance,
     random_instance,
     witness,
@@ -29,7 +28,7 @@ from brute import (
     pareto_dominates,
     profile_distance,
 )
-from strategies import grouped_instance
+from strategies import format_instance, grouped_instance
 from witnesses import companion, pe_chain, tagged
 
 IN, OUT = True, False
