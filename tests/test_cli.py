@@ -237,6 +237,18 @@ class TestAxiomsCommand:
         condorcet = next(r for r in records if r["record"] == "condorcet")
         assert condorcet["committee"] == [0, 1, 2]
 
+    def test_emits_every_record_unfiltered(self, capsys):
+        code, out, _ = run_cli(capsys, "axioms", "--witness", "JR_UPPER")
+        assert code == 0
+        records = parse_jsonl(out)
+        assert [r["record"] for r in records] == [
+            "axiom_set", "axiom_set", "axiom_set", "pareto_frontier", "condorcet",
+        ]
+        assert [r["axiom"] for r in records[:3]] == ["jr", "pjr", "ejr"]
+        assert records[0]["committees"] == [[0, 1], [0, 2], [0, 3]]
+        assert records[3]["count"] == 6
+        assert records[4]["committee"] is None
+
 
 class TestAuditCommands:
     def test_audit_dp_uniform_has_no_leakage(self, capsys):
