@@ -10,12 +10,12 @@ vacuous (+inf) and excluded from bound checks with an explicit flag.
 
 ``dp_level`` measures the worst log-probability ratio over the full exhaustive
 neighborhood of one instance (every single-voter ballot replacement, both
-directions). The rule runs once per orbit of neighbors under swapping twin
-alternatives (ones held by the same ballot types, so approved by the same
-voters) and joined twin classes, which is exact for anonymous and neutral
+directions) on the neighbors ``neighbor_orbits`` lists: one per orbit under
+swapping twin alternatives (ones held by the same ballot types, so approved by
+the same voters) and joined twin classes, exact for anonymous and neutral
 rules. The replacements come from count vectors over the twin classes, not a
-walk over all 2^m ballots; a policy cap checked before the first rule call
-bounds the predicted work, rule calls times the sets each call builds.
+walk over all 2^m ballots; a policy cap checked before any is listed bounds
+the predicted work, rule calls times the sets each call builds.
 """
 
 from __future__ import annotations
@@ -96,19 +96,28 @@ class DpAuditReport:
 
 
 class BoundId(Enum):
-    JR_2WAY = "jr-2way"
-    PJR_2WAY = "pjr-2way"
-    EJR_2WAY = "ejr-2way"
-    PE_2WAY = "pe-2way"
-    CC_2WAY = "cc-2way"
-    JR_PJR_3WAY = "jr-pjr-3way"
-    JR_EJR_3WAY = "jr-ejr-3way"
-    PJR_EJR_3WAY = "pjr-ejr-3way"
-    PE_JR_3WAY = "pe-jr-3way"
-    PE_PJR_3WAY = "pe-pjr-3way"
-    PE_EJR_3WAY = "pe-ejr-3way"
-    PE_CC_3WAY = "pe-cc-3way"
-    CC_JR_PRODUCT = "cc-jr-product"
+    """A tradeoff bound, with its levels and its rhs as a multiple of eps given
+    (n, k). A PE level in a three-way bound has weight nk-1; every other level
+    has weight 1."""
+
+    def __new__(cls, value: str, axioms: tuple, rhs: Callable):
+        bound = object.__new__(cls)
+        bound._value_, bound.axioms, bound.rhs = value, axioms, rhs
+        return bound
+
+    JR_2WAY = "jr-2way", (Axiom.JR,), lambda n, k: 1
+    PJR_2WAY = "pjr-2way", (Axiom.PJR,), lambda n, k: 1
+    EJR_2WAY = "ejr-2way", (Axiom.EJR,), lambda n, k: -(-n // k)
+    PE_2WAY = "pe-2way", (Axiom.PE,), lambda n, k: Fraction(1, k)
+    CC_2WAY = "cc-2way", (Axiom.CC,), lambda n, k: 1
+    JR_PJR_3WAY = "jr-pjr-3way", (Axiom.JR, Axiom.PJR), lambda n, k: 1
+    JR_EJR_3WAY = "jr-ejr-3way", (Axiom.JR, Axiom.EJR), lambda n, k: 1
+    PJR_EJR_3WAY = "pjr-ejr-3way", (Axiom.PJR, Axiom.EJR), lambda n, k: -(-n // k)
+    PE_JR_3WAY = "pe-jr-3way", (Axiom.PE, Axiom.JR), lambda n, k: n
+    PE_PJR_3WAY = "pe-pjr-3way", (Axiom.PE, Axiom.PJR), lambda n, k: n
+    PE_EJR_3WAY = "pe-ejr-3way", (Axiom.PE, Axiom.EJR), lambda n, k: n
+    PE_CC_3WAY = "pe-cc-3way", (Axiom.PE, Axiom.CC), lambda n, k: n
+    CC_JR_PRODUCT = "cc-jr-product", (Axiom.CC, Axiom.JR), lambda n, k: 0
 
 
 @dataclass(frozen=True)
@@ -157,25 +166,6 @@ def _longest_chain(inst: Instance, start_ok, end_ok) -> int:
     return max(ends, default=-1)
 
 
-# bound_id -> (levels, rhs as a multiple of eps given (n, k)). A PE level in a
-# three-way bound has weight nk-1; every other level has weight 1.
-_BOUNDS: dict = {
-    BoundId.JR_2WAY: ((Axiom.JR,), lambda n, k: 1),
-    BoundId.PJR_2WAY: ((Axiom.PJR,), lambda n, k: 1),
-    BoundId.EJR_2WAY: ((Axiom.EJR,), lambda n, k: -(-n // k)),
-    BoundId.PE_2WAY: ((Axiom.PE,), lambda n, k: Fraction(1, k)),
-    BoundId.CC_2WAY: ((Axiom.CC,), lambda n, k: 1),
-    BoundId.JR_PJR_3WAY: ((Axiom.JR, Axiom.PJR), lambda n, k: 1),
-    BoundId.JR_EJR_3WAY: ((Axiom.JR, Axiom.EJR), lambda n, k: 1),
-    BoundId.PJR_EJR_3WAY: ((Axiom.PJR, Axiom.EJR), lambda n, k: -(-n // k)),
-    BoundId.PE_JR_3WAY: ((Axiom.PE, Axiom.JR), lambda n, k: n),
-    BoundId.PE_PJR_3WAY: ((Axiom.PE, Axiom.PJR), lambda n, k: n),
-    BoundId.PE_EJR_3WAY: ((Axiom.PE, Axiom.EJR), lambda n, k: n),
-    BoundId.PE_CC_3WAY: ((Axiom.PE, Axiom.CC), lambda n, k: n),
-    BoundId.CC_JR_PRODUCT: ((Axiom.CC, Axiom.JR), lambda n, k: 0),
-}
-
-
 def bound_premises(inst: Instance) -> dict:
     """Bound -> why it is vacuous on ``inst`` whatever the distribution, or
     None, for every bound in the table.
@@ -189,8 +179,8 @@ def bound_premises(inst: Instance) -> dict:
     """
     need = inst.n * inst.k
     premises: dict = {}
-    for bound_id, (axioms, _) in _BOUNDS.items():
-        reason = None
+    for bound_id in BoundId:
+        axioms, reason = bound_id.axioms, None
         if bound_id is BoundId.CC_JR_PRODUCT:
             winner = condorcet_committee(inst)
             if winner is None:
@@ -287,17 +277,8 @@ def measure_levels(dist: CommitteeDistribution) -> dict:
     return levels
 
 
-def dp_level(
-    rule: Callable[[Instance], CommitteeDistribution], inst: Instance
-) -> DpAuditReport:
-    """Exhaustive DP audit of one instance's neighborhood.
-
-    Maximizes |ln P(W | inst) - ln P(W | neighbor)| over all n*(2^m - 2)
-    neighbors and all committees; the absolute value covers both directions.
-
-    Preconditions: ``rule`` is anonymous (its law depends only on the ballot
-    multiset) and neutral (relabelling the alternatives relabels its law's
-    committees, bit for bit), as every rule in ``MECHANISMS`` is.
+def neighbor_orbits(inst: Instance) -> list:
+    """The first ``(voter, replacement ballot)`` of each orbit of neighbors, in scan order.
 
     * Anonymity: voters casting the same ballot have neighbors equal as
       multisets, so each distinct ballot is visited once, in order of first
@@ -312,22 +293,18 @@ def dp_level(
       permute each component of joined classes in every way, so (type,
       replacement) pairs share an orbit exactly when they share a key: per
       component, the sorted (replacement count, type count) pairs. The
-      first pair per key in scan order is evaluated: t * (prod(|C| + 1) - 2)
+      first pair per key in scan order is listed: t * (prod(|C| + 1) - 2)
       for t ballot types, twin classes C, or fewer with joined classes; times
       max(C(m, min(k, m // 2)), C(8, 4)) past NEIGHBOR_AUDIT_MAX_WORK is refused.
     * Replacements: per count vector of members per twin class, its first
       ballot in bitmask order, which takes each class's lowest members; in
       the order a walk over all 2^m - 1 ballots meets them.
-
-    A neighbor whose law (its ``log_probs``) an earlier neighbor had is not
-    compared again. A skipped neighbor only repeats a gap vector already
-    seen, up to order, and the strict ``>`` keeps the first attaining
-    (voter, replacement ballot, committee), so the report equals that of a
-    scan over every neighbor.
     """
-    distinct = list(dict.fromkeys(inst.ballots))  # the ballot types, in voter order
+    types: dict = {}  # each ballot type -> its first voter, in voter order
+    for voter, ballot in enumerate(inst.ballots):
+        types.setdefault(ballot, voter)
     holders = [0] * inst.m  # the ballot types holding each alternative, one bit per type
-    for i, ballot in enumerate(distinct):
+    for i, ballot in enumerate(types):
         for a in ballot:
             holders[a] |= 1 << i
     members: dict = {}  # an alternative's holders -> its twin class, ascending
@@ -335,33 +312,29 @@ def dp_level(
         members.setdefault(held, []).append(a)
     classes = list(members.values())
     work = math.prod(len(c) + 1 for c in classes) - 2
-    work *= len(distinct) * max(math.comb(inst.m, min(inst.k, inst.m // 2)), math.comb(8, 4))
+    work *= len(types) * max(math.comb(inst.m, min(inst.k, inst.m // 2)), math.comb(8, 4))
     if work > NEIGHBOR_AUDIT_MAX_WORK:
         raise ResourceLimitError(
             f"DP audit limited to {NEIGHBOR_AUDIT_MAX_WORK} committee evaluations, got {work}"
         )
-    base = rule(inst)
     # a count vector's first ballot in bitmask order takes the lowest members of
     # each class: one replacement per vector, in bitmask order, less the empty ballot
     picks = itertools.product(*([c[:j] for j in range(len(c) + 1)] for c in classes))
     firsts = [(tuple(map(len, p)), frozenset(itertools.chain(*p))) for p in picks]
     replacements = sorted(firsts, key=lambda first: _mask(first[1]))[1:]
-    vectors = {b: tuple(len(b.intersection(c)) for c in classes) for b in distinct}
+    vectors = {b: tuple(len(b.intersection(c)) for c in classes) for b in types}
     profile = Counter(vectors[b] for b in inst.ballots)
     component = list(range(len(classes)))  # each class's component, named by a member class
     for i, j in itertools.combinations(range(len(classes)), 2):
+        if len(classes[i]) != len(classes[j]):
+            continue
         order = [*range(i), j, *range(i + 1, j), i, *range(j + 1, len(classes))]
-        swapped = Counter({tuple(v[x] for x in order): c for v, c in profile.items()})
-        if len(classes[i]) == len(classes[j]) and swapped == profile:
+        if Counter({tuple(v[x] for x in order): c for v, c in profile.items()}) == profile:
             component = [component[i] if c == component[j] else c for c in component]
     joined = len(set(component)) < len(classes)
     keys: set = set()
-    worst = 0.0
-    attaining: Optional[tuple] = None
-    evaluated = 0
-    laws: set = set()
-    for current in distinct:
-        voter = inst.ballots.index(current)
+    scan = []
+    for current, voter in types.items():
         for counts, ballot in replacements:
             if ballot == current:
                 continue
@@ -370,22 +343,49 @@ def dp_level(
                 if key in keys:
                     continue
                 keys.add(key)
-            neighbor = inst.replace_ballot(voter, ballot)
-            evaluated += 1
-            other = rule(neighbor)
-            if other.log_probs in laws:
-                continue
-            laws.add(other.log_probs)
-            top = max(map(abs, map(sub, base.log_probs, other.log_probs)))
-            if top > worst:
-                worst = top
-                gaps = [abs(a - b) for a, b in zip(base.log_probs, other.log_probs)]
-                attaining = (voter, ballot, base.committees[gaps.index(top)])
+            scan.append((voter, ballot))
+    return scan
+
+
+def dp_level(
+    rule: Callable[[Instance], CommitteeDistribution], inst: Instance
+) -> DpAuditReport:
+    """Exhaustive DP audit of one instance's neighborhood.
+
+    Maximizes |ln P(W | inst) - ln P(W | neighbor)| over all n*(2^m - 2)
+    neighbors and all committees; the absolute value covers both directions.
+    The rule runs on ``inst`` and on each neighbor ``neighbor_orbits(inst)`` lists.
+
+    Preconditions: ``rule`` is anonymous (its law depends only on the ballot
+    multiset) and neutral (relabelling the alternatives relabels its law's
+    committees, bit for bit), as every rule in ``MECHANISMS`` is.
+
+    A neighbor whose law (its ``log_probs``) an earlier neighbor had is not
+    compared again. A skipped neighbor only repeats a gap vector already
+    seen, up to order, and the strict ``>`` keeps the first attaining
+    (voter, replacement ballot, committee), so the report equals that of a
+    scan over every neighbor.
+    """
+    scan = neighbor_orbits(inst)
+    base = rule(inst)
+    worst = 0.0
+    attaining: Optional[tuple] = None
+    laws: set = set()
+    for voter, ballot in scan:
+        other = rule(inst.replace_ballot(voter, ballot))
+        if other.log_probs in laws:
+            continue
+        laws.add(other.log_probs)
+        top = max(map(abs, map(sub, base.log_probs, other.log_probs)))
+        if top > worst:
+            worst = top
+            gaps = [abs(a - b) for a, b in zip(base.log_probs, other.log_probs)]
+            attaining = (voter, ballot, base.committees[gaps.index(top)])
     return DpAuditReport(
         max_log_ratio=worst,
         attaining=attaining,
         instances_checked=inst.n * (2**inst.m - 2),
-        neighbors_evaluated=evaluated,
+        neighbors_evaluated=len(scan),
     )
 
 
@@ -397,8 +397,8 @@ def check_bound(bound_id: BoundId, levels: dict, inst: Instance, premises: dict)
     check holds at every eps, else only at the levels' own. PE_CC_3WAY is
     checked in the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
     """
-    axioms, rhs = _BOUNDS[bound_id]
-    rhs_coeff = Fraction(rhs(inst.n, inst.k))
+    axioms = bound_id.axioms
+    rhs_coeff = Fraction(bound_id.rhs(inst.n, inst.k))
     reason = premises[bound_id]
     terms = []
     if reason is None:

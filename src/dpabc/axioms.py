@@ -281,10 +281,12 @@ def dominance_pairs(inst: Instance) -> tuple:
     takes its indices from one shared list, so a pair costs one slot.
 
     Row ``i`` compares overlaps only with the committees of strictly lower
-    ``_av_scores``, each the count-weighted sum of an overlap row. The filter
-    is exact: every ballot type has a voter, so dominance strictly raises the
+    AV score, each the count-weighted sum of an overlap row. The filter is
+    exact: every ballot type has a voter, so dominance strictly raises the
     AV score, and a strictly lower score already means a different row."""
-    rows = list(zip(_overlaps(inst, _ballot_types(inst)), _av_scores(inst)))
+    types = _ballot_types(inst)
+    counts = [count for _, count in types]
+    rows = [(o, sum(map(operator.mul, o, counts))) for o in _overlaps(inst, types)]
     indices = list(range(len(rows)))
     return tuple(
         tuple(

@@ -414,7 +414,7 @@ def main(argv: Optional[Sequence] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POLICY_CAP
-    except (ProfileParseError, InvalidParametersError, OSError) as exc:
+    except (ProfileParseError, InvalidParametersError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # never a traceback, and never exit 1

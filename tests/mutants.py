@@ -115,62 +115,64 @@ MUTANTS = (
     ),
     Mutant(
         AUDIT,
-        "for current in distinct:",
-        "for current in sorted(distinct, key=sorted):",
+        "for current, voter in types.items():",
+        "for current, voter in sorted(types.items(), key=lambda item: sorted(item[0])):",
         ("tests/test_audit.py",),
-        "dp_level visits the distinct ballots in sorted order, not voter order",
+        "the DP-audit scan visits the distinct ballots in sorted order, not voter order",
     ),
     Mutant(
         AUDIT,
-        "voter = inst.ballots.index(current)",
-        "voter = 0",
+        "types.setdefault(ballot, voter)",
+        "types.setdefault(ballot, 0)",
         ("tests/test_audit.py",),
-        "dp_level always replaces voter 0's ballot",
+        "the DP-audit scan always replaces voter 0's ballot",
     ),
     Mutant(
         AUDIT,
-        "len(classes[j]) and swapped == profile:",
-        "len(classes[j]):",
+        "if Counter({tuple(v[x] for x in order): c for v, c in profile.items()}) == profile:",
+        "if True:",
         ("tests/test_audit.py",),
-        "dp_level joins every two twin classes of equal size, fixing the ballots or not",
+        "the DP-audit scan joins every two twin classes of equal size, fixing the ballots or not",
     ),
     Mutant(
         AUDIT,
         "key = tuple(sorted(zip(component, counts, vectors[current])))",
         "key = tuple(sorted(zip(component, counts)))",
         ("tests/test_audit.py",),
-        "dp_level's orbit key drops which twin classes the replaced ballot holds",
+        "the DP-audit scan's orbit key drops which twin classes the replaced ballot holds",
     ),
     Mutant(
         AUDIT,
-        "for i, ballot in enumerate(distinct):",
-        "for i, ballot in enumerate(distinct[:1]):",
+        "for i, ballot in enumerate(types):",
+        "for i, ballot in enumerate(list(types)[:1]):",
         ("tests/test_audit.py",),
-        "dp_level's twin-class key reads only the first ballot type",
+        "the DP-audit scan's twin-class key reads only the first ballot type",
     ),
     Mutant(
         AUDIT,
         "[c[:j] for j in range(len(c) + 1)]",
         "[c[len(c) - j :] for j in range(len(c) + 1)]",
         ("tests/test_audit.py",),
-        "dp_level's replacements take each twin class's highest members, not its lowest",
+        "the DP-audit scan's replacements take each twin class's highest members, not its lowest",
+    ),
+    Mutant(
+        AUDIT,
+        "            if ballot == current:\n                continue\n",
+        "",
+        ("tests/test_audit.py",),
+        "the DP-audit scan lists a voter's own ballot as one of its neighbours",
     ),
     Mutant(
         AUDIT,
         "if work > NEIGHBOR_AUDIT_MAX_WORK:",
         "if work >= NEIGHBOR_AUDIT_MAX_WORK:",
         ("tests/test_audit.py",),
-        "dp_level refuses an audit whose predicted work is exactly the cap",
+        "the DP-audit scan refuses an audit whose predicted work is exactly the cap",
     ),
     Mutant(
         AUDIT,
-        "    if work > NEIGHBOR_AUDIT_MAX_WORK:\n        raise ResourceLimitError(\n"
-        '            f"DP audit limited to {NEIGHBOR_AUDIT_MAX_WORK} committee evaluations, '
-        'got {work}"\n        )\n    base = rule(inst)\n',
-        "    base = rule(inst)\n    if work > NEIGHBOR_AUDIT_MAX_WORK:\n"
-        "        raise ResourceLimitError(\n"
-        '            f"DP audit limited to {NEIGHBOR_AUDIT_MAX_WORK} committee evaluations, '
-        'got {work}"\n        )\n',
+        "    scan = neighbor_orbits(inst)\n    base = rule(inst)\n",
+        "    base = rule(inst)\n    scan = neighbor_orbits(inst)\n",
         ("tests/test_audit.py",),
         "dp_level runs the rule on the audited profile before checking the work cap",
     ),
@@ -179,14 +181,21 @@ MUTANTS = (
         "math.comb(inst.m, min(inst.k, inst.m // 2))",
         "math.comb(inst.m, inst.k)",
         ("tests/test_audit.py",),
-        "dp_level charges a rule call its C(m, k) committees, one at k = m",
+        "the DP-audit scan charges a rule call its C(m, k) committees, one at k = m",
     ),
     Mutant(
         AUDIT,
         "max(math.comb(inst.m, min(inst.k, inst.m // 2)), math.comb(8, 4))",
         "math.comb(inst.m, min(inst.k, inst.m // 2))",
         ("tests/test_audit.py",),
-        "dp_level charges a rule call less than C(8, 4), so small k admits more calls",
+        "the DP-audit scan charges a rule call less than C(8, 4), so small k admits more calls",
+    ),
+    Mutant(
+        AUDIT,
+        'EJR_2WAY = "ejr-2way", (Axiom.EJR,), lambda n, k: -(-n // k)',
+        'EJR_2WAY = "ejr-2way", (Axiom.EJR,), lambda n, k: n // k',
+        ("tests/test_cli.py",),
+        "the two-way EJR bound's right-hand side rounds n / k down, not up",
     ),
     Mutant(
         AUDIT,

@@ -32,7 +32,13 @@ from dpabc import (
     witness,
     WitnessId,
 )
-from dpabc.audit import NEIGHBOR_AUDIT_MAX_WORK, TOLERANCE, _longest_chain, bound_premises
+from dpabc.audit import (
+    NEIGHBOR_AUDIT_MAX_WORK,
+    TOLERANCE,
+    _longest_chain,
+    bound_premises,
+    neighbor_orbits,
+)
 from dpabc.axioms import JR_FAMILY, _av_scores
 from dpabc.core import canonical_committees, nonempty_subsets
 from dpabc.mechanisms import AUDIT_MECHANISMS, MECHANISMS, _from_scores
@@ -402,7 +408,7 @@ class TestTwinOrbits:
         # the work cap's count of rule calls is an upper bound, exact unless
         # some swap of two twin classes fixes the ballot multiset
         predicted = predicted_rule_calls(inst)
-        evaluated = dp_level(make_rule("uniform", 1), inst).neighbors_evaluated
+        evaluated = len(neighbor_orbits(inst))
         assert evaluated <= predicted
         transpositions = sum(math.comb(len(c), 2) for c in twin_classes(inst))
         if len(swap_generators(inst)) == transpositions:
@@ -426,46 +432,78 @@ def recorded_scan(inst):
     return scan
 
 
-class TestScanOrder:
-    """dp_level builds each count vector's replacement from the lowest
-    members of every twin class; the neighbours it evaluates, in order, are
-    those of ``brute_scan``, which walks all 2^m ballots."""
+# (witness, neighbours evaluated) for each witness at m = 10
+_M10_PAIRS = [
+    (WitnessId.JR_UPPER, 102),
+    (WitnessId.PJR_UPPER, 186),
+    (WitnessId.EJR_UPPER, 34),
+    (WitnessId.PE_CHAIN, 92),
+    (WitnessId.CC_UPPER, 124),
+    (WitnessId.JR_PJR_3WAY, 426),
+    (WitnessId.PJR_EJR_3WAY, 118),
+    (WitnessId.FIG3_DIVERGENCE, 82),
+    (WitnessId.CC_JR_INCOMPAT, 156),
+]
+
+
+class TestNeighborOrbits:
+    """neighbor_orbits builds each count vector's replacement from the lowest
+    members of every twin class; the (voter, replacement) pairs it lists, in
+    order, are those of ``brute_scan``, which walks all 2^m ballots. No rule
+    runs."""
 
     @pytest.mark.parametrize("ballots, m, k, evaluated", _EDGE_PROFILES)
     def test_edge_profiles(self, ballots, m, k, evaluated):
         inst = Instance(ballots, m, k)
-        assert recorded_scan(inst) == brute_scan(inst)
+        scan = neighbor_orbits(inst)
+        assert scan == brute_scan(inst)
+        assert len(scan) == evaluated
 
     def test_witnesses(self):
         for wid in WitnessId:
             inst = witness(wid).inst
-            assert recorded_scan(inst) == brute_scan(inst), wid
+            assert neighbor_orbits(inst) == brute_scan(inst), wid
 
-    @pytest.mark.parametrize(
-        "wid, pairs",
-        [
-            (WitnessId.JR_UPPER, 102),
-            (WitnessId.PJR_UPPER, 186),
-            (WitnessId.EJR_UPPER, 34),
-            (WitnessId.PE_CHAIN, 92),
-            (WitnessId.CC_UPPER, 124),
-            (WitnessId.JR_PJR_3WAY, 426),
-            (WitnessId.PJR_EJR_3WAY, 118),
-            (WitnessId.FIG3_DIVERGENCE, 82),
-            (WitnessId.CC_JR_INCOMPAT, 156),
-        ],
-    )
+    @pytest.mark.parametrize("wid, pairs", _M10_PAIRS)
     def test_witnesses_past_m_8(self, wid, pairs):
         # brute_scan walks all 2^m ballots: 0.1 s at m = 10, seconds at m = 14
         inst = witness(wid, m=10).inst
-        scan = recorded_scan(inst)
+        scan = neighbor_orbits(inst)
         assert scan == brute_scan(inst)
         assert len(scan) == pairs
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(instances(max_m=8, max_n=6), symmetric_instances(max_m=8, max_n=3)))
     def test_random_profiles(self, inst):
-        assert recorded_scan(inst) == brute_scan(inst)
+        assert neighbor_orbits(inst) == brute_scan(inst)
+
+
+class TestScanOrder:
+    """dp_level runs its rule on exactly the neighbours ``neighbor_orbits``
+    lists, in order, read off a rule that records every instance it is
+    given."""
+
+    @pytest.mark.parametrize("ballots, m, k, evaluated", _EDGE_PROFILES)
+    def test_edge_profiles(self, ballots, m, k, evaluated):
+        inst = Instance(ballots, m, k)
+        assert recorded_scan(inst) == neighbor_orbits(inst)
+
+    def test_witnesses(self):
+        for wid in WitnessId:
+            inst = witness(wid).inst
+            assert recorded_scan(inst) == neighbor_orbits(inst), wid
+
+    @pytest.mark.parametrize("wid, pairs", _M10_PAIRS)
+    def test_witnesses_past_m_8(self, wid, pairs):
+        inst = witness(wid, m=10).inst
+        scan = recorded_scan(inst)
+        assert scan == neighbor_orbits(inst)
+        assert len(scan) == pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(instances(max_m=8, max_n=6), symmetric_instances(max_m=8, max_n=3)))
+    def test_random_profiles(self, inst):
+        assert recorded_scan(inst) == neighbor_orbits(inst)
 
 
 class TestAnonymity:

@@ -431,6 +431,16 @@ class TestErrors:
             assert (code, out) == (2, "")
             assert f"line {line}" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["axioms"], ["audit-dp", "--mechanism", "exp-av", "--eps", "1"]]
+    )
+    def test_non_utf8_input_is_a_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"m=3 k=2\n0 1\n\xff\xfe 2\n")
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_witness_lists_valid_ids(self, capsys):
         code, _, err = run_cli(
             capsys, "dist", "--mechanism", "uniform", "--eps", "1", "--witness", "NOPE"
