@@ -32,7 +32,6 @@ from typing import Callable, Optional, Sequence
 from .axioms import (
     JR_FAMILY,
     Axiom,
-    _av_scores,
     _mask,
     axiom_committee_set,
     condorcet_committee,
@@ -147,15 +146,14 @@ class BoundCheck:
 def _longest_chain(inst: Instance, start_ok, end_ok) -> int:
     """Longest number of dominance arrows along any chain whose first
     committee satisfies ``start_ok`` and whose last satisfies ``end_ok``; -1
-    when no such chain (of zero or more arrows) exists. Dominance strictly
-    increases the dominator's AV score (the sum of its members' approval
-    counts), so the committees by AV score descending are a topological
-    order of the successor table."""
+    when no such chain (of zero or more arrows) exists. Dominance is
+    transitive, so a dominator's successor row strictly contains each of its
+    successors' rows, and the committees by row length descending are a
+    topological order of the successor table."""
     committees = canonical_committees(inst.m, inst.k)
     succ = dominance_pairs(inst)
-    scores = _av_scores(inst)
     best = [0 if start_ok(w) else None for w in committees]
-    for i in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
+    for i in sorted(range(len(succ)), key=lambda i: len(succ[i]), reverse=True):
         if best[i] is None:
             continue
         step = best[i] + 1

@@ -18,10 +18,11 @@ an instance with ``n`` voters, ``m`` alternatives, committee size ``k``:
   majority of overlap comparisons.
 
 Everything here is a pure function over immutable inputs. Three results for
-whole instances are memoized: ``axiom_committee_set``, ``dominance_pairs``
-and ``condorcet_committee``; the randomized-response rules read
-``_axiom_scores``, which is not. The tables that depend only on ``(m, k)`` or
-on one ballot are shared by every instance.
+whole instances are memoized: ``axiom_committee_set``, ``dominance_pairs`` and
+``condorcet_committee``; the randomized-response rules read ``_axiom_scores``
+and ``_condorcet_index``, which are not, so a rule keeps no instance alive.
+Tables that depend only on ``(m, k)`` or on one ballot are shared by every
+instance. Only ``_ballot_types`` and ``_approval_counts`` read the voters.
 """
 
 from __future__ import annotations
@@ -60,18 +61,25 @@ PJR_STATE_MAX = 100_000
 PJR_VISIT_MAX = 40_000_000
 
 
-def _cohesive_groups(inst: Instance, top: int) -> list:
+def _cohesive_groups(inst: Instance, types: list, top: int) -> list:
     """``(ell, T, V_T)`` for every alternative bitmask ``T`` with ``|T| = ell
     <= top`` whose maximal voter set ``V_T = {i : T subset P_i}`` satisfies
     ``k*|V_T| >= ell*n``; ``V_T`` is a bitmask of voter indices, the AND of
-    the approver masks of ``T``'s members. The cores of each size come in
-    lexicographic order from a depth-first walk that extends a core only
-    while it passes: ``V_T`` shrinks as ``T`` grows while the bar rises."""
+    the approver masks of ``T``'s members. Voters are numbered type by type:
+    each ``(mask, count)`` of ``types`` (``_ballot_types``) owns the next
+    ``count`` bits. The cores of each size come in lexicographic order from a
+    depth-first walk that extends a core only while it passes: ``V_T``
+    shrinks as ``T`` grows while the bar rises."""
     n, k = inst.n, inst.k
     approvers = [0] * inst.m  # per alternative, the bitmask of its approving voters
-    for i, ballot in enumerate(inst.ballots):
-        for a in ballot:
-            approvers[a] |= 1 << i
+    low = 0
+    for ballot, count in types:
+        block = (1 << count) - 1 << low
+        while ballot:  # each member, by lowest set bit
+            bit = ballot & -ballot
+            approvers[bit.bit_length() - 1] |= block
+            ballot ^= bit
+        low += count
     out = []
 
     def extend(core: int, voters: int, start: int) -> None:
@@ -215,8 +223,9 @@ def _violations(inst: Instance, ax: Axiom) -> int:
     if ax not in (Axiom.JR, Axiom.EJR):
         raise InvalidParametersError(f"committee sets are for JR/PJR/EJR only, got {ax}")
     top = 1 if ax is Axiom.JR else k
-    types = [(t, _ballot_table(m, k, t)[1], count) for t, count in _ballot_types(inst)]
-    groups = _cohesive_groups(inst, top)
+    counted = _ballot_types(inst)
+    types = [(t, _ballot_table(m, k, t)[1], count) for t, count in counted]
+    groups = _cohesive_groups(inst, counted, top)
     # a group inside another of the same ell, or equal to it, adds no
     # violators; by ell and size descending, a group's container comes first,
     # and containment is transitive, so testing against the kept ones is enough
@@ -256,8 +265,7 @@ def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
 
 def _approval_counts(inst: Instance) -> list:
     """Per alternative, the number of voters approving it, counted ballot by
-    ballot in time linear in the profile's size; the voter bitmasks of
-    ``_cohesive_groups`` take time quadratic in n to build."""
+    ballot in time linear in the profile's size."""
     counts = [0] * inst.m
     for ballot in inst.ballots:
         for a in ballot:
@@ -306,9 +314,8 @@ def pareto_frontier(inst: Instance) -> tuple:
     return tuple(w for i, w in enumerate(committees) if i not in dominated)
 
 
-@lru_cache(maxsize=4096)
-def condorcet_committee(inst: Instance) -> Optional[tuple]:
-    """The committee beating every other in strict pairwise majority, or None.
+def _condorcet_index(inst: Instance) -> Optional[int]:
+    """The index of the committee beating every other in strict pairwise majority, or None.
 
     Uniqueness is implied by the definition (two such committees would each
     have to beat the other). For ``k < m``, every member ``a`` of a Condorcet
@@ -325,7 +332,7 @@ def condorcet_committee(inst: Instance) -> Optional[tuple]:
     """
     m, n, k = inst.m, inst.n, inst.k
     if k == m:
-        return canonical_committees(m, k)[0]
+        return 0
     majority = [a for a, c in enumerate(_approval_counts(inst)) if 2 * c > n]
     if len(majority) < k:
         return None
@@ -342,6 +349,11 @@ def condorcet_committee(inst: Instance) -> Optional[tuple]:
     for j in rest:
         if not beats(best, j):
             best = j
-    if all(beats(best, j) for j in range(len(overlaps)) if j != best):
-        return canonical_committees(m, k)[best]
-    return None
+    return best if all(beats(best, j) for j in range(len(overlaps)) if j != best) else None
+
+
+@lru_cache(maxsize=4096)
+def condorcet_committee(inst: Instance) -> Optional[tuple]:
+    """The Condorcet committee of ``_condorcet_index``, or None."""
+    best = _condorcet_index(inst)
+    return None if best is None else canonical_committees(inst.m, inst.k)[best]

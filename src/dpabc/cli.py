@@ -62,10 +62,10 @@ EXIT_INTERNAL = 4
 # every j <= k.
 COMMITTEE_SPACE_MAX = 5000
 
-# Most voters an instance may have; every checker and rule walks the
-# ballots. On JR_UPPER at n = 10^5, `axioms` takes 0.65-0.8 s and `audit-dp
-# --mechanism exp-av` 2.1-3.6 s, at 40-41 MB peak RSS; `axioms` at n = 10^6
-# took 21 s and 249 MB.
+# Most voters an instance may have; every checker and rule counts the
+# ballot types once per call. On JR_UPPER at n = 10^5, `axioms` takes 0.3 s
+# and `audit-dp --mechanism exp-av` 0.5-0.6 s, at 39-41 MB peak RSS; `axioms`
+# at n = 10^6 takes 2.6 s and 249 MB.
 VOTER_COUNT_MAX = 100_000
 
 DEFAULT_EPS_GRID = ("0.1", "1", "2")

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .axioms import Axiom, _approval_counts, _av_scores, _axiom_scores, condorcet_committee
-from .core import Instance, InvalidParametersError, canonical_committees, committee_index
+from .axioms import Axiom, _approval_counts, _av_scores, _axiom_scores, _condorcet_index
+from .core import Instance, InvalidParametersError, canonical_committees
 
 RandomSeed = int
 
@@ -290,9 +290,9 @@ def rr_condorcet_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     committee gets 1 / (e^eps + C(m,k) - 1); otherwise uniform.
     """
     scores = [0] * len(canonical_committees(inst.m, inst.k))
-    winner = condorcet_committee(inst)
+    winner = _condorcet_index(inst)
     if winner is not None:
-        scores[committee_index(inst.m, inst.k)[winner]] = 1
+        scores[winner] = 1
     return _from_scores(inst, epsilon, tuple(scores), 1)
 
 

@@ -58,6 +58,13 @@ MUTANTS = (
     ),
     Mutant(
         AXIOMS,
+        "            ballot ^= bit\n        low += count\n",
+        "            ballot ^= bit\n",
+        ("tests/test_axioms.py",),
+        "the cohesive walk gives every ballot type the same voter bits, the first type's",
+    ),
+    Mutant(
+        AXIOMS,
         "if k * shared.bit_count() >= ell * n:",
         "if k * shared.bit_count() > ell * n:",
         ("tests/test_axioms.py",),
@@ -194,8 +201,15 @@ MUTANTS = (
         AUDIT,
         'EJR_2WAY = "ejr-2way", (Axiom.EJR,), lambda n, k: -(-n // k)',
         'EJR_2WAY = "ejr-2way", (Axiom.EJR,), lambda n, k: n // k',
-        ("tests/test_cli.py",),
+        ("tests/test_audit.py",),
         "the two-way EJR bound's right-hand side rounds n / k down, not up",
+    ),
+    Mutant(
+        AUDIT,
+        "key=lambda i: len(succ[i]), reverse=True)",
+        "key=lambda i: len(succ[i]))",
+        ("tests/test_audit.py",),
+        "the dominance chain walk visits committees by successor-row length ascending",
     ),
     Mutant(
         AUDIT,

@@ -1,7 +1,9 @@
 import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -216,6 +218,22 @@ class TestDpLevel:
     def test_unknown_mechanism_lists_valid_names(self):
         with pytest.raises(InvalidParametersError, match="'no-such-rule'; valid: exp-av, "):
             make_rule("no-such-rule", 1)
+
+    @pytest.mark.parametrize("mechanism", AUDIT_MECHANISMS)
+    def test_no_rule_keeps_a_neighbour_alive(self, mechanism):
+        # an audit holds only the profile it audits: a rule that cached its
+        # result by instance would keep every neighbour's n-tuple in memory
+        inst = witness(WitnessId.CC_UPPER).inst
+        rule, seen = make_rule(mechanism, 1), []
+
+        def recording(x):
+            seen.append(weakref.ref(x))
+            return rule(x)
+
+        report = dp_level(recording, inst)
+        gc.collect()
+        assert len(seen) == report.neighbors_evaluated + 1
+        assert [r for r in seen if r() is not None and r() is not inst] == []
 
     def test_direction_symmetric_on_designed_pair(self):
         # auditing from either profile of the flip pair finds the same worst
@@ -730,6 +748,31 @@ class TestBoundGrid:
                     assert result.vacuous or result.satisfied, (
                         wid, mechanism, result.bound_id,
                     )
+
+
+# the README's bound table: each row's right-hand side, in units of eps, at
+# (n, k) = (7, 3), where ceil(n/k) = 3 and n/k rounded down is 2
+_RHS_AT_7_3 = {
+    BoundId.JR_2WAY: 1,
+    BoundId.PJR_2WAY: 1,
+    BoundId.EJR_2WAY: 3,
+    BoundId.PE_2WAY: Fraction(1, 3),
+    BoundId.CC_2WAY: 1,
+    BoundId.JR_PJR_3WAY: 1,
+    BoundId.JR_EJR_3WAY: 1,
+    BoundId.PJR_EJR_3WAY: 3,
+    BoundId.PE_JR_3WAY: 7,
+    BoundId.PE_PJR_3WAY: 7,
+    BoundId.PE_EJR_3WAY: 7,
+    BoundId.PE_CC_3WAY: 7,
+    BoundId.CC_JR_PRODUCT: 0,
+}
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("bound_id", list(BoundId), ids=lambda b: b.value)
+    def test_rhs_at_n_not_divisible_by_k(self, bound_id):
+        assert bound_id.rhs(7, 3) == _RHS_AT_7_3[bound_id]
 
 
 class TestSpread:

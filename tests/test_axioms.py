@@ -48,6 +48,17 @@ from strategies import grouped_instance, instances, instances_with_permutation
 from witnesses import companion, tagged
 
 
+def cohesive_walk(inst, top):
+    """``_cohesive_groups`` over ``_ballot_types(inst)``, each ``V_T`` read as
+    a set of voter indices: bit j of ``V_T`` is the j-th voter when the voters
+    are listed type by type, types by ballot mask and voters in index order."""
+    order = sorted(range(inst.n), key=lambda i: sum(1 << a for a in inst.ballots[i]))
+    return [
+        (ell, core, frozenset(order[j] for j in range(inst.n) if voters >> j & 1))
+        for ell, core, voters in _cohesive_groups(inst, _ballot_types(inst), top)
+    ]
+
+
 def dominance_committee_pairs(inst):
     """The successor table flattened into (dominator, dominated) committee
     pairs, read entry by entry."""
@@ -98,13 +109,10 @@ class TestCohesiveWitnesses:
     @given(instances(max_m=6, max_n=8, max_k=3))
     def test_walk_yields_the_maximal_groups_of_every_size(self, inst):
         # the depth-first walk behind JR and EJR against the definition
-        groups = _cohesive_groups(inst, inst.k)
+        groups = cohesive_walk(inst, inst.k)
         for ell in range(1, inst.k + 1):
             walked = [
-                (
-                    frozenset(a for a in range(inst.m) if core >> a & 1),
-                    frozenset(i for i in range(inst.n) if voters >> i & 1),
-                )
+                (frozenset(a for a in range(inst.m) if core >> a & 1), voters)
                 for size, core, voters in groups
                 if size == ell
             ]
@@ -468,10 +476,8 @@ class TestNestedCohesiveCores:
 
     @pytest.mark.parametrize("inst", NESTED_CORE_PROFILES)
     def test_sets_match_brute(self, inst):
-        groups = {(ell, v) for ell, _, v in _cohesive_groups(inst, inst.k)}
-        nested = [
-            (ell, g) for ell, g in groups if any(e == ell and v != g and v | g == v for e, v in groups)
-        ]
+        groups = {(ell, v) for ell, _, v in cohesive_walk(inst, inst.k)}
+        nested = [(ell, g) for ell, g in groups if any(e == ell and v > g for e, v in groups)]
         assert len(nested) >= 5 and len(nested) > len(groups) / 2
         committees = canonical_committees(inst.m, inst.k)
         for ax in JR_FAMILY:
