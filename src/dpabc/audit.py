@@ -370,7 +370,7 @@ def dp_level(
     attaining: Optional[tuple] = None
     laws: set = set()
     for voter, ballot in scan:
-        other = rule(inst.replace_ballot(voter, ballot))
+        other = rule(inst._replaced(voter, ballot))  # scan entries are valid already
         if other.log_probs in laws:
             continue
         laws.add(other.log_probs)

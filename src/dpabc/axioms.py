@@ -120,13 +120,19 @@ def _ballot_table(m: int, k: int, ballot: int) -> tuple:
     return column, below
 
 
+@lru_cache(maxsize=1024)
+def _ballot_mask(ballot: frozenset) -> int:
+    """A ballot's bitmask, shared: a DP-audit neighbour shares all but one ballot."""
+    return _mask(ballot)
+
+
 def _ballot_types(inst: Instance) -> list:
     """The distinct ballots as sorted ``(mask, count)`` pairs, ``count`` the
     number of voters casting that ballot."""
     counts: dict = {}
     for ballot in inst.ballots:
         counts[ballot] = counts.get(ballot, 0) + 1
-    return sorted((_mask(ballot), count) for ballot, count in counts.items())
+    return sorted((_ballot_mask(ballot), count) for ballot, count in counts.items())
 
 
 def _overlaps(inst: Instance, types: list) -> list:

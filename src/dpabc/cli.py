@@ -163,7 +163,8 @@ def _load_instance(args) -> Instance:
         for name in "nkm":
             if getattr(args, name) is not None:
                 raise InvalidParametersError(f"--{name} applies to --witness only, not --input")
-        with open(args.input) as fh:
+        # a byte that is not UTF-8 reaches read_instance, which names its line
+        with open(args.input, encoding="utf-8", errors="surrogateescape") as fh:
             return read_instance(fh, _admit)
     wid = witness_id(args.witness)
     overrides = (args.n, args.k, args.m)
@@ -364,13 +365,17 @@ def _cmd_reproduce(args) -> tuple:
     for wid in WitnessId:
         inst = witness(wid).inst
         premises, extra = bound_premises(inst), {"witness": wid.value}
-        # laws with equal (scores, scale) have equal levels and checks; a law
-        # without scores is keyed by its log-probabilities
+        # levels and checks read only score differences over the scale, both
+        # reduced; a law without scores is keyed by its log-probabilities
         families: dict = {}
         for mechanism in AUDIT_MECHANISMS:
             # every audited law has scores, so its checks hold at every eps
             dist = MECHANISMS[mechanism](inst, eps_values[0])
-            key = dist.log_probs if dist.scores is None else (dist.scores, dist.scale)
+            key = dist.log_probs
+            if dist.scores is not None:
+                low = min(dist.scores)
+                g = math.gcd(dist.scale, *(q - low for q in dist.scores))
+                key = (tuple((q - low) // g for q in dist.scores), dist.scale // g)
             if key not in families:
                 checks = evaluate_bounds(measure_levels(dist), inst, premises)
                 families[key] = _bound_records(checks, eps_values, extra)
@@ -414,7 +419,7 @@ def main(argv: Optional[Sequence] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POLICY_CAP
-    except (ProfileParseError, InvalidParametersError, OSError, UnicodeDecodeError) as exc:
+    except (ProfileParseError, InvalidParametersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # never a traceback, and never exit 1

@@ -67,11 +67,14 @@ class Instance:
     def replace_ballot(self, voter: int, ballot) -> "Instance":
         """Return a new instance with ``voter``'s ballot swapped out. Only the
         new ballot is validated; the rest are already canonical."""
-        new = list(self.ballots)
-        voter = range(len(new))[voter]  # an IndexError as for the list
-        new[voter] = _ballot(voter, ballot, self.m)
+        voter = range(self.n)[voter]  # an IndexError as for the list
+        return self._replaced(voter, _ballot(voter, ballot, self.m))
+
+    def _replaced(self, voter: int, ballot: frozenset) -> "Instance":
+        """``replace_ballot`` unchecked: ``voter`` in ``range(n)``, ``ballot`` valid."""
+        ballots = self.ballots[:voter] + (ballot,) + self.ballots[voter + 1 :]
         inst = object.__new__(Instance)
-        object.__setattr__(inst, "ballots", tuple(new))
+        object.__setattr__(inst, "ballots", ballots)
         object.__setattr__(inst, "m", self.m)
         object.__setattr__(inst, "k", self.k)
         return inst
@@ -137,16 +140,24 @@ def parse_instance(text: str) -> Instance:
     return read_instance((text,))
 
 
+def _utf8(line: str, lineno: int) -> str:
+    """``line``, or a parse error when it holds a surrogate: a byte that was not UTF-8."""
+    if not line.isascii() and any("\ud800" <= c <= "\udfff" for c in line):
+        raise ProfileParseError("not UTF-8 text", lineno)
+    return line
+
+
 def read_instance(source: Iterable[str], admit: Callable = lambda m, k: math.inf) -> Instance:
     """Parse profile text (see :func:`parse_instance`) given in pieces that
     end at line breaks, such as an open file's lines, reading only as far as
     it must. ``admit(m, k)`` runs on the header before any voter line is
     parsed and returns the most voters the instance may have, or raises. The
     first voter line past that many is a ``ResourceLimitError``: no ballot
-    past the cap is built, and the lines after it are not parsed."""
+    past the cap is built, and the lines after it are not parsed. A line with
+    a byte that is not UTF-8 (read with ``errors="surrogateescape"``) is a parse error."""
     # each piece splits as str.splitlines splits the whole text
     lines = itertools.chain.from_iterable(map(str.splitlines, source))
-    cut = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
+    cut = ((i, _utf8(raw, i).split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
     rows = ((i, line) for i, line in cut if line)
     header = next(rows, None)
     if header is None:

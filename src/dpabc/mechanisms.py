@@ -211,10 +211,9 @@ def exp_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
     return _from_scores(inst, epsilon, _av_scores(inst), 2 * inst.k)
 
 
-@functools.lru_cache(maxsize=64)
-def _sequential_weights(inst: Instance, epsilon) -> tuple:
-    """Weights e^(approvals * eps / (2k)), built once per (instance, budget); a usage
-    error, raised on every call, for a bad budget or an overflowing left-to-right sum."""
+def _av_weights(inst: Instance, epsilon) -> tuple:
+    """Weights e^(approvals * eps / (2k)); a usage error for a bad budget or an
+    overflowing left-to-right sum."""
     x, scale = float(as_epsilon(epsilon)), 2 * inst.k
     try:
         weights = tuple(math.exp(c * x / scale) for c in _approval_counts(inst))
@@ -223,6 +222,10 @@ def _sequential_weights(inst: Instance, epsilon) -> tuple:
     except OverflowError:
         pass
     raise InvalidParametersError("epsilon too large: the sequential AV weights overflow a float")
+
+
+# for repeated draws; the law reads them uncached, so an audit keeps no neighbour
+_sequential_weights = functools.lru_cache(maxsize=64)(_av_weights)
 
 
 def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution:
@@ -238,7 +241,7 @@ def sequential_av_distribution(inst: Instance, epsilon) -> CommitteeDistribution
     never taken as total minus chosen, which cancels at large eps.
     """
     eps = as_epsilon(epsilon)
-    weights = _sequential_weights(inst, eps)
+    weights = _av_weights(inst, eps)
     law = {(): 1.0}
     for j in range(1, inst.k + 1):
         left = {s: math.fsum(w for a, w in enumerate(weights) if a not in s) for s in law}

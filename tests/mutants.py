@@ -36,12 +36,27 @@ class Mutant(NamedTuple):
     breaks: str
 
 
+CORE = "src/dpabc/core.py"
 AXIOMS = "src/dpabc/axioms.py"
 AUDIT = "src/dpabc/audit.py"
 MECHANISMS = "src/dpabc/mechanisms.py"
 CLI = "src/dpabc/cli.py"
 
 MUTANTS = (
+    Mutant(
+        CORE,
+        "return self._replaced(voter, _ballot(voter, ballot, self.m))",
+        "return self._replaced(voter, ballot)",
+        ("tests/test_core.py",),
+        "replace_ballot takes a ballot unchecked",
+    ),
+    Mutant(
+        CORE,
+        "self.ballots[:voter] + (ballot,) + self.ballots[voter + 1 :]",
+        "self.ballots",
+        ("tests/test_audit.py",),
+        "the unchecked ballot swap keeps the voter's old ballot",
+    ),
     Mutant(
         AXIOMS,
         "for t, below, count in types if core & t == core]",
@@ -227,10 +242,10 @@ MUTANTS = (
     ),
     Mutant(
         CLI,
-        "key = dist.log_probs if dist.scores is None else (dist.scores, dist.scale)",
-        "key = dist.log_probs if dist.scores is None else dist.scores",
+        "key = (tuple((q - low) // g for q in dist.scores), dist.scale // g)",
+        "key = tuple((q - low) // g for q in dist.scores)",
         ("tests/test_cli.py",),
-        "reproduce shares rows between laws with equal scores at different scales",
+        "reproduce shares rows between laws with equal reduced scores at different scales",
     ),
     Mutant(
         CLI,

@@ -219,7 +219,7 @@ class TestDpLevel:
         with pytest.raises(InvalidParametersError, match="'no-such-rule'; valid: exp-av, "):
             make_rule("no-such-rule", 1)
 
-    @pytest.mark.parametrize("mechanism", AUDIT_MECHANISMS)
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
     def test_no_rule_keeps_a_neighbour_alive(self, mechanism):
         # an audit holds only the profile it audits: a rule that cached its
         # result by instance would keep every neighbour's n-tuple in memory

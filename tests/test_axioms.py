@@ -28,8 +28,10 @@ from dpabc.axioms import (
     JR_FAMILY,
     _approval_counts,
     _at_least,
+    _ballot_mask,
     _ballot_types,
     _cohesive_groups,
+    _mask,
     _pjr_groups,
 )
 from dpabc.core import ResourceLimitError, canonical_committees
@@ -441,6 +443,7 @@ class TestBallotTypes:
         counts = Counter(inst.ballots)
         expected = sorted((sum(1 << a for a in b), c) for b, c in counts.items())
         assert _ballot_types(inst) == expected
+        assert all(_ballot_mask(b) == _mask(b) for b in counts)
 
 
 class TestManyBallotTypes:

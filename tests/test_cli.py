@@ -8,6 +8,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -439,7 +440,7 @@ class TestErrors:
         path.write_bytes(b"m=3 k=2\n0 1\n\xff\xfe 2\n")
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
 
     def test_unknown_witness_lists_valid_ids(self, capsys):
         code, _, err = run_cli(
@@ -696,15 +697,16 @@ class TestReproduce:
         premises = count_calls(monkeypatch, cli, "bound_premises")
         code, _, _ = run_cli(capsys, "reproduce")
         assert code == 0
-        # one scan per distinct (witness, scores, scale): the rules of a
-        # witness whose laws agree share it, and each law serves the eps grid
+        # one scan per witness and distinct score differences over the scale
+        # (each score less the least): the rules of a witness whose laws
+        # agree share it, and each law serves the eps grid
         laws = {
-            (wid, law.scores, law.scale)
+            (wid, tuple(Fraction(q - min(law.scores), law.scale) for q in law.scores))
             for wid in WitnessId
             for mechanism in cli.AUDIT_MECHANISMS
             for law in [MECHANISMS[mechanism](witness(wid).inst, 1)]
         }
-        assert levels == [len(laws)] == [36]
+        assert levels == [len(laws)] == [35]
         assert premises == [9]
 
     @pytest.mark.parametrize("fmt", ["structured", "table"])
@@ -895,6 +897,25 @@ class TestFuzz:
         if command != "axioms":
             argv += ["--mechanism", mechanism, "--eps", eps]
         _check_exit_contract(*run_cli(capsys, *argv))
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=profile_texts(), raw=st.binary(min_size=1, max_size=6), at=st.integers(0, 80))
+    def test_raw_bytes(self, capsys, tmp_path, text, raw, at):
+        # bytes that are not UTF-8 are a parse error naming a line
+        data = text.encode()
+        data = data[:at] + raw + data[at:]
+        path = tmp_path / "profile.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "axioms", "--input", str(path))
+        _check_exit_contract(code, out, err)
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            assert (code, out) == (2, "") and err.startswith("error: line "), err
 
     @settings(
         max_examples=10,

@@ -211,12 +211,14 @@ class TestReplaceBallot:
     def test_equals_a_fully_validated_instance(self, inst, data):
         voter = data.draw(st.integers(-inst.n, inst.n - 1))
         ballot = data.draw(st.frozensets(st.integers(0, inst.m - 1), min_size=1))
-        replaced = inst.replace_ballot(voter, list(ballot))
         ballots = list(inst.ballots)
         ballots[voter] = ballot
         built = Instance(tuple(ballots), inst.m, inst.k)
-        assert replaced == built
-        assert hash(replaced) == hash(built)
+        # the unchecked build, given what the check passes, builds the same
+        checked = inst.replace_ballot(voter, list(ballot))
+        for replaced in (checked, inst._replaced(voter % inst.n, ballot)):
+            assert replaced == built
+            assert hash(replaced) == hash(built)
         assert replaced.ballots[voter] == ballot
         assert all(type(b) is frozenset for b in replaced.ballots)
 
