@@ -219,8 +219,8 @@ class TestReplaceBallot:
         for replaced in (checked, inst._replaced(voter % inst.n, ballot)):
             assert replaced == built
             assert hash(replaced) == hash(built)
-        assert replaced.ballots[voter] == ballot
-        assert all(type(b) is frozenset for b in replaced.ballots)
+            assert replaced.ballots[voter] == ballot
+            assert all(type(b) is frozenset for b in replaced.ballots)
 
 
 class TestTextFormat:
