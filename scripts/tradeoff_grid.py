@@ -14,6 +14,7 @@ import math
 
 from dpabc import (
     Axiom,
+    BoundId,
     InvalidParametersError,
     MECHANISMS,
     measure_levels,
@@ -66,8 +67,10 @@ def main():
         for wid in wids:
             inst = witness(wid).inst
             lines.append(f"\n== {wid.value} (n={inst.n}, k={inst.k}, m={inst.m})")
+            ejr_cap = BoundId.EJR_2WAY.rhs(inst.n, inst.k)
+            pe_divisor = 1 / BoundId.PE_2WAY.rhs(inst.n, inst.k)
             lines.append("   two-way caps (log): jr/pjr/cc <= eps, "
-                         f"ejr <= {-(-inst.n // inst.k)}*eps, pe <= eps/{inst.k}")
+                         f"ejr <= {ejr_cap}*eps, pe <= eps/{pe_divisor}")
             lines.append("mechanism      eps    " + "  ".join(f"{ax.value:>6}" for ax in order))
             for eps in eps_grid:
                 for name in AUDIT_MECHANISMS:

@@ -175,35 +175,28 @@ def bound_premises(inst: Instance) -> dict:
     step. Without that structure the composite inequality is unconstrained on
     the instance. The chain walks read the instance's cached successor table.
     """
-    need = inst.n * inst.k
-    premises: dict = {}
-    for bound_id in BoundId:
-        axioms, reason = bound_id.axioms, None
-        if bound_id is BoundId.CC_JR_PRODUCT:
-            winner = condorcet_committee(inst)
-            if winner is None:
-                reason = "no Condorcet committee"
-            elif winner in axiom_committee_set(inst, Axiom.JR):
-                reason = "Condorcet committee satisfies JR; product unconstrained"
-        elif bound_id is BoundId.PE_CC_3WAY:
-            winner = condorcet_committee(inst)
-            if winner is not None:
-                chain = _longest_chain(inst, lambda w: w != winner, lambda w: True)
-                if chain < need - 1:
-                    reason = (
-                        f"longest dominance chain starting off the Condorcet "
-                        f"committee has {max(chain, 0)} arrows, needs {need - 1}"
-                    )
-        elif Axiom.PE in axioms and len(axioms) > 1:
-            partner = axioms[1]
-            members = set(axiom_committee_set(inst, partner))
-            chain = _longest_chain(inst, members.__contains__, lambda w: w not in members)
-            if chain < need:
-                reason = (
-                    f"longest dominance chain from a {partner.value}-satisfying "
-                    f"to a violating committee has {max(chain, 0)} arrows, needs {need}"
-                )
-        premises[bound_id] = reason
+    need, premises = inst.n * inst.k, dict.fromkeys(BoundId)
+    for bound_id in (BoundId.PE_JR_3WAY, BoundId.PE_PJR_3WAY, BoundId.PE_EJR_3WAY):
+        partner = bound_id.axioms[1]
+        members = set(axiom_committee_set(inst, partner))
+        chain = _longest_chain(inst, members.__contains__, lambda w: w not in members)
+        if chain < need:
+            premises[bound_id] = (
+                f"longest dominance chain from a {partner.value}-satisfying "
+                f"to a violating committee has {max(chain, 0)} arrows, needs {need}"
+            )
+    winner = condorcet_committee(inst)
+    if winner is None:
+        premises[BoundId.CC_JR_PRODUCT] = "no Condorcet committee"
+        return premises
+    if winner in axiom_committee_set(inst, Axiom.JR):
+        premises[BoundId.CC_JR_PRODUCT] = "Condorcet committee satisfies JR; product unconstrained"
+    chain = _longest_chain(inst, lambda w: w != winner, lambda w: True)
+    if chain < need - 1:
+        premises[BoundId.PE_CC_3WAY] = (
+            f"longest dominance chain starting off the Condorcet "
+            f"committee has {max(chain, 0)} arrows, needs {need - 1}"
+        )
     return premises
 
 

@@ -18,9 +18,11 @@ an instance with ``n`` voters, ``m`` alternatives, committee size ``k``:
   majority of overlap comparisons.
 
 Everything here is a pure function over immutable inputs. Three results for
-whole instances are memoized: ``axiom_committee_set``, ``dominance_pairs`` and
-``condorcet_committee``; the randomized-response rules read ``_axiom_scores``
-and ``_condorcet_index``, which are not, so a rule keeps no instance alive.
+whole instances are memoized, 32 entries each: ``axiom_committee_set``,
+``dominance_pairs`` and ``condorcet_committee``. Their readers, the levels and
+the bound premises, take 27, 9 and 9 in one ``reproduce`` run, so a scan over
+neighbours keeps at most 32 alive. The rules read ``_axiom_scores`` and
+``_condorcet_index``, which are not memoized, so a rule keeps none alive.
 Tables that depend only on ``(m, k)`` or on one ballot are shared by every
 instance. Only ``_ballot_types`` and ``_approval_counts`` read the voters.
 """
@@ -260,7 +262,7 @@ def _axiom_scores(inst: Instance, ax: Axiom) -> tuple:
     return tuple(violating.encode().translate(_SATISFIES))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=32)
 def axiom_committee_set(inst: Instance, ax: Axiom) -> tuple:
     """All committees satisfying ``ax``, in canonical order.
 
@@ -286,7 +288,7 @@ def _av_scores(inst: Instance) -> tuple:
     return tuple(map(sum, itertools.combinations(_approval_counts(inst), inst.k)))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=32)
 def dominance_pairs(inst: Instance) -> tuple:
     """The dominance relation as a successor table over canonical committee
     indices: entry ``i`` is the ascending tuple of the indices ``j`` such that
@@ -358,7 +360,7 @@ def _condorcet_index(inst: Instance) -> Optional[int]:
     return best if all(beats(best, j) for j in range(len(overlaps)) if j != best) else None
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=32)
 def condorcet_committee(inst: Instance) -> Optional[tuple]:
     """The Condorcet committee of ``_condorcet_index``, or None."""
     best = _condorcet_index(inst)

@@ -134,11 +134,11 @@ def weight_exponent(numerator: int, denominator: int, eps: Fraction) -> float:
 class CommitteeDistribution:
     """Exact distribution of a randomized rule on one instance.
 
-    When the rule is exponential-family, ``scores`` holds its integer score
-    of each committee and committee ``i`` has unnormalized weight
-    ``e^(scores[i] * eps / scale)``; else ``scores`` is ``None`` (the
-    sequential law) and ``log_probs`` carries the law directly.
-    Probabilities sum to 1 within 1e-9 and are all strictly positive.
+    When the rule is exponential-family, ``scores`` holds its integer score of each
+    committee and committee ``i`` has unnormalized weight ``e^(scores[i] * eps /
+    scale)``; else ``scores`` is ``None`` (the sequential law) and ``log_probs``
+    carries the law directly. Probabilities sum to 1 within 1e-9. Every
+    log-probability is finite, but at a large budget ``probs`` can underflow to 0.0.
     """
 
     instance: Instance

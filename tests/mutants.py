@@ -108,6 +108,13 @@ MUTANTS = (
         "the JR/PJR/EJR checker reads any other axiom as EJR",
     ),
     Mutant(
+        AXIOMS,
+        "@lru_cache(maxsize=32)\ndef axiom_committee_set",
+        "@lru_cache(maxsize=4096)\ndef axiom_committee_set",
+        ("tests/test_audit.py",),
+        "the axiom-set memo keeps every neighbour that levels or premises read alive",
+    ),
+    Mutant(
         MECHANISMS,
         "    epsilon = as_epsilon(epsilon)\n    return CommitteeDistribution(",
         "    return CommitteeDistribution(",
@@ -225,6 +232,13 @@ MUTANTS = (
         "key=lambda i: len(succ[i]))",
         ("tests/test_audit.py",),
         "the dominance chain walk visits committees by successor-row length ascending",
+    ),
+    Mutant(
+        AUDIT,
+        "if chain < need - 1:",
+        "if chain < need:",
+        ("tests/test_audit.py",),
+        "the PE-CC premise asks nk arrows off the Condorcet committee, not nk - 1",
     ),
     Mutant(
         AUDIT,

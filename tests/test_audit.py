@@ -235,6 +235,23 @@ class TestDpLevel:
         assert len(seen) == report.neighbors_evaluated + 1
         assert [r for r in seen if r() is not None and r() is not inst] == []
 
+    def test_levels_and_premises_keep_at_most_32_neighbours_alive(self):
+        # the per-instance memos that levels and premises read hold 32 entries
+        # each, so a pass over every orbit neighbour leaves only the latest alive
+        inst = witness(WitnessId.JR_PJR_3WAY).inst
+        rules = [make_rule(name, 1) for name in ("rr-jr", "exp-av", "rr-condorcet")]
+        seen = []
+        for voter, ballot in neighbor_orbits(inst):
+            neighbour = inst.replace_ballot(voter, ballot)
+            seen.append(weakref.ref(neighbour))
+            for rule in rules:
+                measure_levels(rule(neighbour))
+            bound_premises(neighbour)
+            del neighbour
+        gc.collect()
+        assert len(seen) == 282
+        assert sum(r() is not None for r in seen) <= 32
+
     def test_direction_symmetric_on_designed_pair(self):
         # auditing from either profile of the flip pair finds the same worst
         # ratio: the absolute log difference covers both directions

@@ -1,20 +1,42 @@
-"""The abstract's claims about the axioms without privacy, checked exactly.
+"""The abstract's claims, each checked where README's "Claims" table says.
 
-"Compatible without DP": on every profile some committee satisfies EJR (so
-PJR and JR) and is Pareto efficient. The one exception the paper names is
-the Condorcet committee against JR: when a Condorcet committee exists it is
-Pareto efficient, but it can fail JR and EJR.
+C1, "every axiom is incompatible with DP": every audited law gives every
+committee a finite log-probability, so every axiom with a violating
+committee has a finite level.
 
-Each sweep covers every anonymous profile (multiset of non-empty ballots) of
-its shapes and every committee size k < m: 5087 instances.
+C4, "compatible without DP": on every profile some committee satisfies EJR
+(so PJR and JR) and is Pareto efficient. The one exception the paper names
+is the Condorcet committee against JR: when a Condorcet committee exists it
+is Pareto efficient, but it can fail JR and EJR. Each sweep covers every
+anonymous profile (multiset of non-empty ballots) of its shapes and every
+committee size k < m: 5087 instances.
 """
 
 import itertools
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dpabc import Axiom, Instance, axiom_committee_set, condorcet_committee, pareto_frontier
+from dpabc import (
+    MECHANISMS,
+    Axiom,
+    Instance,
+    WitnessId,
+    axiom_committee_set,
+    condorcet_committee,
+    measure_levels,
+    pareto_frontier,
+    witness,
+)
 from dpabc.core import nonempty_subsets
+from dpabc.mechanisms import AUDIT_MECHANISMS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # (m, n) shapes of the sweep
 SHAPES = [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 2)]
@@ -69,3 +91,38 @@ def test_condorcet_committee_fails_jr_on_one_orbit(instances):
     assert failing[Axiom.JR] == failing[Axiom.EJR] == set(expected)
     for inst in expected:
         assert condorcet_committee(inst) == expected[inst]
+
+
+def test_every_audited_law_has_finite_logs():
+    # C1: a finite log-probability on every committee bounds every level that
+    # has a boundary pair; the probabilities themselves may underflow to 0.0
+    laws = 0
+    for wid in WitnessId:
+        inst = witness(wid).inst
+        for name in AUDIT_MECHANISMS:
+            for eps in ("0.1", "1", "2"):
+                dist = MECHANISMS[name](inst, eps)
+                assert all(map(math.isfinite, dist.log_probs)), (wid, name, eps)
+                for level in measure_levels(dist).values():
+                    assert level.vacuous or math.isfinite(level.log_value), (wid, name, eps)
+                laws += 1
+    assert laws == 162
+
+
+def claims_node_ids():
+    """The test node ids that README's "Claims" section names."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Claims\n", 1)[1].split("\n## ", 1)[0]
+    return sorted(set(re.findall(r"`(tests/[\w/]+\.py::[\w:\[\]-]+)`", section)))
+
+
+def test_pytest_collects_every_node_id_in_the_claims_table():
+    ids = claims_node_ids()
+    assert len(ids) >= 5
+    argv = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids]
+    # plugins only slow the collection down; the node ids do not depend on them
+    env = dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    collected = set(done.stdout.splitlines())
+    assert [i for i in ids if i not in collected] == []

@@ -327,6 +327,13 @@ class TestExpAv:
         # AV gap between (0,1) and (0,2) is 1; k = 2
         assert ratio_coeff(dist, (0, 1), (0, 2)) == Fraction(1, 4)
 
+    def test_large_budget_keeps_finite_logs_while_probs_underflow(self):
+        # the law's logs stay finite: the levels read them, not the probabilities
+        dist = exp_av_distribution(witness(WitnessId.EJR_UPPER).inst, 2000)
+        assert all(map(math.isfinite, dist.log_probs))
+        assert min(dist.log_probs) == -2000.0
+        assert dist.probs.count(0.0) == 5 and max(dist.probs) == 1.0
+
     @settings(max_examples=25, deadline=None)
     @given(instances(max_m=4, max_n=4), st.data())
     def test_neighbor_weight_shift_at_most_half(self, inst, data):
