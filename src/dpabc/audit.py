@@ -39,7 +39,6 @@ from .axioms import (
 )
 from .core import (
     Instance,
-    InvalidParametersError,
     ResourceLimitError,
     canonical_committees,
     committee_index,
@@ -383,25 +382,17 @@ def dp_level(
 def check_bound(bound_id: BoundId, levels: dict, inst: Instance, premises: dict) -> BoundCheck:
     """Evaluate one tradeoff bound against the measured ``levels``.
 
-    A bound whose premise fails on ``inst`` (``premises`` is
-    ``bound_premises(inst)``) is reported vacuous. Over exact levels the
-    check holds at every eps, else only at the levels' own. PE_CC_3WAY is
-    checked in the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
+    ``levels`` comes from ``measure_levels``, ``premises`` from ``bound_premises(inst)``.
+    A bound is vacuous by its failed premise, else by its first vacuous level. Over
+    exact levels the check holds at every eps, else only at the levels' own.
+    PE_CC_3WAY is checked in the satisfiable direction (pe^(nk-1) * cc <= e^(n*eps)).
     """
     axioms = bound_id.axioms
     rhs_coeff = Fraction(bound_id.rhs(inst.n, inst.k))
     reason = premises[bound_id]
-    terms = []
     if reason is None:
-        three_way_pe = Axiom.PE in axioms and len(axioms) > 1
-        for axiom in axioms:
-            level = levels.get(axiom)
-            if level is None:
-                raise InvalidParametersError(
-                    f"missing measurement for level {axiom.value!r} required by {bound_id.value}"
-                )
-            weight = inst.n * inst.k - 1 if three_way_pe and axiom is Axiom.PE else 1
-            terms.append((level, weight))
+        pe_weight = inst.n * inst.k - 1 if len(axioms) > 1 else 1
+        terms = tuple((levels[ax], pe_weight if ax is Axiom.PE else 1) for ax in axioms)
         reason = next(
             (f"level {lv.axiom.value} has no boundary pair" for lv, _ in terms if lv.vacuous),
             None,
@@ -410,7 +401,6 @@ def check_bound(bound_id: BoundId, levels: dict, inst: Instance, premises: dict)
         return BoundCheck(bound_id, True, True, f"vacuous: {reason}", None, rhs_coeff)
 
     note = "checked in the satisfiable direction" if bound_id is BoundId.PE_CC_3WAY else ""
-    terms = tuple(terms)
     if all(level.coeff is not None for level, _ in terms):
         # the weighted coefficients as integers over one denominator
         den = math.lcm(*(level.coeff.denominator for level, _ in terms))

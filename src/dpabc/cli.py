@@ -365,17 +365,11 @@ def _cmd_reproduce(args) -> tuple:
     for wid in WitnessId:
         inst = witness(wid).inst
         premises, extra = bound_premises(inst), {"witness": wid.value}
-        # levels and checks read only score differences over the scale, both
-        # reduced; a law without scores is keyed by its log-probabilities
         families: dict = {}
         for mechanism in AUDIT_MECHANISMS:
             # every audited law has scores, so its checks hold at every eps
             dist = MECHANISMS[mechanism](inst, eps_values[0])
-            key = dist.log_probs
-            if dist.scores is not None:
-                low = min(dist.scores)
-                g = math.gcd(dist.scale, *(q - low for q in dist.scores))
-                key = (tuple((q - low) // g for q in dist.scores), dist.scale // g)
+            key = (dist.scores, dist.scale)
             if key not in families:
                 checks = evaluate_bounds(measure_levels(dist), inst, premises)
                 families[key] = _bound_records(checks, eps_values, extra)

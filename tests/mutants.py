@@ -137,6 +137,13 @@ MUTANTS = (
     ),
     Mutant(
         MECHANISMS,
+        "_from_scores(inst, epsilon, _axiom_scores(inst, ax), 2)",
+        "_from_scores(inst, epsilon, _axiom_scores(inst, ax), 1)",
+        ("tests/test_audit.py",),
+        "the JR-family randomized responses at scale 1, only 2*eps-DP",
+    ),
+    Mutant(
+        MECHANISMS,
         "_from_scores(inst, epsilon, _av_scores(inst), 2 * inst.k)",
         "_from_scores(inst, epsilon, _av_scores(inst), inst.k)",
         ("tests/test_audit.py", "tests/test_mechanisms.py", "tests/test_acceptance.py"),
@@ -249,6 +256,23 @@ MUTANTS = (
     ),
     Mutant(
         AUDIT,
+        "    if reason is None:\n"
+        "        pe_weight = inst.n * inst.k - 1 if len(axioms) > 1 else 1\n"
+        "        terms = tuple((levels[ax], pe_weight if ax is Axiom.PE else 1) for ax in axioms)\n"
+        "        reason = next(\n"
+        '            (f"level {lv.axiom.value} has no boundary pair" for lv, _ in terms if lv.vacuous),\n'
+        "            None,\n",
+        "    if True:\n"
+        "        pe_weight = inst.n * inst.k - 1 if len(axioms) > 1 else 1\n"
+        "        terms = tuple((levels[ax], pe_weight if ax is Axiom.PE else 1) for ax in axioms)\n"
+        "        reason = next(\n"
+        '            (f"level {lv.axiom.value} has no boundary pair" for lv, _ in terms if lv.vacuous),\n'
+        "            reason,\n",
+        ("tests/test_audit.py",),
+        "a vacuous level's reason replaces a failed premise's in a bound's note",
+    ),
+    Mutant(
+        AUDIT,
         "sum(weight * level.log_at(epsilon) for level, weight in self.terms)",
         "sum(weight * level.log_value for level, weight in self.terms)",
         ("tests/test_cli.py",),
@@ -256,10 +280,10 @@ MUTANTS = (
     ),
     Mutant(
         CLI,
-        "key = (tuple((q - low) // g for q in dist.scores), dist.scale // g)",
-        "key = tuple((q - low) // g for q in dist.scores)",
+        "key = (dist.scores, dist.scale)",
+        "key = dist.scores",
         ("tests/test_cli.py",),
-        "reproduce shares rows between laws with equal reduced scores at different scales",
+        "reproduce shares rows between laws with equal scores at different scales",
     ),
     Mutant(
         CLI,

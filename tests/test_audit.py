@@ -627,6 +627,60 @@ class TestLevelInvariants:
         assert all(c.satisfied for c in checks)
 
 
+# each rr rule's own axiom and the level it guarantees there, as a multiple of
+# eps: a score gap of 1 over scale 2, or for rr-condorcet 1 over 1
+_FLOORS = {
+    "rr-jr": (Axiom.JR, Fraction(1, 2)),
+    "rr-pjr": (Axiom.PJR, Fraction(1, 2)),
+    "rr-ejr": (Axiom.EJR, Fraction(1, 2)),
+    "rr-condorcet": (Axiom.CC, Fraction(1)),
+}
+
+
+def guaranteed_levels(inst):
+    """Rule -> its non-vacuous level coefficients at eps 1 on ``inst``: each
+    rr rule's on its own axiom, ``uniform``'s on every axiom, and ``exp-av``'s
+    on PE times 2k (a dominance raises the AV score by at least 1, over scale
+    2k)."""
+    levels = {mech: measure_levels(MECHANISMS[mech](inst, 1)) for mech in AUDIT_MECHANISMS}
+    found = {
+        mech: [levels[mech][ax].coeff] if not levels[mech][ax].vacuous else []
+        for mech, (ax, _) in _FLOORS.items()
+    }
+    found["uniform"] = [lv.coeff for lv in levels["uniform"].values() if not lv.vacuous]
+    pe = levels["exp-av"][Axiom.PE]
+    found["exp-av"] = [] if pe.vacuous else [pe.coeff * 2 * inst.k]
+    return found
+
+
+def assert_floors(found):
+    for mech, (_, floor) in _FLOORS.items():
+        assert set(found[mech]) <= {floor}, (mech, found[mech])
+    assert set(found["uniform"]) <= {0}
+    assert all(gap.denominator == 1 and gap >= 1 for gap in found["exp-av"]), found["exp-av"]
+
+
+class TestGuaranteedLevels:
+    def test_each_rule_meets_its_floor_on_the_witnesses(self):
+        found = {wid: guaranteed_levels(witness(wid).inst) for wid in WitnessId}
+        for levels in found.values():
+            assert_floors(levels)
+        for mech in AUDIT_MECHANISMS:  # each rule has a level to check somewhere
+            assert any(found[wid][mech] for wid in WitnessId), mech
+        # exp-av's PE level meets its floor, 1/(2k), on four witnesses
+        assert {wid for wid in WitnessId if found[wid]["exp-av"] == [1]} == {
+            WitnessId.PJR_UPPER,
+            WitnessId.PE_CHAIN,
+            WitnessId.CC_UPPER,
+            WitnessId.JR_PJR_3WAY,
+        }
+
+    @given(instances(max_m=7, max_n=7, max_k=6))
+    @settings(max_examples=100, deadline=None)
+    def test_each_rule_meets_its_floor_on_profiles(self, inst):
+        assert_floors(guaranteed_levels(inst))
+
+
 # every (m, n) of the swap-pair sweep; k runs over 1..m-1
 SWAP_SHAPES = ((3, 2), (3, 3), (4, 2), (4, 3))
 
@@ -862,10 +916,19 @@ class TestCheckBound:
         assert check.lhs_coeff == Fraction(1)  # 3 * 1/4 + 1/4
         assert check.rhs_coeff == Fraction(2)
 
-    def test_missing_measurement_names_level(self):
-        w = witness(WitnessId.JR_UPPER)
-        with pytest.raises(InvalidParametersError, match="jr"):
-            check_bound(BoundId.JR_2WAY, {}, w.inst, bound_premises(w.inst))
+    def test_premise_reason_precedes_a_vacuous_level(self):
+        # JR_UPPER has no Condorcet committee and no dominance pair, so both
+        # the premise and a level of each bound below make it vacuous
+        inst = witness(WitnessId.JR_UPPER).inst
+        levels = measure_levels(exp_av_distribution(inst, 1))
+        assert levels[Axiom.CC].vacuous and levels[Axiom.PE].vacuous
+        premises = bound_premises(inst)
+        for bound_id in (BoundId.CC_JR_PRODUCT, BoundId.PE_JR_3WAY):
+            check = check_bound(bound_id, levels, inst, premises)
+            assert check.vacuous and check.satisfied and check.terms == ()
+            assert check.note == f"vacuous: {premises[bound_id]}"
+        assert premises[BoundId.CC_JR_PRODUCT] == "no Condorcet committee"
+        assert premises[BoundId.PE_JR_3WAY].startswith("longest dominance chain from a jr-")
 
     def test_premises_cover_whole_table(self):
         assert list(bound_premises(witness(WitnessId.PE_CHAIN).inst)) == list(BoundId)

@@ -8,7 +8,6 @@ import random
 import resource
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -697,16 +696,15 @@ class TestReproduce:
         premises = count_calls(monkeypatch, cli, "bound_premises")
         code, _, _ = run_cli(capsys, "reproduce")
         assert code == 0
-        # one scan per witness and distinct score differences over the scale
-        # (each score less the least): the rules of a witness whose laws
-        # agree share it, and each law serves the eps grid
+        # one scan per witness and distinct (scores, scale): the rules of a
+        # witness whose laws agree share it, and each law serves the eps grid
         laws = {
-            (wid, tuple(Fraction(q - min(law.scores), law.scale) for q in law.scores))
+            (wid, law.scores, law.scale)
             for wid in WitnessId
             for mechanism in cli.AUDIT_MECHANISMS
             for law in [MECHANISMS[mechanism](witness(wid).inst, 1)]
         }
-        assert levels == [len(laws)] == [35]
+        assert levels == [len(laws)] == [36]
         assert premises == [9]
 
     @pytest.mark.parametrize("fmt", ["structured", "table"])
