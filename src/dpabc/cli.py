@@ -43,7 +43,7 @@ from .core import (
     ResourceLimitError,
     read_instance,
 )
-from .instances import DEFAULT_PARAMETERS, WitnessId, witness, witness_id
+from .instances import WitnessId, witness, witness_id
 from .mechanisms import (
     AUDIT_MECHANISMS, MECHANISMS, as_epsilon, make_rule, sample, sample_sequential_av,
 )
@@ -168,7 +168,7 @@ def _load_instance(args) -> Instance:
             return read_instance(fh, _admit)
     wid = witness_id(args.witness)
     overrides = (args.n, args.k, args.m)
-    n, k, m = (d if o is None else o for o, d in zip(overrides, DEFAULT_PARAMETERS[wid]))
+    n, k, m = (d if o is None else o for o, d in zip(overrides, wid.shape))
     if n > _admit(m, k):
         raise ResourceLimitError(f"voter count limited to n <= {VOTER_COUNT_MAX}, got n={n}")
     return witness(wid, n, k, m).inst

@@ -16,32 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import Instance, InvalidParametersError
 from .mechanisms import RandomSeed, uniform_stream
-
-
-class WitnessId(Enum):
-    JR_UPPER = "JR_UPPER"
-    PJR_UPPER = "PJR_UPPER"
-    EJR_UPPER = "EJR_UPPER"
-    PE_CHAIN = "PE_CHAIN"
-    CC_UPPER = "CC_UPPER"
-    JR_PJR_3WAY = "JR_PJR_3WAY"
-    PJR_EJR_3WAY = "PJR_EJR_3WAY"
-    FIG3_DIVERGENCE = "FIG3_DIVERGENCE"
-    CC_JR_INCOMPAT = "CC_JR_INCOMPAT"
-
-
-def witness_id(name: str) -> WitnessId:
-    """The witness id a user typed: case-insensitive, ``-`` read as ``_``."""
-    key = name.strip().upper().replace("-", "_")
-    try:
-        return WitnessId[key]
-    except KeyError:
-        valid = ", ".join(w.name for w in WitnessId)
-        raise InvalidParametersError(f"unknown witness id {name!r}; valid ids: {valid}") from None
 
 
 @dataclass
@@ -194,20 +172,34 @@ def _cc_jr_incompat(n: int, k: int, m: int) -> Instance:
     return Instance([range(k)] * (t + 1) + [range(k, 2 * k)] * t, m, k)
 
 
-# witness id -> (builder, canonical (smallest valid) parameters (n, k, m))
-_WITNESSES = {
-    WitnessId.JR_UPPER: (_jr_upper, (4, 2, 4)),
-    WitnessId.PJR_UPPER: (_pjr_upper, (4, 2, 4)),
-    WitnessId.EJR_UPPER: (_ejr_upper, (4, 2, 4)),
-    WitnessId.PE_CHAIN: (_pe_dominance, (2, 2, 5)),
-    WitnessId.CC_UPPER: (_cc_upper, (3, 2, 4)),
-    WitnessId.JR_PJR_3WAY: (_jr_pjr_3way, (5, 5, 8)),
-    WitnessId.PJR_EJR_3WAY: (_pjr_ejr_3way, (6, 3, 8)),
-    WitnessId.FIG3_DIVERGENCE: (_fig3_divergence, (4, 2, 4)),
-    WitnessId.CC_JR_INCOMPAT: (_cc_jr_incompat, (3, 3, 6)),
-}
+class WitnessId(Enum):
+    """A witness construction: its builder and its default (n, k, m) ``shape``,
+    which ``--witness`` builds and the goldens pin (a default, not a minimum)."""
 
-DEFAULT_PARAMETERS: dict = {wid: shape for wid, (_, shape) in _WITNESSES.items()}
+    def __new__(cls, value: str, build: Callable, shape: tuple):
+        wid = object.__new__(cls)
+        wid._value_, wid.build, wid.shape = value, build, shape
+        return wid
+
+    JR_UPPER = "JR_UPPER", _jr_upper, (4, 2, 4)
+    PJR_UPPER = "PJR_UPPER", _pjr_upper, (4, 2, 4)
+    EJR_UPPER = "EJR_UPPER", _ejr_upper, (4, 2, 4)
+    PE_CHAIN = "PE_CHAIN", _pe_dominance, (2, 2, 5)
+    CC_UPPER = "CC_UPPER", _cc_upper, (3, 2, 4)
+    JR_PJR_3WAY = "JR_PJR_3WAY", _jr_pjr_3way, (5, 5, 8)
+    PJR_EJR_3WAY = "PJR_EJR_3WAY", _pjr_ejr_3way, (6, 3, 8)
+    FIG3_DIVERGENCE = "FIG3_DIVERGENCE", _fig3_divergence, (4, 2, 4)
+    CC_JR_INCOMPAT = "CC_JR_INCOMPAT", _cc_jr_incompat, (3, 3, 6)
+
+
+def witness_id(name: str) -> WitnessId:
+    """The witness id a user typed: case-insensitive, ``-`` read as ``_``."""
+    key = name.strip().upper().replace("-", "_")
+    try:
+        return WitnessId[key]
+    except KeyError:
+        valid = ", ".join(w.name for w in WitnessId)
+        raise InvalidParametersError(f"unknown witness id {name!r}; valid ids: {valid}") from None
 
 
 def witness(
@@ -216,13 +208,13 @@ def witness(
     k: Optional[int] = None,
     m: Optional[int] = None,
 ) -> WitnessInstance:
-    """Construct a witness by id; omitted parameters take the documented
-    defaults. Parameter combinations violating a construction's side
-    conditions are rejected with the condition named."""
-    build, (default_n, default_k, default_m) = _WITNESSES[wid]
+    """Construct a witness by id; omitted parameters take ``wid.shape``'s.
+    Parameter combinations violating a construction's side conditions are
+    rejected with the condition named."""
+    default_n, default_k, default_m = wid.shape
     k = k if k is not None else default_k
     _require(k >= 1, f"witnesses require k >= 1, got k={k}")
-    return WitnessInstance(build(
+    return WitnessInstance(wid.build(
         n if n is not None else default_n, k, m if m is not None else default_m
     ))
 

@@ -1,7 +1,8 @@
 """A standing mutation gate: the suite must kill every mutant listed here.
 
 Each mutant replaces one exact text, which must occur exactly once in its
-file, and names the test files that should kill it. Run from anywhere:
+file, and names the test files (or test ids) that should kill it. Run from
+anywhere:
 
     python3 tests/mutants.py
 
@@ -41,6 +42,7 @@ AXIOMS = "src/dpabc/axioms.py"
 AUDIT = "src/dpabc/audit.py"
 MECHANISMS = "src/dpabc/mechanisms.py"
 CLI = "src/dpabc/cli.py"
+INSTANCES = "src/dpabc/instances.py"
 
 MUTANTS = (
     Mutant(
@@ -305,6 +307,13 @@ MUTANTS = (
         'rule.add_argument("--eps", required=False,',
         ("tests/test_cli.py",),
         "a rule command runs without --eps",
+    ),
+    Mutant(
+        INSTANCES,
+        'JR_UPPER = "JR_UPPER", _jr_upper, (4, 2, 4)',
+        'JR_UPPER = "JR_UPPER", _jr_upper, (3, 2, 4)',
+        ("tests/test_instances.py::TestConstruction::test_default_shapes",),
+        "a witness's default shape changes",
     ),
 )
 

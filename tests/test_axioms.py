@@ -35,7 +35,6 @@ from dpabc.axioms import (
     _pjr_groups,
 )
 from dpabc.core import ResourceLimitError, canonical_committees
-from dpabc.instances import DEFAULT_PARAMETERS
 
 from brute import (
     av_score,
@@ -126,14 +125,14 @@ class TestSatisfiesAxiom:
     def test_jr_upper_membership_flips_across_neighbor(self):
         wid = WitnessId.JR_UPPER
         w = witness(wid)
-        committee = tagged(wid, *DEFAULT_PARAMETERS[wid])["W"]
+        committee = tagged(wid, *wid.shape)["W"]
         assert committee in axiom_committee_set(w.inst, Axiom.JR)
         assert committee not in axiom_committee_set(companion(wid, w.inst), Axiom.JR)
 
     def test_fig3_pjr_without_ejr(self):
         wid = WitnessId.FIG3_DIVERGENCE
         w = witness(wid)
-        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        tags = tagged(wid, *wid.shape)
         w_1, w_2 = tags["W_1"], tags["W_2"]
         assert w_2 in axiom_committee_set(w.inst, Axiom.PJR)
         assert w_2 not in axiom_committee_set(w.inst, Axiom.EJR)
@@ -175,7 +174,7 @@ class TestParetoDominance:
 
     def test_chain_head(self):
         w = witness(WitnessId.PE_CHAIN)
-        tags = tagged(WitnessId.PE_CHAIN, *DEFAULT_PARAMETERS[WitnessId.PE_CHAIN])
+        tags = tagged(WitnessId.PE_CHAIN, *WitnessId.PE_CHAIN.shape)
         assert pareto_dominates(tags["W_1_1"], tags["W_1_2"], w.inst.ballots)
         assert not pareto_dominates(tags["W_1_2"], tags["W_1_1"], w.inst.ballots)
 
@@ -351,7 +350,7 @@ class TestCondorcet:
         wid = WitnessId.CC_JR_INCOMPAT
         w = witness(wid)
         winner = condorcet_committee(w.inst)
-        assert winner == tagged(wid, *DEFAULT_PARAMETERS[wid])["W_c"]
+        assert winner == tagged(wid, *wid.shape)["W_c"]
         assert winner not in axiom_committee_set(w.inst, Axiom.JR)
 
 

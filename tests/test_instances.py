@@ -19,7 +19,6 @@ from dpabc import (
     WitnessId,
 )
 from dpabc.core import canonical_committees
-from dpabc.instances import DEFAULT_PARAMETERS
 
 from brute import (
     av_score,
@@ -92,11 +91,29 @@ def _profiles(wid, inst):
         yield "companion", paired
 
 
+# Each witness's default (n, k, m), in member order: what ``witness(wid)`` and
+# ``--witness`` build and the goldens pin. Not the smallest shape that builds.
+_DEFAULT_SHAPES = [
+    ("JR_UPPER", (4, 2, 4)),
+    ("PJR_UPPER", (4, 2, 4)),
+    ("EJR_UPPER", (4, 2, 4)),
+    ("PE_CHAIN", (2, 2, 5)),
+    ("CC_UPPER", (3, 2, 4)),
+    ("JR_PJR_3WAY", (5, 5, 8)),
+    ("PJR_EJR_3WAY", (6, 3, 8)),
+    ("FIG3_DIVERGENCE", (4, 2, 4)),
+    ("CC_JR_INCOMPAT", (3, 3, 6)),
+]
+
+
 class TestConstruction:
+    def test_default_shapes(self):
+        assert [(wid.value, wid.shape) for wid in WitnessId] == _DEFAULT_SHAPES
+
     @pytest.mark.parametrize("wid", list(WitnessId))
     def test_defaults_build_and_tags_are_valid(self, wid):
         w = witness(wid)
-        n, k, m = DEFAULT_PARAMETERS[wid]
+        n, k, m = wid.shape
         assert (w.inst.n, w.inst.k, w.inst.m) == (n, k, m)
         for committee in tagged(wid, n, k, m).values():
             assert committee in canonical_committees(m, k)
@@ -156,7 +173,7 @@ class TestTaggedMemberships:
     @pytest.mark.parametrize("wid", sorted(MEMBERSHIP_FACTS, key=lambda w: w.value))
     def test_fast_checkers_confirm_tags(self, wid):
         profiles = dict(_profiles(wid, witness(wid).inst))
-        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        tags = tagged(wid, *wid.shape)
         for tag, which, expectations in MEMBERSHIP_FACTS[wid]:
             committee = tags[tag]
             inst = profiles[which]
@@ -171,7 +188,7 @@ class TestTaggedMemberships:
     @pytest.mark.parametrize("wid", sorted(MEMBERSHIP_FACTS, key=lambda w: w.value))
     def test_brute_oracle_confirms_tags(self, wid):
         profiles = dict(_profiles(wid, witness(wid).inst))
-        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        tags = tagged(wid, *wid.shape)
         for tag, which, expectations in MEMBERSHIP_FACTS[wid]:
             committee = tags[tag]
             inst = profiles[which]
@@ -181,7 +198,7 @@ class TestTaggedMemberships:
     def test_ejr_upper_sets_are_singletons(self):
         wid = WitnessId.EJR_UPPER
         base = witness(wid).inst
-        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        tags = tagged(wid, *wid.shape)
         for inst, tag in ((base, "W"), (companion(wid, base), "W_prime")):
             for ax in (Axiom.JR, Axiom.PJR, Axiom.EJR):
                 assert axiom_committee_set(inst, ax) == (tags[tag],)
@@ -191,7 +208,7 @@ class TestPeChain:
     def test_chain_length_and_tags(self):
         w = witness(WitnessId.PE_CHAIN)
         chain = pe_chain(w.inst.n, w.inst.k)
-        tags = tagged(WitnessId.PE_CHAIN, *DEFAULT_PARAMETERS[WitnessId.PE_CHAIN])
+        tags = tagged(WitnessId.PE_CHAIN, *WitnessId.PE_CHAIN.shape)
         assert len(chain) == w.inst.n * w.inst.k + 1
         assert chain[0] == tags["W_1_1"]
         assert chain[-1] == tags["W_3_1"]
@@ -232,7 +249,7 @@ class TestCondorcetWitnesses:
     def test_cc_upper_winners_flip(self):
         wid = WitnessId.CC_UPPER
         inst = witness(wid).inst
-        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        tags = tagged(wid, *wid.shape)
         assert condorcet_committee(inst) == tags["W"]
         assert condorcet_committee(companion(wid, inst)) == tags["W_prime"]
         assert tags["W"] != tags["W_prime"]
@@ -241,7 +258,7 @@ class TestCondorcetWitnesses:
     def test_incompatibility_winner(self):
         wid = WitnessId.CC_JR_INCOMPAT
         inst = witness(wid).inst
-        tags = tagged(wid, *DEFAULT_PARAMETERS[wid])
+        tags = tagged(wid, *wid.shape)
         assert condorcet_committee(inst) == tags["W_c"]
         assert brute_condorcet(inst) == tags["W_c"]
 
